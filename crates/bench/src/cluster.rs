@@ -12,10 +12,13 @@
 //! * [`ClusterBuilder`] — mirrors `gpu_sim`'s `SimBuilder`: fidelity tier,
 //!   per-device scheduler, slot count, jitter, worker count, probe
 //!   observers; [`ClusterBuilder::run`] produces a [`ClusterReport`].
-//! * Devices execute on the sweep engine's [`crate::sweep::par_map`] pool.
-//!   Per-device RNG seeds hash from the workload cell and device index —
-//!   never the routing policy — so policy comparisons are paired and the
-//!   report is bit-identical for any worker count.
+//! * One time-ordered engine runs every cell: routing, fault replay,
+//!   retries and device bookings interleave in a single serial pass, and a
+//!   cell without faults is one whose plan has no transitions. Per-device
+//!   RNG seeds hash from the workload cell and device index — never the
+//!   routing policy — so policy comparisons are paired, and the report is
+//!   bit-identical for any worker count (workers only fan out the
+//!   detailed tier's per-device simulations).
 //! * Latency tails stream through [`StreamingQuantiles`] (p50/p99/p999),
 //!   merged across devices in device-index order, so a million-job run
 //!   reports SLO attainment without holding a million samples.
@@ -25,31 +28,30 @@
 //!
 //! # Fidelity tiers
 //!
-//! The **fast** tier (default) runs each device as the calibrated queueing
-//! model in [`gpu_sim::fleet`]; a 16-device, million-job grid completes in
-//! seconds. The **detailed** tier materializes every routed job's kernel
-//! chain and runs a full [`gpu_sim::sim::Simulation`] per device under a
-//! registry scheduler (default LAX) — used for smokes and fidelity
-//! cross-checks at small job counts.
+//! Both tiers book every placement through the one booking model,
+//! [`FastDevice`]. The **fast** tier (default) executes on it; a 16-device,
+//! million-job grid completes in seconds. The **detailed** tier books
+//! un-jittered only to decide crash losses, then materializes every
+//! surviving booking's kernel chain and runs a full
+//! [`gpu_sim::sim::Simulation`] per device under a registry scheduler
+//! (default LAX) — used for smokes and fidelity cross-checks at small job
+//! counts.
 //!
 //! # Failure domains
 //!
 //! A [`FleetFaultPlan`] (from [`ClusterScenario::fault_seed`] at intensity
-//! `:fI`, or injected via [`ClusterBuilder::fleet_faults`]) switches
-//! [`ClusterBuilder::run`] to the chaos engine: one time-ordered pass
-//! interleaving fault transitions, arrivals and deadline-aware retries.
-//! Crashes lose in-flight work (recovered through the front door while
-//! some survivor's predicted laxity admits it, bounded by
-//! [`ClusterBuilder::retry_budget`]); drains stop new placements; straggler
-//! windows stretch service; correlated outages down whole device blocks.
-//! Every job ends completed, rejected, shed or lost, and the probe bus
-//! narrates `DeviceDown`/`DeviceRestored`/`JobRetried`/`JobShed`. A no-op
-//! plan is bit-identical to the fault-free path, and reports remain
-//! bit-identical for any worker count.
+//! `:fI`, or injected via [`ClusterBuilder::fleet_faults`]) feeds the
+//! engine's fault transitions. Crashes lose in-flight work (recovered
+//! through the front door while some survivor's predicted laxity admits
+//! it, bounded by [`ClusterBuilder::retry_budget`]); drains stop new
+//! placements; straggler windows stretch service; correlated outages down
+//! whole device blocks. Every job ends completed, rejected, shed or lost,
+//! and the probe bus narrates
+//! `DeviceDown`/`DeviceRestored`/`JobRetried`/`JobShed`.
 //!
 //! # Observability
 //!
-//! Both run paths narrate themselves over the probe bus: routing verdicts
+//! The engine narrates itself over the probe bus: routing verdicts
 //! live in arrival order, then — after devices execute — one
 //! `JobCompleted` per finished job and exactly one `JobMissed` (typed by
 //! [`MissCause`]) per job that did not make its deadline, merged into one
@@ -574,7 +576,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Worker threads devices are fanned across. The report is
+    /// Worker threads the detailed tier's per-device simulations are
+    /// fanned across; the fast tier runs in one serial pass. The report is
     /// bit-identical for any value (device seeds never depend on workers).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -588,7 +591,7 @@ impl ClusterBuilder {
     /// and one [`ProbeEvent::JobRetried`] per recovered placement,
     /// delivered live in arrival order; [`ProbeEvent::DeviceDown`] /
     /// [`ProbeEvent::DeviceRestored`] at each fleet health transition
-    /// (chaos path only); then, once devices have executed, one
+    /// (none without faults); then, once devices have executed, one
     /// [`ProbeEvent::JobCompleted`] per run-to-completion job and exactly
     /// one [`ProbeEvent::JobMissed`] (typed by [`MissCause`]) per job that
     /// did not make its deadline, merged across devices into a single
@@ -641,21 +644,26 @@ impl ClusterBuilder {
     /// Routes the arrival stream and executes every device, returning the
     /// merged [`ClusterReport`].
     ///
-    /// With an empty fleet fault plan this is the exact two-phase path
-    /// (route everything, then execute devices in parallel); under faults
-    /// it is the time-ordered chaos engine interleaving fault transitions,
-    /// arrivals and retries. The dispatch is on the *plan*, so an
-    /// intensity-0 scenario is bit-identical to one that never mentions
-    /// faults.
+    /// Every cell runs the one time-ordered engine, interleaving fleet
+    /// fault transitions, arrivals and retries; a cell without faults is
+    /// one whose plan has no transitions, so an intensity-0 scenario is
+    /// bit-identical to one that never mentions faults.
     ///
     /// # Errors
     ///
     /// [`BenchError::UnknownPolicy`] for routing policies outside the
-    /// registry; [`BenchError::FleetFault`] for an ill-formed fault plan;
-    /// [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
+    /// registry; [`BenchError::FleetKnob`] for zero slots or a jitter
+    /// outside `[0, 1)`; [`BenchError::FleetFault`] for an ill-formed fault
+    /// plan; [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
     /// detailed-tier devices.
     pub fn run(&self) -> Result<ClusterReport, BenchError> {
         let policy = routing::try_build(&self.scenario.policy)?;
+        if self.slots == 0 {
+            return Err(BenchError::FleetKnob { knob: "slots", value: self.slots.to_string() });
+        }
+        if !(0.0..1.0).contains(&self.jitter) {
+            return Err(BenchError::FleetKnob { knob: "jitter", value: self.jitter.to_string() });
+        }
         let suite = BenchmarkSuite::calibrated();
         let jobs = generate_cluster_jobs(&self.scenario, suite);
         let plan = match &self.fleet_faults {
@@ -676,24 +684,38 @@ impl ClusterBuilder {
             }
             None => FleetFaultPlan::none(),
         };
-        if plan.is_none() {
-            self.run_plain(policy, jobs, suite)
-        } else {
-            plan.validate(self.scenario.devices as u32)?;
-            self.run_chaos(policy, jobs, suite, &plan)
-        }
+        plan.validate(self.scenario.devices as u32)?;
+        self.run_engine(policy, jobs, suite, &plan)
     }
 
-    /// The fault-free two-phase path: route the whole stream, then execute
-    /// devices on the worker pool.
-    fn run_plain(
+    /// The fleet engine: one time-ordered pass interleaving fleet fault
+    /// transitions, job arrivals and retries. Deterministic global order:
+    /// by instant, then kind (fault transitions < arrivals < retries),
+    /// then stream/schedule position — so the run is a pure function of
+    /// the cell and plan, independent of worker count.
+    ///
+    /// Each booking's fate is settled when it is made. A device is booked
+    /// only while it is up, and the plan fixes its next crash after the
+    /// booking's entry, so a booking that completes by that instant is
+    /// final on the spot: the fast tier completes it, the detailed tier
+    /// keeps it for phase 2. Only a booking that completes later is held,
+    /// and that crash loses every held booking, in booking order. Without
+    /// faults nothing is ever held.
+    ///
+    /// Both tiers book through [`FastDevice`]. The detailed tier books
+    /// un-jittered and unstretched, then materializes each device's
+    /// surviving bookings as a full [`Simulation`] with the device's
+    /// straggler windows translated to [`Slowdown`] faults.
+    fn run_engine(
         &self,
         policy: routing::RoutePolicy,
         jobs: Vec<ClusterJob>,
         suite: &BenchmarkSuite,
+        plan: &FleetFaultPlan,
     ) -> Result<ClusterReport, BenchError> {
         let deadline = self.scenario.bench.deadline();
         let n = self.scenario.devices;
+        let detailed = self.fidelity == Fidelity::Detailed;
         // P2C's sampling stream is seeded from the cell, not the policy
         // string, so the job trace and all derived seeds stay paired.
         let mut router = Router::new(policy, n, self.slots, self.scenario.cell_seed());
@@ -701,278 +723,22 @@ impl ClusterBuilder {
         for obs in &self.observers {
             hub.attach(Box::new(Arc::clone(obs)));
         }
-        let mut per_device: Vec<Vec<ClusterJob>> = vec![Vec::new(); n];
-        let mut rejected = 0u64;
-        for job in &jobs {
-            let req =
-                RouteRequest { arrival: job.arrival, service_est: job.service_est, deadline };
-            match router.route(&req) {
-                RouteDecision::Route { device, predicted_wait, laxity_us } => {
-                    hub.emit_with(job.arrival, || ProbeEvent::JobRouted {
-                        job: JobId(job.id),
-                        device: device as u16,
-                        predicted_wait_us: predicted_wait.as_us_f64(),
-                        laxity_us,
-                    });
-                    per_device[device].push(*job);
-                }
-                RouteDecision::Reject { laxity_us } => {
-                    hub.emit_with(job.arrival, || ProbeEvent::JobRejected {
-                        job: JobId(job.id),
-                        laxity_us,
-                    });
-                    hub.emit_with(job.arrival, || ProbeEvent::JobMissed {
-                        job: JobId(job.id),
-                        device: None,
-                        cause: MissCause::FrontDoorReject,
-                    });
-                    rejected += 1;
-                }
-                RouteDecision::NoDevice => {
-                    unreachable!("all devices are Up on the fault-free path")
-                }
-            }
-        }
-        drop(jobs);
         let collect = hub.is_active();
-        let indices: Vec<usize> = (0..n).collect();
-        let slices = par_map(&indices, self.workers, |&d| {
-            self.run_device(&self.scenario, d, &per_device[d], deadline, suite, collect)
-        });
-        // Merge in device-index order: StreamingQuantiles counts merge
-        // order-independently but the mean's f64 sum does not, and the
-        // report must be bit-identical across worker counts.
-        let mut latency_us = StreamingQuantiles::new();
-        let mut completed = 0u64;
-        let mut met = 0u64;
-        let mut device_rejected = 0u64;
-        let mut makespan = Duration::ZERO;
-        let mut events = 0u64;
-        let mut misses = MissBreakdown::default();
-        let mut outcome_events: Vec<OutcomeEvent> = Vec::new();
-        let mut per_device_jobs = Vec::with_capacity(n);
-        for slice in slices {
-            let s = slice?;
-            latency_us.merge(&s.latency_us);
-            completed += s.completed;
-            met += s.met;
-            device_rejected += s.device_rejected;
-            makespan = makespan.max(s.makespan);
-            events += s.events;
-            misses.merge(&s.misses);
-            outcome_events.extend(s.outcomes);
-            per_device_jobs.push(s.jobs);
-        }
-        misses.add_n(MissCause::FrontDoorReject, rejected);
-        emit_outcomes(&mut hub, outcome_events);
-        Ok(ClusterReport {
-            scenario: self.scenario.clone(),
-            fidelity: self.fidelity,
-            total: self.scenario.n_jobs as u64,
-            rejected,
-            device_rejected,
-            completed,
-            met,
-            lost: 0,
-            retried: 0,
-            shed: 0,
-            misses,
-            latency_us,
-            per_device_jobs,
-            makespan,
-            events,
-        })
-    }
-
-    /// Executes device `d` over its routed jobs at the selected fidelity.
-    /// With `collect` set, every completion and deadline miss is also
-    /// buffered as an [`OutcomeEvent`] for post-merge delivery.
-    fn run_device(
-        &self,
-        scenario: &ClusterScenario,
-        d: usize,
-        jobs: &[ClusterJob],
-        deadline: Duration,
-        suite: &BenchmarkSuite,
-        collect: bool,
-    ) -> Result<DeviceSlice, BenchError> {
-        match self.fidelity {
-            Fidelity::Fast => {
-                let fleet: Vec<FleetJob> = jobs
-                    .iter()
-                    .map(|j| FleetJob {
-                        id: j.id,
-                        arrival: j.arrival,
-                        service_est: j.service_est,
-                        deadline,
-                    })
-                    .collect();
-                let params = FastDeviceParams {
-                    slots: self.slots,
-                    jitter: self.jitter,
-                    seed: scenario.device_seed(d),
-                };
-                let report = run_fast_device(&fleet, &params);
-                let mut latency_us = StreamingQuantiles::new();
-                let mut met = 0u64;
-                let mut misses = MissBreakdown::default();
-                let mut outcomes = Vec::new();
-                for o in &report.outcomes {
-                    latency_us.push(o.latency.as_us_f64());
-                    met += u64::from(o.met);
-                    let cause = (!o.met).then(|| {
-                        // Late, but the service itself fit the deadline
-                        // budget: the job died waiting for a slot.
-                        if o.completion.saturating_since(o.start) <= deadline {
-                            MissCause::QueueingDelay
-                        } else {
-                            MissCause::ServiceTime
-                        }
-                    });
-                    if let Some(cause) = cause {
-                        misses.add(cause);
-                    }
-                    if collect {
-                        outcomes.push(OutcomeEvent {
-                            at: o.completion,
-                            job: o.id,
-                            kind: 0,
-                            event: ProbeEvent::JobCompleted {
-                                job: JobId(o.id),
-                                device: d as u16,
-                                latency_us: o.latency.as_us_f64(),
-                                met: o.met,
-                            },
-                        });
-                        if let Some(cause) = cause {
-                            outcomes.push(OutcomeEvent {
-                                at: o.completion,
-                                job: o.id,
-                                kind: 1,
-                                event: ProbeEvent::JobMissed {
-                                    job: JobId(o.id),
-                                    device: Some(d as u16),
-                                    cause,
-                                },
-                            });
-                        }
-                    }
-                }
-                Ok(DeviceSlice {
-                    latency_us,
-                    completed: jobs.len() as u64,
-                    met,
-                    device_rejected: 0,
-                    makespan: report.makespan.saturating_since(Cycle::ZERO),
-                    events: report.events,
-                    jobs: jobs.len() as u64,
-                    misses,
-                    outcomes,
-                })
-            }
-            Fidelity::Detailed => {
-                if jobs.is_empty() {
-                    return Ok(DeviceSlice::default());
-                }
-                let descs: Vec<JobDesc> = jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, j)| {
-                        materialize_job(suite, scenario.bench, j.spec, i as u32, deadline, j.arrival)
-                    })
-                    .collect();
-                let mode = registry::try_build(&self.device_scheduler)?;
-                let mut sim = Simulation::builder()
-                    .offline_rates(suite.offline_rates())
-                    .jobs(descs)
-                    .scheduler(mode)
-                    .build()?;
-                let report = sim.try_run().map_err(BenchError::Sim)?;
-                let mut latency_us = StreamingQuantiles::new();
-                let mut misses = MissBreakdown::default();
-                let mut outcomes = Vec::new();
-                for r in &report.records {
-                    if let Some(lat) = r.latency() {
-                        latency_us.push(lat.as_us_f64());
-                    }
-                    // Local ids were assigned by enumeration, so the
-                    // record maps straight back to the cluster job.
-                    let job = &jobs[r.id.0 as usize];
-                    attribute_detailed(
-                        r,
-                        &DetailedJob {
-                            cluster_id: job.id,
-                            service_est: job.service_est,
-                            deadline,
-                            device: d as u16,
-                            requeue: Duration::ZERO,
-                        },
-                        &mut misses,
-                        collect.then_some(&mut outcomes),
-                    );
-                }
-                Ok(DeviceSlice {
-                    latency_us,
-                    completed: report.completed() as u64,
-                    met: report.deadlines_met() as u64,
-                    device_rejected: report.rejected() as u64,
-                    makespan: report.makespan,
-                    events: report.events,
-                    jobs: jobs.len() as u64,
-                    misses,
-                    outcomes,
-                })
-            }
-        }
-    }
-}
-
-impl ClusterBuilder {
-    /// The chaos engine: one time-ordered pass interleaving fleet fault
-    /// transitions, job arrivals and retries. Deterministic global order:
-    /// by instant, then kind (fault transitions < arrivals < retries),
-    /// then stream/schedule position — so the run is a pure function of
-    /// the cell and plan, independent of worker count.
-    ///
-    /// The fast tier executes bookings inline against per-device slot
-    /// models with the same jitter stream and arithmetic as
-    /// [`run_fast_device`], so a plan whose only effect is a no-op (e.g.
-    /// factor-1.0 stragglers) reproduces the fault-free report
-    /// bit-identically. The detailed tier uses the slot model (un-jittered)
-    /// only to decide crash losses, then materializes each device's
-    /// surviving bookings as a full [`Simulation`] with the device's
-    /// straggler windows translated to [`Slowdown`] faults.
-    fn run_chaos(
-        &self,
-        policy: routing::RoutePolicy,
-        jobs: Vec<ClusterJob>,
-        suite: &BenchmarkSuite,
-        plan: &FleetFaultPlan,
-    ) -> Result<ClusterReport, BenchError> {
-        assert!(self.slots >= 1, "a device needs at least one service slot");
-        assert!(
-            (0.0..1.0).contains(&self.jitter),
-            "jitter must be in [0, 1), got {}",
-            self.jitter
-        );
-        let deadline = self.scenario.bench.deadline();
-        let n = self.scenario.devices;
-        let detailed = self.fidelity == Fidelity::Detailed;
-        let mut router = Router::new(policy, n, self.slots, self.scenario.cell_seed());
-        let mut hub: ProbeHub<ProbeEvent> = ProbeHub::new();
-        for obs in &self.observers {
-            hub.attach(Box::new(Arc::clone(obs)));
-        }
-        let collect = hub.is_active();
-        let mut devs: Vec<ChaosDevice> = (0..n)
-            .map(|d| ChaosDevice::new(d as u16, self.slots, self.scenario.device_seed(d)))
-            .collect();
-        // Straggler windows per device, scanned statically at booking time
-        // (the schedule is known a priori, so no transition state needed).
-        let mut stragglers: Vec<Vec<(Cycle, Cycle, f64)>> = vec![Vec::new(); n];
+        let mut stragglers: Vec<Vec<StragglerWindow>> = vec![Vec::new(); n];
         for w in &plan.stragglers {
-            stragglers[w.device as usize].push((w.at, w.until, w.factor));
+            stragglers[w.device as usize].push(*w);
         }
+        let mut devs: Vec<DeviceState> = (0..n)
+            .map(|d| {
+                let seed = self.scenario.device_seed(d);
+                let model = if detailed {
+                    FastDevice::new(self.slots, 0.0, seed)
+                } else {
+                    FastDevice::new(self.slots, self.jitter, seed).with_stragglers(&stragglers[d])
+                };
+                DeviceState::new(d as u16, model)
+            })
+            .collect();
         // Health transitions, expanded so correlated outages become one
         // event per member device; `transitions()` order (ends before
         // starts at equal instants) is preserved.
@@ -980,15 +746,19 @@ impl ClusterBuilder {
         for (t, action) in plan.transitions() {
             match action {
                 FleetFaultAction::CrashStart(i) => {
-                    fleet_events.push((t, DevAction::Down(plan.crashes[i].device as usize)));
+                    let d = plan.crashes[i].device as usize;
+                    devs[d].downs.push(t);
+                    fleet_events.push((t, DevAction::Down(d)));
                 }
                 FleetFaultAction::CrashEnd(i) => {
                     fleet_events.push((t, DevAction::Up(plan.crashes[i].device as usize)));
                 }
                 FleetFaultAction::OutageStart(i) => {
                     let o = &plan.outages[i];
-                    for d in o.first..o.first + o.count {
-                        fleet_events.push((t, DevAction::Down(d as usize)));
+                    let members = devs.iter_mut().enumerate().skip(o.first as usize);
+                    for (d, dev) in members.take(o.count as usize) {
+                        dev.downs.push(t);
+                        fleet_events.push((t, DevAction::Down(d)));
                     }
                 }
                 FleetFaultAction::OutageEnd(i) => {
@@ -1038,7 +808,8 @@ impl ClusterBuilder {
             }};
         }
 
-        // One fleet event: flush/restore device state and drive health.
+        // One fleet event: lose held bookings/restore device state and
+        // drive health.
         macro_rules! apply_fleet_event {
             ($t:expr, $action:expr) => {{
                 let t = $t;
@@ -1047,46 +818,36 @@ impl ClusterBuilder {
                         let dev = &mut devs[d];
                         dev.down += 1;
                         if dev.down == 1 {
-                            let bookings = std::mem::take(&mut dev.bookings);
-                            let mut lost_here = 0u32;
-                            for b in bookings {
-                                if b.completion <= t {
-                                    // Done before the crash hit.
-                                    if detailed {
-                                        dev.survivors.push(b);
-                                    } else {
-                                        dev.complete(&b, collect);
-                                    }
-                                } else {
-                                    // In flight or queued: gone with the
-                                    // device; retry if budget remains.
-                                    lost_here += 1;
-                                    if !detailed {
-                                        dev.events += 1;
-                                    }
-                                    let id = b.id;
-                                    if chaos_lose(
-                                        b,
-                                        t,
-                                        self.retry_budget,
-                                        self.retry_backoff,
-                                        &mut retries,
-                                        &mut seq,
-                                        &mut lost,
-                                    ) {
-                                        misses.add(MissCause::CrashLoss);
-                                        if collect {
-                                            outcome_events.push(OutcomeEvent {
-                                                at: t,
-                                                job: id,
-                                                kind: 1,
-                                                event: ProbeEvent::JobMissed {
-                                                    job: JobId(id),
-                                                    device: Some(d as u16),
-                                                    cause: MissCause::CrashLoss,
-                                                },
-                                            });
-                                        }
+                            // Every held booking completes after this crash
+                            // by construction: all are lost, retried if
+                            // budget remains.
+                            let held = std::mem::take(&mut dev.held);
+                            let lost_here = held.len() as u32;
+                            if !detailed {
+                                dev.events += u64::from(lost_here);
+                            }
+                            for job in held {
+                                if requeue_or_lose(
+                                    job,
+                                    t,
+                                    self.retry_budget,
+                                    self.retry_backoff,
+                                    &mut retries,
+                                    &mut seq,
+                                    &mut lost,
+                                ) {
+                                    misses.add(MissCause::CrashLoss);
+                                    if collect {
+                                        outcome_events.push(OutcomeEvent {
+                                            at: t,
+                                            job: job.id,
+                                            kind: 1,
+                                            event: ProbeEvent::JobMissed {
+                                                job: JobId(job.id),
+                                                device: Some(d as u16),
+                                                cause: MissCause::CrashLoss,
+                                            },
+                                        });
                                     }
                                 }
                             }
@@ -1105,9 +866,7 @@ impl ClusterBuilder {
                             // Restored with an empty queue: both the actual
                             // model and the router's predictions restart at
                             // the restore instant.
-                            for s in &mut dev.slots {
-                                *s = t;
-                            }
+                            dev.model.restore(t);
                             router.reset_device(d, t);
                             let h = if dev.draining > 0 {
                                 DeviceHealth::Draining
@@ -1186,13 +945,7 @@ impl ClusterBuilder {
                                 attempt: job.attempt,
                                 device: device as u16,
                             });
-                            devs[device].book(
-                                self.jitter,
-                                &stragglers[device],
-                                detailed,
-                                at,
-                                &job,
-                            );
+                            devs[device].book(at, job, detailed, collect);
                         }
                         // best_laxity was non-negative, so LL admits and
                         // some device is Up; defensive completeness.
@@ -1204,27 +957,42 @@ impl ClusterBuilder {
             }};
         }
 
+        // Replays fault transitions and retries whose instants pass the two
+        // filters, in merged time order; equal-instant ties go to
+        // transitions.
+        macro_rules! replay {
+            ($ev_due:expr, $re_due:expr) => {{
+                loop {
+                    let next_ev = fleet_events.get(ei).map(|e| e.0);
+                    let next_re = retries.peek().map(|r| r.0.at);
+                    let ev_ok = next_ev.is_some_and($ev_due);
+                    let re_ok = next_re.is_some_and($re_due);
+                    if ev_ok && (!re_ok || next_ev <= next_re) {
+                        let (t, action) = fleet_events[ei];
+                        ei += 1;
+                        apply_fleet_event!(t, action);
+                    } else if re_ok {
+                        let std::cmp::Reverse(entry) = retries.pop().expect("peeked");
+                        fire_retry!(entry);
+                    } else {
+                        break;
+                    }
+                }
+            }};
+        }
+
         for job in &jobs {
             let t_arr = job.arrival;
-            // Replay fault transitions (≤ arrival) and retries (< arrival)
-            // in merged time order; equal-instant ties go to transitions.
-            loop {
-                let next_ev = fleet_events.get(ei).map(|e| e.0);
-                let next_re = retries.peek().map(|r| r.0.at);
-                let ev_ok = next_ev.is_some_and(|te| te <= t_arr);
-                let re_ok = next_re.is_some_and(|tr| tr < t_arr);
-                if ev_ok && (!re_ok || next_ev <= next_re) {
-                    let (t, action) = fleet_events[ei];
-                    ei += 1;
-                    apply_fleet_event!(t, action);
-                } else if re_ok {
-                    let std::cmp::Reverse(entry) = retries.pop().expect("peeked");
-                    fire_retry!(entry);
-                } else {
-                    break;
-                }
-            }
-            let deadline_abs = t_arr + deadline;
+            // Transitions at or before the arrival, retries before it.
+            replay!(|te| te <= t_arr, |tr| tr < t_arr);
+            let placement = RetryJob {
+                id: job.id,
+                original_arrival: t_arr,
+                service_est: job.service_est,
+                deadline_abs: t_arr + deadline,
+                attempt: 0,
+                spec: job.spec,
+            };
             let req =
                 RouteRequest { arrival: t_arr, service_est: job.service_est, deadline };
             if self.shed_degraded && (0..n).any(|d| router.health(d) != DeviceHealth::Up) {
@@ -1252,15 +1020,7 @@ impl ClusterBuilder {
                         predicted_wait_us: predicted_wait.as_us_f64(),
                         laxity_us,
                     });
-                    let retry = RetryJob {
-                        id: job.id,
-                        original_arrival: t_arr,
-                        service_est: job.service_est,
-                        deadline_abs,
-                        attempt: 0,
-                        spec: job.spec,
-                    };
-                    devs[device].book(self.jitter, &stragglers[device], detailed, t_arr, &retry);
+                    devs[device].book(t_arr, placement, detailed, collect);
                 }
                 RouteDecision::Reject { laxity_us } => {
                     hub.emit_with(t_arr, || ProbeEvent::JobRejected {
@@ -1282,14 +1042,7 @@ impl ClusterBuilder {
                         retries.push(std::cmp::Reverse(RetryEntry {
                             at: t_arr + backoff_for(self.retry_backoff, 0),
                             seq,
-                            job: RetryJob {
-                                id: job.id,
-                                original_arrival: t_arr,
-                                service_est: job.service_est,
-                                deadline_abs,
-                                attempt: 1,
-                                spec: job.spec,
-                            },
+                            job: RetryJob { attempt: 1, ..placement },
                         }));
                     } else {
                         lose_exhausted!(t_arr, job.id);
@@ -1299,40 +1052,12 @@ impl ClusterBuilder {
         }
         drop(jobs);
         // Drain what remains: the tail of the fault schedule and every
-        // pending retry, still in merged time order.
-        loop {
-            let next_ev = fleet_events.get(ei).map(|e| e.0);
-            let next_re = retries.peek().map(|r| r.0.at);
-            match (next_ev, next_re) {
-                (Some(te), Some(tr)) if te <= tr => {
-                    let (t, action) = fleet_events[ei];
-                    ei += 1;
-                    apply_fleet_event!(t, action);
-                }
-                (Some(_), None) => {
-                    let (t, action) = fleet_events[ei];
-                    ei += 1;
-                    apply_fleet_event!(t, action);
-                }
-                (_, Some(_)) => {
-                    let std::cmp::Reverse(entry) = retries.pop().expect("peeked");
-                    fire_retry!(entry);
-                }
-                (None, None) => break,
-            }
-        }
-        // Everything still booked outlives the fault schedule and
-        // completes.
-        for dev in &mut devs {
-            let bookings = std::mem::take(&mut dev.bookings);
-            for b in bookings {
-                if detailed {
-                    dev.survivors.push(b);
-                } else {
-                    dev.complete(&b, collect);
-                }
-            }
-        }
+        // pending retry.
+        replay!(|_| true, |_| true);
+        debug_assert!(
+            devs.iter().all(|dev| dev.held.is_empty()),
+            "every held booking meets its crash before the schedule runs out"
+        );
 
         let mut latency_us = StreamingQuantiles::new();
         let mut completed = 0u64;
@@ -1394,15 +1119,15 @@ impl ClusterBuilder {
         })
     }
 
-    /// Detailed-tier phase 2 under chaos: materialize one device's
-    /// surviving bookings (entry order, deadlines measured from the
-    /// original arrival) as a full simulation, with the device's straggler
-    /// windows applied as whole-device [`Slowdown`] faults.
+    /// Detailed-tier phase 2: materialize one device's surviving bookings
+    /// (entry order, deadlines measured from the original arrival) as a
+    /// full simulation, with the device's straggler windows applied as
+    /// whole-device [`Slowdown`] faults.
     fn run_detailed_survivors(
         &self,
         d: usize,
         survivors: &[Booking],
-        windows: &[(Cycle, Cycle, f64)],
+        windows: &[StragglerWindow],
         suite: &BenchmarkSuite,
         collect: bool,
     ) -> Result<DeviceSlice, BenchError> {
@@ -1413,17 +1138,17 @@ impl ClusterBuilder {
         let descs: Vec<JobDesc> = survivors
             .iter()
             .enumerate()
-            .map(|(i, b)| {
+            .map(|(i, &Booking { entry, job })| {
                 // A retried booking enters at its retry instant but is
                 // held to its original deadline: the relative deadline
                 // shrinks by the time already burned.
                 materialize_job(
                     suite,
                     bench,
-                    b.spec,
+                    job.spec,
                     i as u32,
-                    b.deadline_abs.saturating_since(b.entry),
-                    b.entry,
+                    job.deadline_abs.saturating_since(entry),
+                    entry,
                 )
             })
             .collect();
@@ -1431,7 +1156,7 @@ impl ClusterBuilder {
         let faults = FaultPlan {
             slowdowns: windows
                 .iter()
-                .map(|&(at, until, factor)| Slowdown { at, until, factor })
+                .map(|w| Slowdown { at: w.at, until: w.until, factor: w.factor })
                 .collect(),
             ..FaultPlan::none()
         };
@@ -1446,8 +1171,8 @@ impl ClusterBuilder {
         let mut misses = MissBreakdown::default();
         let mut outcomes = Vec::new();
         for r in &report.records {
-            let b = &survivors[r.id.0 as usize];
-            let requeue_delay = b.entry.saturating_since(b.original_arrival);
+            let Booking { entry, job } = survivors[r.id.0 as usize];
+            let requeue_delay = entry.saturating_since(job.original_arrival);
             if let Some(lat) = r.latency() {
                 // Latency is arrival-to-completion of the *original* job,
                 // so a retry pays for its first, doomed placement too.
@@ -1456,9 +1181,9 @@ impl ClusterBuilder {
             attribute_detailed(
                 r,
                 &DetailedJob {
-                    cluster_id: b.id,
-                    service_est: b.service_est,
-                    deadline: b.deadline_abs.saturating_since(b.original_arrival),
+                    cluster_id: job.id,
+                    service_est: job.service_est,
+                    deadline: job.deadline_abs.saturating_since(job.original_arrival),
                     device: d as u16,
                     requeue: requeue_delay,
                 },
@@ -1473,7 +1198,6 @@ impl ClusterBuilder {
             device_rejected: report.rejected() as u64,
             makespan: report.makespan,
             events: report.events,
-            jobs: survivors.len() as u64,
             misses,
             outcomes,
         })
@@ -1544,8 +1268,8 @@ fn backoff_for(base: Duration, attempt: u32) -> Duration {
 /// Requeues a crash-lost booking if its retry budget allows, else counts
 /// it lost. Returns `true` when the loss became final (the caller
 /// attributes it as a crash loss).
-fn chaos_lose(
-    b: Booking,
+fn requeue_or_lose(
+    job: RetryJob,
     now: Cycle,
     budget: u32,
     backoff: Duration,
@@ -1553,19 +1277,12 @@ fn chaos_lose(
     seq: &mut u64,
     lost: &mut u64,
 ) -> bool {
-    if b.attempt < budget {
+    if job.attempt < budget {
         *seq += 1;
         retries.push(std::cmp::Reverse(RetryEntry {
-            at: now + backoff_for(backoff, b.attempt),
+            at: now + backoff_for(backoff, job.attempt),
             seq: *seq,
-            job: RetryJob {
-                id: b.id,
-                original_arrival: b.original_arrival,
-                service_est: b.service_est,
-                deadline_abs: b.deadline_abs,
-                attempt: b.attempt + 1,
-                spec: b.spec,
-            },
+            job: RetryJob { attempt: job.attempt + 1, ..job },
         }));
         false
     } else {
@@ -1574,43 +1291,30 @@ fn chaos_lose(
     }
 }
 
-/// One placement on a chaos device, unresolved until the device either
-/// survives past its completion or crashes first.
+/// A detailed-tier placement that no crash loses, awaiting phase-2
+/// materialization.
 #[derive(Debug, Clone, Copy)]
 struct Booking {
-    id: u32,
-    original_arrival: Cycle,
     /// When this placement entered the device (> original arrival for
     /// retries).
     entry: Cycle,
-    /// Service start instant (first slot grab; `start == completion -
-    /// stretched service`), for splitting a late completion into queueing
-    /// delay vs service time.
-    start: Cycle,
-    /// Model completion instant (fast: jittered and straggler-stretched;
-    /// detailed: calibrated estimate).
-    completion: Cycle,
-    deadline_abs: Cycle,
-    service_est: Duration,
-    attempt: u32,
-    spec: ChainSpec,
+    job: RetryJob,
 }
 
-/// Mutable per-device state of the chaos engine.
+/// Per-device state of the fleet engine: the booking model plus the
+/// cluster-side accounting.
 #[derive(Debug)]
-struct ChaosDevice {
+struct DeviceState {
     /// This device's fleet index, stamped into outcome events.
     index: u16,
-    /// Free-at instants of the actual service slots (the executing model,
-    /// distinct from the router's predictions).
-    slots: Vec<Cycle>,
-    /// Jitter stream, one draw per booking in booking order — the same
-    /// stream [`run_fast_device`] would consume in a fault-free run.
-    rng: SimRng,
-    /// Unresolved placements, in booking order.
-    bookings: Vec<Booking>,
-    /// Detailed tier: bookings that survived to completion, awaiting
-    /// phase-2 materialization.
+    /// The executing model, distinct from the router's predictions.
+    model: FastDevice,
+    /// Instants this device goes down (crash or outage start), ascending.
+    downs: Vec<Cycle>,
+    /// Bookings that complete after the device's next crash, which will
+    /// lose them; in booking order.
+    held: Vec<RetryJob>,
+    /// Detailed tier: bookings no crash loses, in booking order.
     survivors: Vec<Booking>,
     sketch: StreamingQuantiles,
     completed: u64,
@@ -1628,13 +1332,13 @@ struct ChaosDevice {
     outcomes: Vec<OutcomeEvent>,
 }
 
-impl ChaosDevice {
-    fn new(index: u16, slots: usize, seed: u64) -> Self {
-        ChaosDevice {
+impl DeviceState {
+    fn new(index: u16, model: FastDevice) -> Self {
+        DeviceState {
             index,
-            slots: vec![Cycle::ZERO; slots],
-            rng: SimRng::seed_from(seed),
-            bookings: Vec::new(),
+            model,
+            downs: Vec::new(),
+            held: Vec::new(),
             survivors: Vec::new(),
             sketch: StreamingQuantiles::new(),
             completed: 0,
@@ -1649,75 +1353,41 @@ impl ChaosDevice {
         }
     }
 
-    /// Books one placement, mirroring [`run_fast_device`]'s service
-    /// arithmetic exactly (same jitter draw, same slot selection) so a
-    /// no-op fault plan reproduces the fault-free run bit for bit; active
-    /// straggler windows at the start instant stretch the service time.
-    fn book(
-        &mut self,
-        jitter: f64,
-        windows: &[(Cycle, Cycle, f64)],
-        detailed: bool,
-        entry: Cycle,
-        job: &RetryJob,
-    ) {
-        let service = if detailed || jitter == 0.0 {
-            job.service_est
-        } else {
-            let m = 1.0 - jitter + 2.0 * jitter * self.rng.uniform_f64();
-            job.service_est.mul_f64(m)
-        };
-        let slot = self.slots.iter_mut().min().expect("at least one slot");
-        let start = (*slot).max(entry);
-        let service = if detailed {
-            service
-        } else {
-            let factor: f64 = windows
-                .iter()
-                .filter(|&&(at, until, _)| at <= start && start < until)
-                .map(|&(_, _, f)| f)
-                .product();
-            // Apply only a real stretch: `mul_f64(1.0)` is arithmetically
-            // a no-op but must also be one bit-for-bit.
-            if factor != 1.0 {
-                service.mul_f64(factor)
-            } else {
-                service
-            }
-        };
-        let completion = start + service;
-        *slot = completion;
+    /// Books one placement entering at `entry` and settles its fate: held
+    /// for the next crash if it completes after it, otherwise completed
+    /// now (fast tier) or kept for phase 2 (detailed tier).
+    fn book(&mut self, entry: Cycle, job: RetryJob, detailed: bool, collect: bool) {
+        let Service { start, completion } = self.model.book(entry, job.service_est);
         self.booked += 1;
-        self.bookings.push(Booking {
-            id: job.id,
-            original_arrival: job.original_arrival,
-            entry,
-            start,
-            completion,
-            deadline_abs: job.deadline_abs,
-            service_est: job.service_est,
-            attempt: job.attempt,
-            spec: job.spec,
-        });
+        // The device is up at `entry`, so every down instant at or before
+        // it has been replayed and the first one after it is the crash
+        // this booking faces.
+        let next_down = self.downs.get(self.downs.partition_point(|&t| t <= entry));
+        if next_down.is_some_and(|&crash| completion > crash) {
+            self.held.push(job);
+        } else if detailed {
+            self.survivors.push(Booking { entry, job });
+        } else {
+            self.complete(&job, start, completion, collect);
+        }
     }
 
     /// Resolves one fast-tier booking as completed, attributing a typed
     /// cause when it blew its deadline (and, when collecting, buffering
     /// the completion/miss events).
-    fn complete(&mut self, b: &Booking, collect: bool) {
-        let latency = b.completion.saturating_since(b.original_arrival);
-        let met = b.completion <= b.deadline_abs;
+    fn complete(&mut self, job: &RetryJob, start: Cycle, completion: Cycle, collect: bool) {
+        let latency = completion.saturating_since(job.original_arrival);
+        let met = completion <= job.deadline_abs;
         self.sketch.push(latency.as_us_f64());
         self.met += u64::from(met);
         self.completed += 1;
-        self.makespan = self.makespan.max(b.completion);
+        self.makespan = self.makespan.max(completion);
         self.events += 2;
         if !met {
-            // Same split as the plain fast path: late although the
-            // (stretched) service alone fit the deadline budget means the
-            // job died waiting for a slot.
-            let cause = if b.completion.saturating_since(b.start)
-                <= b.deadline_abs.saturating_since(b.original_arrival)
+            // Late although the (stretched) service alone fit the deadline
+            // budget means the job died waiting for a slot.
+            let cause = if completion.saturating_since(start)
+                <= job.deadline_abs.saturating_since(job.original_arrival)
             {
                 MissCause::QueueingDelay
             } else {
@@ -1726,11 +1396,11 @@ impl ChaosDevice {
             self.misses.add(cause);
             if collect {
                 self.outcomes.push(OutcomeEvent {
-                    at: b.completion,
-                    job: b.id,
+                    at: completion,
+                    job: job.id,
                     kind: 1,
                     event: ProbeEvent::JobMissed {
-                        job: JobId(b.id),
+                        job: JobId(job.id),
                         device: Some(self.index),
                         cause,
                     },
@@ -1739,11 +1409,11 @@ impl ChaosDevice {
         }
         if collect {
             self.outcomes.push(OutcomeEvent {
-                at: b.completion,
-                job: b.id,
+                at: completion,
+                job: job.id,
                 kind: 0,
                 event: ProbeEvent::JobCompleted {
-                    job: JobId(b.id),
+                    job: JobId(job.id),
                     device: self.index,
                     latency_us: latency.as_us_f64(),
                     met,
@@ -1753,9 +1423,9 @@ impl ChaosDevice {
     }
 }
 
-/// One buffered completion/miss probe event. Devices execute in pool
-/// order, so their outcome events are collected per device and merged
-/// into a single sorted stream before any observer sees them.
+/// One buffered completion/miss probe event. Outcome events are collected
+/// per device (detailed-tier devices run in pool order) and merged into a
+/// single sorted stream before any observer sees them.
 #[derive(Debug, Clone)]
 struct OutcomeEvent {
     at: Cycle,
@@ -1789,9 +1459,9 @@ struct DetailedJob {
     deadline: Duration,
     /// Device the job ran on.
     device: u16,
-    /// Time a chaos-path retry already burned before entering this device
-    /// (zero on the plain path), included in the reported latency like
-    /// the sketch's.
+    /// Time a retry already burned before entering this device (zero for
+    /// a first placement), included in the reported latency like the
+    /// sketch's.
     requeue: Duration,
 }
 
@@ -1846,7 +1516,8 @@ fn attribute_detailed(
     }
 }
 
-/// What one device contributes to the merged report.
+/// What one detailed-tier device simulation contributes to the merged
+/// report.
 #[derive(Debug, Clone, Default)]
 struct DeviceSlice {
     latency_us: StreamingQuantiles,
@@ -1855,7 +1526,6 @@ struct DeviceSlice {
     device_rejected: u64,
     makespan: Duration,
     events: u64,
-    jobs: u64,
     misses: MissBreakdown,
     /// Buffered completion/miss events; empty unless the run collected
     /// them (an observer was attached).
@@ -1893,8 +1563,7 @@ pub struct ClusterReport {
     /// Conserves exactly against the counters above — see
     /// [`MissBreakdown`] for the identities, the headline one being
     /// `misses.total() == total - met`. Computed on every run, observed or
-    /// not, by the same arithmetic in both run paths (a no-op fault plan
-    /// yields a bit-identical breakdown).
+    /// not.
     pub misses: MissBreakdown,
     /// Arrival-to-completion latency sketch over completed jobs,
     /// microseconds (p50/p99/p999 within 0.5% relative error).
@@ -2501,10 +2170,9 @@ mod tests {
         assert_eq!(faulty.fault_seed(), scen("RR").with_fault_milli(1000).fault_seed());
     }
 
-    /// A plan whose only entry is a factor-1.0 straggler forces the chaos
-    /// engine (the plan is non-empty) while perturbing nothing — the
-    /// strictest check that the engine's arithmetic mirrors the fault-free
-    /// path bit for bit.
+    /// A plan whose only entry is a factor-1.0 straggler is non-empty yet
+    /// must perturb nothing: the booking model's stretch is a bit-exact
+    /// no-op at factor 1.0.
     #[test]
     fn noop_fault_plan_is_bit_identical_to_fault_free_run() {
         let noop = FleetFaultPlan {
@@ -2525,12 +2193,110 @@ mod tests {
     }
 
     #[test]
-    fn intensity_zero_never_engages_the_chaos_engine() {
+    fn intensity_zero_matches_a_scenario_without_fault_suffix() {
         let s = scen("LL").with_fault_milli(0);
         assert_eq!(
             ClusterBuilder::new(s).run().unwrap(),
             ClusterBuilder::new(scen("LL")).run().unwrap()
         );
+    }
+
+    /// Fault-free reports pinned field by field, as the fault-free engine
+    /// produced them before it was folded into the time-ordered one: the
+    /// fast tier on `scen(policy)` for every policy, plus one detailed cell.
+    /// Per cell: `[met, rejected, completed, events, makespan cycles]` and
+    /// the bits of `[p50, p99, mean]`.
+    #[test]
+    fn fault_free_reports_match_their_golden_values() {
+        let golden: [(&str, Fidelity, [u64; 5], [u64; 3]); 5] = [
+            (
+                "RR:HYBRID:high:d4:j400:s7",
+                Fidelity::Fast,
+                [92, 0, 400, 800, 113_024_223],
+                [0x40cd_dad3_3606_0ee5, 0x40eb_35d3_07da_fabc, 0x40d2_c205_71de_69ad],
+            ),
+            (
+                "LOW:HYBRID:high:d4:j400:s7",
+                Fidelity::Fast,
+                [74, 0, 400, 800, 92_073_574],
+                [0x40d1_80e8_1e8d_9ff8, 0x40e3_ca45_cb9b_d137, 0x40d2_4c92_7df0_377c],
+            ),
+            (
+                "P2C:HYBRID:high:d4:j400:s7",
+                Fidelity::Fast,
+                [74, 0, 400, 800, 91_840_032],
+                [0x40d2_36d9_78a8_034b, 0x40e3_ca45_cb9b_d137, 0x40d2_636b_d8bb_a6c3],
+            ),
+            (
+                "LL:HYBRID:high:d4:j400:s7",
+                Fidelity::Fast,
+                [267, 133, 267, 534, 28_692_795],
+                [0x40b1_62c0_f487_471a, 0x40ba_efa1_86bd_ece9, 0x40b0_792d_0e56_0418],
+            ),
+            (
+                "LL:IPV6:high:d2:j48:s3",
+                Fidelity::Detailed,
+                [18, 0, 27, 592_982, 615_944],
+                [0x4040_27d6_8294_aba2, 0x4051_612c_4cb0_bae4, 0x4043_1f29_9793_c8e1],
+            ),
+        ];
+        for (cell, fidelity, counts, bits) in golden {
+            let r = ClusterBuilder::new(cell.parse().unwrap()).fidelity(fidelity).run().unwrap();
+            let got_counts = [r.met, r.rejected, r.completed, r.events, r.makespan.as_cycles()];
+            let q = &r.latency_us;
+            let got_bits = [q.p50().to_bits(), q.p99().to_bits(), q.mean().to_bits()];
+            assert_eq!((got_counts, got_bits), (counts, bits), "{cell}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fleet_knobs_are_typed_errors() {
+        let base = || ClusterBuilder::new(scen("LL")).workers(2);
+        for (builder, name) in [
+            (base().slots(0), "slots"),
+            (base().jitter(1.5), "jitter"),
+            (base().jitter(-0.1), "jitter"),
+            (base().jitter(1.0), "jitter"),
+        ] {
+            for fidelity in [Fidelity::Fast, Fidelity::Detailed] {
+                let err = builder.clone().fidelity(fidelity).run().unwrap_err();
+                assert!(
+                    matches!(&err, BenchError::FleetKnob { knob, .. } if *knob == name),
+                    "{name}: {err:?}"
+                );
+                assert!(err.to_string().contains(name), "{err}");
+            }
+        }
+        // The edges of the valid ranges still run.
+        ClusterBuilder::new(scen("LL")).slots(1).jitter(0.0).run().unwrap();
+        ClusterBuilder::new(scen("LL")).jitter(0.999).run().unwrap();
+    }
+
+    /// The booking-fate boundary: a booking completing exactly at its
+    /// device's next crash instant survives the crash; one completing a
+    /// cycle after it is lost to the crash and retried.
+    #[test]
+    fn booking_fate_boundary_is_the_crash_instant() {
+        let s = ClusterScenario::new("RR", Benchmark::Stem, ArrivalRate::Low, 1, 1, 3);
+        let job = generate_cluster_jobs(&s, BenchmarkSuite::calibrated())[0];
+        // Room for the retry to pass the laxity gate after a full service.
+        assert!(job.service_est.as_cycles() * 2 < s.bench.deadline().as_cycles());
+        let completion = job.arrival + job.service_est;
+        let run = |at: Cycle| {
+            let crash = DeviceCrash { device: 0, at, until: completion + Duration::from_cycles(1) };
+            ClusterBuilder::new(s.clone())
+                .jitter(0.0)
+                .retry_backoff(Duration::from_cycles(1))
+                .fleet_faults(FleetFaultPlan { crashes: vec![crash], ..FleetFaultPlan::none() })
+                .run()
+                .unwrap()
+        };
+        let on_time = run(completion);
+        assert_eq!((on_time.completed, on_time.met, on_time.retried, on_time.lost), (1, 1, 0, 0));
+        let late = run(Cycle::from_cycles(completion.as_cycles() - 1));
+        assert_eq!((late.completed, late.retried, late.lost), (1, 1, 0));
+        assert_eq!(late.per_device_jobs, vec![2], "the lost booking and its retry");
+        assert!(late.latency_us.max() > on_time.latency_us.max());
     }
 
     /// A crash window over the middle of the stream on half the fleet.

@@ -217,6 +217,14 @@ pub enum BenchError {
     Io(String),
     /// The cluster scenario's fleet fault plan is ill-formed for the fleet.
     FleetFault(FleetFaultError),
+    /// A cluster knob is out of range: `slots` must be at least 1 and
+    /// `jitter` must lie in `[0, 1)`.
+    FleetKnob {
+        /// Which knob (`slots` or `jitter`).
+        knob: &'static str,
+        /// The rejected value, as given.
+        value: String,
+    },
     /// A declarative scenario file failed to parse or validate
     /// ([`workloads::scenario`]).
     Scenario(workloads::scenario::ScenarioFileError),
@@ -237,6 +245,10 @@ impl fmt::Display for BenchError {
             BenchError::Callback(msg) => write!(f, "progress callback panicked: {msg}"),
             BenchError::Io(msg) => write!(f, "I/O error: {msg}"),
             BenchError::FleetFault(e) => write!(f, "invalid fleet fault plan: {e}"),
+            BenchError::FleetKnob { knob, value } => write!(
+                f,
+                "invalid fleet {knob} {value} (slots must be at least 1, jitter in [0, 1))"
+            ),
             BenchError::Scenario(e) => write!(f, "{e}"),
         }
     }

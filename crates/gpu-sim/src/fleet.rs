@@ -4,20 +4,24 @@
 //! full event-driven machine (~20k events per RNN job) is unaffordable, so
 //! the fleet layer offers two tiers:
 //!
-//! * **Fast** — each device is a `c`-slot queueing model served at the
-//!   calibrated isolated service time of each job's kernel chain (one slot
-//!   per compute unit: the same capacity abstraction the router's
-//!   free-time model uses). A seeded per-device jitter widens service
-//!   times slightly so devices are not bit-for-bit clones. Costs O(1) per
-//!   job; a million jobs route and execute in seconds.
+//! * **Fast** — each device is a [`FastDevice`]: a `c`-slot queueing model
+//!   served at the calibrated isolated service time of each job's kernel
+//!   chain (one slot per compute unit: the same capacity abstraction the
+//!   router's free-time model uses). A seeded per-device jitter widens
+//!   service times slightly so devices are not bit-for-bit clones, and
+//!   straggler windows stretch bookings that start inside them. Costs O(1)
+//!   per booking; a million jobs route and execute in seconds.
 //! * **Detailed** — each device is a full [`crate::sim::Simulation`]; the
-//!   cluster layer materializes kernel chains per routed job. Costs what
-//!   the single-device simulator costs; used for smokes and fidelity
+//!   cluster layer materializes kernel chains per surviving booking. Costs
+//!   what the single-device simulator costs; used for smokes and fidelity
 //!   cross-checks.
 //!
-//! The fast tier lives here (it only needs `sim-core` types); the detailed
-//! tier is assembled by the bench crate, which owns workload
-//! materialization and the scheduler registry.
+//! [`FastDevice`] is the fleet's one booking model and lives here (it only
+//! needs `sim-core` types). Both tiers book through it — the detailed tier
+//! with jitter 0 and no straggler windows, only to decide which bookings a
+//! device crash loses. The cluster engine, which owns routing, fault
+//! replay, workload materialization and outcome accounting, is assembled
+//! by the bench crate.
 //!
 //! # Fleet failure model
 //!
@@ -90,117 +94,111 @@ impl FromStr for Fidelity {
     }
 }
 
-/// One job as the fleet's fast tier sees it: arrival, predicted isolated
-/// service time, and relative deadline. Cluster-wide ids survive routing so
-/// outcomes can be correlated with the probe stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetJob {
-    /// Cluster-wide job id.
-    pub id: u32,
-    /// Arrival instant.
-    pub arrival: Cycle,
-    /// Calibrated isolated service time of the job's kernel chain.
-    pub service_est: Duration,
-    /// Relative deadline.
-    pub deadline: Duration,
+/// The fleet's one booking model: a device as `c` FIFO service slots, each
+/// booking served at its calibrated isolated service time.
+///
+/// A booking takes the earliest-free slot and starts at the later of its
+/// entry instant and that slot's free time. Its service is the calibrated
+/// estimate times a seeded jitter multiplier drawn uniformly from
+/// `[1 - jitter, 1 + jitter]` (one draw per booking, in booking order; no
+/// draw at all when `jitter` is 0), times the product of the factors of
+/// every straggler window containing the start instant.
+///
+/// # Examples
+///
+/// ```
+/// use gpu_sim::fleet::FastDevice;
+/// use sim_core::time::{Cycle, Duration};
+///
+/// let mut dev = FastDevice::new(1, 0.0, 7);
+/// let a = dev.book(Cycle::ZERO, Duration::from_us(100));
+/// let b = dev.book(Cycle::ZERO + Duration::from_us(30), Duration::from_us(80));
+/// assert_eq!(a.completion, b.start, "one slot: the second booking queues");
+/// assert_eq!(b.completion.as_us_f64(), 180.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FastDevice {
+    /// Free-at instant of each slot.
+    slots: Vec<Cycle>,
+    jitter: f64,
+    rng: SimRng,
+    /// `(at, until, factor)` of this device's straggler windows.
+    stragglers: Vec<(Cycle, Cycle, f64)>,
 }
 
-/// Per-job outcome of a fast-tier device run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetOutcome {
-    /// Cluster-wide job id.
-    pub id: u32,
-    /// Service start instant (first slot grab; `start == completion -
-    /// service`). Lets observers split a late completion into queueing
-    /// delay vs service time.
+/// When one [`FastDevice`] booking is served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Service {
+    /// Service start: the slot grab, so `start - entry` is queueing delay.
     pub start: Cycle,
     /// Completion instant.
     pub completion: Cycle,
-    /// Arrival-to-completion latency.
-    pub latency: Duration,
-    /// Whether the job met its deadline.
-    pub met: bool,
 }
 
-/// Knobs of one fast-tier device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastDeviceParams {
-    /// Concurrent service slots (one per compute unit models the machine's
-    /// job-level parallelism; must be ≥ 1).
-    pub slots: usize,
-    /// Half-width of the uniform service-time multiplier `[1-j, 1+j]`.
-    /// `0.0` makes service exactly the calibrated estimate. Must be in
-    /// `[0, 1)`.
-    pub jitter: f64,
-    /// Per-device RNG seed for the jitter stream — hashed from the workload
-    /// cell and device index by the cluster layer, never from the routing
-    /// policy, so policy comparisons stay paired.
-    pub seed: u64,
-}
+impl FastDevice {
+    /// An idle device with `slots` service slots (one per compute unit
+    /// models the machine's job-level parallelism), service-jitter
+    /// half-width `jitter`, and the seed of its jitter stream. The cluster
+    /// layer hashes the seed from the workload cell and device index, never
+    /// from the routing policy, so policy comparisons stay paired.
+    ///
+    /// `slots` must be at least 1 and `jitter` must lie in `[0, 1)`; the
+    /// cluster layer rejects other values with a typed error before it
+    /// builds any device.
+    pub fn new(slots: usize, jitter: f64, seed: u64) -> Self {
+        FastDevice {
+            slots: vec![Cycle::ZERO; slots],
+            jitter,
+            rng: SimRng::seed_from(seed),
+            stragglers: Vec::new(),
+        }
+    }
 
-/// What one fast-tier device reports back to the cluster merger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FastDeviceReport {
-    /// Per-job outcomes, in arrival order.
-    pub outcomes: Vec<FleetOutcome>,
-    /// Total busy time summed over slots.
-    pub busy: Duration,
-    /// Latest completion instant (`Cycle::ZERO` when idle).
-    pub makespan: Cycle,
-    /// Model events processed (start + completion per job), so fast-tier
-    /// runs report throughput on the same axis as detailed ones.
-    pub events: u64,
-}
+    /// The same device with straggler windows: a booking that *starts*
+    /// inside `[at, until)` takes `factor` times its service, and
+    /// overlapping windows multiply. Pass only this device's windows.
+    pub fn with_stragglers<'a>(
+        mut self,
+        windows: impl IntoIterator<Item = &'a StragglerWindow>,
+    ) -> Self {
+        self.stragglers.extend(windows.into_iter().map(|w| (w.at, w.until, w.factor)));
+        self
+    }
 
-/// Runs one fast-tier device over its routed jobs (must be in
-/// non-decreasing arrival order): a FIFO queueing model with
-/// `params.slots` parallel servers at calibrated service times.
-///
-/// Deterministic for fixed inputs: the only randomness is the seeded
-/// per-device jitter stream, consumed one draw per job in arrival order.
-///
-/// # Panics
-///
-/// Panics if `params.slots == 0`, `params.jitter` is outside `[0, 1)`, or
-/// jobs are not sorted by arrival.
-pub fn run_fast_device(jobs: &[FleetJob], params: &FastDeviceParams) -> FastDeviceReport {
-    assert!(params.slots >= 1, "a device needs at least one service slot");
-    assert!(
-        (0.0..1.0).contains(&params.jitter),
-        "jitter must be in [0, 1), got {}",
-        params.jitter
-    );
-    let mut rng = SimRng::seed_from(params.seed);
-    // Free-at instants of each slot; jobs take the earliest-free slot.
-    let mut slots = vec![Cycle::ZERO; params.slots];
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    let mut busy = Duration::ZERO;
-    let mut makespan = Cycle::ZERO;
-    let mut last_arrival = Cycle::ZERO;
-    for job in jobs {
-        assert!(job.arrival >= last_arrival, "jobs must be sorted by arrival");
-        last_arrival = job.arrival;
-        let service = if params.jitter == 0.0 {
-            job.service_est
+    /// Books one job entering at `entry` with calibrated service
+    /// `service_est`. Entries must not decrease from one booking to the
+    /// next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device was built with zero slots.
+    pub fn book(&mut self, entry: Cycle, service_est: Duration) -> Service {
+        let service = if self.jitter == 0.0 {
+            service_est
         } else {
-            let m = 1.0 - params.jitter + 2.0 * params.jitter * rng.uniform_f64();
-            job.service_est.mul_f64(m)
+            let m = 1.0 - self.jitter + 2.0 * self.jitter * self.rng.uniform_f64();
+            service_est.mul_f64(m)
         };
-        let slot = slots.iter_mut().min().expect("at least one slot");
-        let start = (*slot).max(job.arrival);
+        let slot = self.slots.iter_mut().min().expect("a device needs at least one slot");
+        let start = (*slot).max(entry);
+        let factor: f64 = self
+            .stragglers
+            .iter()
+            .filter(|&&(at, until, _)| at <= start && start < until)
+            .map(|&(_, _, f)| f)
+            .product();
+        // Apply only a real stretch: `mul_f64(1.0)` is arithmetically a
+        // no-op but must also be one bit for bit.
+        let service = if factor != 1.0 { service.mul_f64(factor) } else { service };
         let completion = start + service;
         *slot = completion;
-        busy = busy.saturating_add(service);
-        makespan = makespan.max(completion);
-        outcomes.push(FleetOutcome {
-            id: job.id,
-            start,
-            completion,
-            latency: completion.saturating_since(job.arrival),
-            met: completion <= job.arrival + job.deadline,
-        });
+        Service { start, completion }
     }
-    FastDeviceReport { outcomes, busy, makespan, events: 2 * jobs.len() as u64 }
+
+    /// Restores the device empty at `at`: every slot is free from then on.
+    pub fn restore(&mut self, at: Cycle) {
+        self.slots.fill(at);
+    }
 }
 
 /// Router-visible availability of one fleet device.
@@ -681,17 +679,19 @@ impl std::error::Error for FleetFaultError {}
 mod tests {
     use super::*;
 
-    fn job(id: u32, arrival_us: u64, service_us: u64, deadline_us: u64) -> FleetJob {
-        FleetJob {
-            id,
-            arrival: Cycle::ZERO + Duration::from_us(arrival_us),
-            service_est: Duration::from_us(service_us),
-            deadline: Duration::from_us(deadline_us),
-        }
+    fn us(t: u64) -> Cycle {
+        Cycle::ZERO + Duration::from_us(t)
     }
 
-    fn quiet(slots: usize) -> FastDeviceParams {
-        FastDeviceParams { slots, jitter: 0.0, seed: 1 }
+    /// Books `(entry_us, service_us)` pairs in order, returning each
+    /// booking's `(start_us, completion_us)`.
+    fn book_all(dev: &mut FastDevice, jobs: &[(u64, u64)]) -> Vec<(f64, f64)> {
+        jobs.iter()
+            .map(|&(entry, service)| {
+                let s = dev.book(us(entry), Duration::from_us(service));
+                (s.start.as_us_f64(), s.completion.as_us_f64())
+            })
+            .collect()
     }
 
     #[test]
@@ -704,62 +704,68 @@ mod tests {
 
     #[test]
     fn single_slot_fifo_queueing_math_is_exact() {
-        // Job 0: [0, 100); job 1 arrives at 30, waits until 100, done 180;
-        // job 2 arrives at 250 on an idle device, done 300.
-        let jobs = [job(0, 0, 100, 1000), job(1, 30, 80, 1000), job(2, 250, 50, 1000)];
-        let r = run_fast_device(&jobs, &quiet(1));
-        let done: Vec<f64> = r.outcomes.iter().map(|o| o.completion.as_us_f64()).collect();
-        assert_eq!(done, vec![100.0, 180.0, 300.0]);
-        assert_eq!(r.outcomes[1].latency, Duration::from_us(150));
-        assert_eq!(r.makespan.as_us_f64(), 300.0);
-        assert_eq!(r.busy, Duration::from_us(230));
-        assert_eq!(r.events, 6);
+        // Job 0: [0, 100); job 1 enters at 30, waits until 100, done 180;
+        // job 2 enters at 250 on an idle device, done 300.
+        let mut dev = FastDevice::new(1, 0.0, 1);
+        let got = book_all(&mut dev, &[(0, 100), (30, 80), (250, 50)]);
+        assert_eq!(got, vec![(0.0, 100.0), (100.0, 180.0), (250.0, 300.0)]);
     }
 
     #[test]
     fn extra_slots_overlap_service() {
-        let jobs = [job(0, 0, 100, 1000), job(1, 0, 100, 1000), job(2, 0, 100, 1000)];
-        let one = run_fast_device(&jobs, &quiet(1));
-        let two = run_fast_device(&jobs, &quiet(2));
-        assert_eq!(one.makespan.as_us_f64(), 300.0);
-        assert_eq!(two.makespan.as_us_f64(), 200.0);
-    }
-
-    #[test]
-    fn deadline_misses_are_flagged_not_dropped() {
-        let jobs = [job(0, 0, 100, 1000), job(1, 0, 100, 120)];
-        let r = run_fast_device(&jobs, &quiet(1));
-        assert!(r.outcomes[0].met);
-        assert!(!r.outcomes[1].met, "second job completes at 200 > 120 deadline");
-        assert_eq!(r.outcomes.len(), 2, "missed jobs still complete and report");
+        let jobs = [(0, 100), (0, 100), (0, 100)];
+        let last = |slots| book_all(&mut FastDevice::new(slots, 0.0, 1), &jobs)[2].1;
+        assert_eq!(last(1), 300.0);
+        assert_eq!(last(2), 200.0);
     }
 
     #[test]
     fn jitter_is_seeded_and_bounded() {
-        let jobs: Vec<FleetJob> = (0..200).map(|i| job(i, u64::from(i) * 10, 100, 10_000)).collect();
-        let a = run_fast_device(&jobs, &FastDeviceParams { slots: 2, jitter: 0.05, seed: 9 });
-        let b = run_fast_device(&jobs, &FastDeviceParams { slots: 2, jitter: 0.05, seed: 9 });
-        assert_eq!(a, b, "same seed, same report");
-        let c = run_fast_device(&jobs, &FastDeviceParams { slots: 2, jitter: 0.05, seed: 10 });
-        assert_ne!(a, c, "the jitter seed matters");
-        // Busy time stays within the jitter envelope of the nominal total.
-        let nominal = 200.0 * 100.0;
-        assert!((a.busy.as_us_f64() - nominal).abs() < nominal * 0.05);
+        let jobs: Vec<(u64, u64)> = (0..200).map(|i| (i * 10, 100)).collect();
+        let run = |seed| book_all(&mut FastDevice::new(2, 0.05, seed), &jobs);
+        let a = run(9);
+        assert_eq!(a, run(9), "same seed, same bookings");
+        assert_ne!(a, run(10), "the jitter seed matters");
+        // Entries 1 ms apart never queue, so start-to-completion is exactly
+        // the jittered service.
+        let mut dev = FastDevice::new(1, 0.05, 9);
+        for i in 0..200 {
+            let s = dev.book(us(i * 1_000), Duration::from_us(100));
+            let service = s.completion.saturating_since(s.start).as_us_f64();
+            assert!((95.0..=105.0).contains(&service), "booking {i}: {service} us");
+        }
     }
 
     #[test]
-    #[should_panic = "sorted by arrival"]
-    fn unsorted_jobs_are_rejected() {
-        let jobs = [job(0, 100, 10, 1000), job(1, 0, 10, 1000)];
-        run_fast_device(&jobs, &quiet(1));
+    fn empty_and_restored_devices_serve_on_entry() {
+        for slots in [1, 4] {
+            let mut dev = FastDevice::new(slots, 0.0, 1);
+            assert_eq!(book_all(&mut dev, &[(5, 10)]), vec![(5.0, 15.0)], "{slots} slots");
+        }
+        // A restore drops the queue: work booked before it no longer delays
+        // a booking after it.
+        let mut dev = FastDevice::new(1, 0.0, 1);
+        book_all(&mut dev, &[(0, 1_000)]);
+        dev.restore(us(200));
+        assert_eq!(book_all(&mut dev, &[(150, 10)]), vec![(200.0, 210.0)]);
+        assert_eq!(book_all(&mut dev, &[(300, 10)]), vec![(300.0, 310.0)]);
     }
 
     #[test]
-    fn empty_device_reports_cleanly() {
-        let r = run_fast_device(&[], &quiet(4));
-        assert!(r.outcomes.is_empty());
-        assert_eq!(r.makespan, Cycle::ZERO);
-        assert_eq!(r.events, 0);
+    fn stragglers_stretch_only_bookings_that_start_inside_and_unit_factor_is_exact() {
+        let window =
+            |factor| StragglerWindow { device: 0, at: us(100), until: us(200), factor };
+        let jobs = [(0, 50), (100, 50), (199, 50), (200, 50)];
+        let slow = [window(2.0)];
+        let got = book_all(&mut FastDevice::new(4, 0.0, 1).with_stragglers(&slow), &jobs);
+        // Starts at 0 and 200 lie outside [100, 200); 100 and 199 inside.
+        assert_eq!(got, vec![(0.0, 50.0), (100.0, 200.0), (199.0, 299.0), (200.0, 250.0)]);
+        // Factor 1.0 must not touch a single bit, jitter included.
+        let jobs: Vec<(u64, u64)> = (0..300).map(|i| (i, 37)).collect();
+        let unit = [window(1.0)];
+        let plain = book_all(&mut FastDevice::new(3, 0.02, 5), &jobs);
+        let noop = book_all(&mut FastDevice::new(3, 0.02, 5).with_stragglers(&unit), &jobs);
+        assert_eq!(plain, noop);
     }
 
     #[test]

@@ -116,9 +116,8 @@ pub mod prelude {
         ArrivalBurst, CuFault, DramThrottle, FaultKind, FaultPlan, FaultPlanError, Slowdown,
     };
     pub use crate::fleet::{
-        run_fast_device, CorrelatedOutage, DeviceCrash, DeviceDrain, DeviceHealth,
-        FastDeviceParams, FastDeviceReport, Fidelity, FleetFaultError, FleetFaultPlan, FleetJob,
-        FleetOutcome, StragglerWindow,
+        CorrelatedOutage, DeviceCrash, DeviceDrain, DeviceHealth, FastDevice, Fidelity,
+        FleetFaultError, FleetFaultPlan, Service, StragglerWindow,
     };
     pub use crate::fleet_obs::{FleetSampler, FleetTraceWriter};
     pub use crate::host::{HostCmd, HostEvent, HostScheduler, HostView};

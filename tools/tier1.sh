@@ -121,6 +121,22 @@ assert rows >= 8, rows
 EOF
 echo "   chaos grid conserves jobs and is byte-identical across workers and resume"
 
+echo "== tier1: committed fleet grids regenerate byte-identically =="
+# results/cluster.txt and results/chaos.txt are behavioural contracts: the
+# full grids (12 cluster cells of 1M jobs each, 36 chaos cells) must come
+# out byte for byte as committed.
+CLUSTER_GRID=()
+for rate in high medium low; do
+    for policy in RR LOW P2C LL; do
+        CLUSTER_GRID+=("$policy:HYBRID:$rate:d16:j1000000:s20210301")
+    done
+done
+"$CLUSTER_BIN" "${CLUSTER_GRID[@]}" --out "$TMP/grid/cluster.txt"
+cmp "$TMP/grid/cluster.txt" results/cluster.txt
+"$CHAOS_BIN" --out "$TMP/grid/chaos.txt"
+cmp "$TMP/grid/chaos.txt" results/chaos.txt
+echo "   regenerated cluster.txt and chaos.txt match the committed artifacts"
+
 echo "== tier1: DAG sweep smoke + kill-and-resume + worker byte-identity =="
 DAG_BIN=target/release/dag
 # The graph-structured grid (2 schedulers x FANOUT x low rate). DAG cell
