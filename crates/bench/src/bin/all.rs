@@ -21,6 +21,7 @@ use std::fs;
 use std::io::Write;
 
 use lax_bench::sweep;
+use lax_bench::Checkpoint;
 
 /// Where interrupted runs park their finished cells.
 const CHECKPOINT: &str = "results/all.ckpt";
@@ -42,19 +43,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         .unwrap_or(128);
     let dir = "results";
     fs::create_dir_all(dir)?;
-    if !resume {
-        // A fresh run must not silently adopt cells from an older one.
-        if fs::remove_file(CHECKPOINT).is_ok() {
-            eprintln!("[all] discarded stale checkpoint {CHECKPOINT} (run with --resume to keep it)");
-        }
-    }
     eprintln!("[all] sweeping on {jobs} worker thread(s)");
     let t0 = std::time::Instant::now();
 
     save(dir, "table1", &lax_bench::figures::table1())?;
     save(dir, "fig1", &lax_bench::figures::fig1())?;
 
-    let mut db = lax_bench::ResultsDb::new().verbose().with_checkpoints(CHECKPOINT);
+    let checkpoint = Checkpoint::for_run(CHECKPOINT, resume, "all");
+    let mut db = lax_bench::ResultsDb::new().verbose().with_checkpoints(checkpoint);
     save(dir, "fig7", &lax_bench::figures::fig7(&mut db, jobs)?)?;
     save(dir, "fig8", &lax_bench::figures::fig8(&mut db, jobs)?)?;
     save(dir, "fig9", &lax_bench::figures::fig9(&mut db, jobs)?)?;

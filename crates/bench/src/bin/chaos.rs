@@ -35,7 +35,8 @@ use std::error::Error;
 use std::fs;
 use std::path::PathBuf;
 
-use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterCheckpoint, ClusterScenario};
+use lax_bench::checkpoint::FleetCheckpoint;
+use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterScenario};
 use lax_bench::profile::FleetProfile;
 use lax_bench::sweep;
 use sim_core::time::Duration;
@@ -141,22 +142,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut checkpoint = ckpt_path.as_ref().map(|p| {
-        if !resume && fs::remove_file(p).is_ok() {
-            eprintln!(
-                "[chaos] discarded stale checkpoint {} (run with --resume to keep it)",
-                p.display()
-            );
-        }
-        ClusterCheckpoint::open(p)
-    });
-    if let Some(ckpt) = checkpoint.as_ref().filter(|c| !c.is_empty()) {
-        eprintln!(
-            "[chaos] resuming: {} cell(s) restored from {}",
-            ckpt.len(),
-            ckpt.path().display()
-        );
-    }
+    let mut checkpoint = ckpt_path.map(|p| FleetCheckpoint::for_run(p, resume, "chaos"));
     eprintln!(
         "[chaos] {} fidelity, {} cell(s) x {n_jobs} job(s) on {jobs} worker thread(s)",
         fidelity,
@@ -202,7 +188,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             cell_t0.elapsed()
         );
         if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.record(&key, &report)?;
+            ckpt.record(&key, report.clone())?;
         }
         reports.push(report);
     }

@@ -33,7 +33,8 @@ use std::error::Error;
 use std::fs;
 use std::path::PathBuf;
 
-use lax_bench::cluster::{cluster_table, ClusterBuilder, ClusterCheckpoint, ClusterScenario};
+use lax_bench::checkpoint::FleetCheckpoint;
+use lax_bench::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
 use lax_bench::profile::FleetProfile;
 use lax_bench::sweep;
 use workloads::spec::{ArrivalRate, Benchmark};
@@ -144,22 +145,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    let mut checkpoint = ckpt_path.as_ref().map(|p| {
-        if !resume && fs::remove_file(p).is_ok() {
-            eprintln!(
-                "[cluster] discarded stale checkpoint {} (run with --resume to keep it)",
-                p.display()
-            );
-        }
-        ClusterCheckpoint::open(p)
-    });
-    if let Some(ckpt) = checkpoint.as_ref().filter(|c| !c.is_empty()) {
-        eprintln!(
-            "[cluster] resuming: {} cell(s) restored from {}",
-            ckpt.len(),
-            ckpt.path().display()
-        );
-    }
+    let mut checkpoint = ckpt_path.map(|p| FleetCheckpoint::for_run(p, resume, "cluster"));
     eprintln!(
         "[cluster] {} fidelity, {} cell(s) x {n_jobs} job(s) on {jobs} worker thread(s)",
         fidelity,
@@ -195,7 +181,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             cell_t0.elapsed()
         );
         if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.record(&key, &report)?;
+            ckpt.record(&key, report.clone())?;
         }
         reports.push(report);
     }

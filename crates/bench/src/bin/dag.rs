@@ -100,20 +100,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     let grid = if smoke { DagSweep::smoke() } else { DagSweep::full() };
-    if !resume && fs::remove_file(&ckpt).is_ok() {
-        eprintln!(
-            "[dag] discarded stale checkpoint {} (run with --resume to keep it)",
-            ckpt.display()
-        );
-    }
-    let mut checkpoint = Checkpoint::open(&ckpt);
-    if !checkpoint.is_empty() {
-        eprintln!(
-            "[dag] resuming: {} cell(s) restored from {}",
-            checkpoint.len(),
-            ckpt.display()
-        );
-    }
+    let mut checkpoint = Checkpoint::for_run(&ckpt, resume, "dag");
     let total = grid.schedulers.len() * grid.benches.len() * grid.rates.len();
     eprintln!(
         "[dag] {} grid: {total} cells on {jobs} worker thread(s)",

@@ -59,20 +59,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     let grid = if smoke { FaultSweep::smoke() } else { FaultSweep::full() };
 
-    if !resume && fs::remove_file(&ckpt).is_ok() {
-        eprintln!(
-            "[faults] discarded stale checkpoint {} (run with --resume to keep it)",
-            ckpt.display()
-        );
-    }
-    let mut checkpoint = Checkpoint::open(&ckpt);
-    if !checkpoint.is_empty() {
-        eprintln!(
-            "[faults] resuming: {} cell(s) restored from {}",
-            checkpoint.len(),
-            ckpt.display()
-        );
-    }
+    let mut checkpoint = Checkpoint::for_run(&ckpt, resume, "faults");
     let total =
         grid.schedulers.len() * grid.benches.len() * grid.intensities.len();
     eprintln!(

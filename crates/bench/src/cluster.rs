@@ -22,8 +22,8 @@
 //! * Latency tails stream through [`StreamingQuantiles`] (p50/p99/p999),
 //!   merged across devices in device-index order, so a million-job run
 //!   reports SLO attainment without holding a million samples.
-//! * [`ClusterCheckpoint`] persists finished cells (summary + sketch) with
-//!   the same crash-safe atomic-rename discipline as [`crate::Checkpoint`],
+//! * Finished cells persist through [`crate::checkpoint::FleetCheckpoint`]
+//!   (summary + sketch), the same crash-safe store the sweep binaries use,
 //!   so an interrupted grid resumes byte-identically.
 //!
 //! # Fidelity tiers
@@ -64,9 +64,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -74,7 +71,7 @@ use gpu_sim::fleet::FleetFaultAction;
 use gpu_sim::prelude::*;
 use schedulers::registry;
 use schedulers::routing::{self, RouteDecision, RouteRequest, Router};
-use sim_core::rng::SimRng;
+use sim_core::rng::{Fnv1a, SimRng};
 use sim_core::stats::StreamingQuantiles;
 use sim_core::table::Table;
 use workloads::dag::{fanout_graph, ipa_graph, sample_fanout_width, IPA_WIDTH};
@@ -167,7 +164,7 @@ impl ClusterScenario {
     /// sampling noise. The same contract as [`crate::sweep::Scenario::cell_seed`],
     /// lifted to the fleet.
     pub fn cell_seed(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.eat(&self.seed.to_le_bytes());
         h.eat(self.bench.name().as_bytes());
         h.eat(b":");
@@ -181,7 +178,7 @@ impl ClusterScenario {
     /// the device index, so devices are not clones of each other yet stay
     /// identical across routing policies and worker counts.
     pub fn device_seed(&self, d: usize) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.eat(&self.cell_seed().to_le_bytes());
         h.eat(b"device");
         h.eat(&(d as u64).to_le_bytes());
@@ -196,31 +193,11 @@ impl ClusterScenario {
     /// must pair across intensities too (intensity 0 vs 2 differ only in
     /// the faults, not the offered load).
     pub fn fault_seed(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.eat(&self.cell_seed().to_le_bytes());
         h.eat(b"fleet-faults");
         h.eat(&u64::from(self.fault_milli).to_le_bytes());
         h.finish()
-    }
-}
-
-/// Incremental FNV-1a, shared by the cell/device seed derivations.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -1692,248 +1669,6 @@ pub fn chaos_table(reports: &[ClusterReport]) -> Table {
     table
 }
 
-// v2 added `lost retried shed` to the summary line; v3 added the `misses`
-// line. Older files are treated as foreign (resume restarts from scratch,
-// which is always safe).
-const CLUSTER_CKPT_HEADER: &str = "lax-bench-cluster-checkpoint v3";
-
-/// Crash-safe store of finished cluster cells, keyed by the scenario's
-/// string form — the fleet counterpart of [`crate::Checkpoint`]. Reports
-/// persist as their summary scalars plus the latency sketch's raw buckets,
-/// so a resumed grid reproduces its output byte-identically without
-/// storing a million per-job records.
-///
-/// Every [`ClusterCheckpoint::record`] rewrites the file via
-/// write-to-temporary + atomic rename, so a crash mid-write leaves the
-/// previous consistent snapshot.
-#[derive(Debug)]
-pub struct ClusterCheckpoint {
-    path: PathBuf,
-    cells: BTreeMap<String, ClusterReport>,
-}
-
-impl ClusterCheckpoint {
-    /// Opens (or starts) a checkpoint at `path`. A missing, foreign or
-    /// corrupt file yields an empty checkpoint — resuming is best-effort,
-    /// never an error.
-    pub fn open(path: impl Into<PathBuf>) -> ClusterCheckpoint {
-        let path = path.into();
-        let cells = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| parse_checkpoint(&text))
-            .unwrap_or_default();
-        ClusterCheckpoint { path, cells }
-    }
-
-    /// The backing file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The stored report for a scenario key, if present.
-    pub fn get(&self, key: &str) -> Option<&ClusterReport> {
-        self.cells.get(key)
-    }
-
-    /// Whether `key` is already stored.
-    pub fn contains(&self, key: &str) -> bool {
-        self.cells.contains_key(key)
-    }
-
-    /// Number of stored cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Stores one finished cell and flushes the file atomically.
-    ///
-    /// # Errors
-    ///
-    /// [`BenchError::Io`] if the file cannot be written.
-    pub fn record(&mut self, key: &str, report: &ClusterReport) -> Result<(), BenchError> {
-        self.cells.insert(key.to_string(), report.clone());
-        self.flush()
-    }
-
-    /// Removes the backing file (kept-state is gone; the in-memory cells
-    /// survive). Used after a grid completes successfully.
-    ///
-    /// # Errors
-    ///
-    /// [`BenchError::Io`] on filesystem failure other than the file already
-    /// being gone.
-    pub fn discard_file(&self) -> Result<(), BenchError> {
-        match fs::remove_file(&self.path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(BenchError::Io(e.to_string())),
-        }
-    }
-
-    fn flush(&self) -> Result<(), BenchError> {
-        let io = |e: std::io::Error| BenchError::Io(e.to_string());
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir).map_err(io)?;
-            }
-        }
-        let mut text = String::new();
-        text.push_str(CLUSTER_CKPT_HEADER);
-        text.push('\n');
-        for (key, report) in &self.cells {
-            write_cell(&mut text, key, report);
-        }
-        let tmp = self.path.with_extension("tmp");
-        let mut f = fs::File::create(&tmp).map_err(io)?;
-        f.write_all(text.as_bytes()).map_err(io)?;
-        f.sync_all().map_err(io)?;
-        fs::rename(&tmp, &self.path).map_err(io)
-    }
-}
-
-fn f64_hex(x: f64) -> String {
-    format!("{:x}", x.to_bits())
-}
-
-fn f64_from_hex(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Appends formatted text to a `String`. `fmt::Write` on `String` cannot
-/// fail, so this absorbs the `fmt::Result` that would otherwise demand an
-/// `.unwrap()` per line of checkpoint output.
-fn push_fmt(text: &mut String, args: fmt::Arguments<'_>) {
-    use fmt::Write as _;
-    let _ = text.write_fmt(args);
-}
-
-fn write_cell(text: &mut String, key: &str, r: &ClusterReport) {
-    let (counts, zeros, sum, min, max) = r.latency_us.raw_parts();
-    push_fmt(text, format_args!("cell {key}\n"));
-    push_fmt(text, format_args!("fidelity {}\n", r.fidelity));
-    push_fmt(
-        text,
-        format_args!(
-            "summary {} {} {} {} {} {} {} {} {} {}\n",
-            r.total,
-            r.rejected,
-            r.device_rejected,
-            r.completed,
-            r.met,
-            r.lost,
-            r.retried,
-            r.shed,
-            r.makespan.as_cycles(),
-            r.events
-        ),
-    );
-    text.push_str("misses");
-    for cause in MissCause::ALL {
-        push_fmt(text, format_args!(" {}", r.misses.count(cause)));
-    }
-    text.push('\n');
-    text.push_str("devices");
-    for c in &r.per_device_jobs {
-        push_fmt(text, format_args!(" {c}"));
-    }
-    text.push('\n');
-    push_fmt(
-        text,
-        format_args!("sketch {} {} {} {}\n", zeros, f64_hex(sum), f64_hex(min), f64_hex(max)),
-    );
-    text.push_str("buckets");
-    for (i, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            push_fmt(text, format_args!(" {i}:{c}"));
-        }
-    }
-    text.push('\n');
-    text.push_str("end\n");
-}
-
-fn parse_checkpoint(text: &str) -> Option<BTreeMap<String, ClusterReport>> {
-    let mut lines = text.lines();
-    if lines.next()? != CLUSTER_CKPT_HEADER {
-        return None;
-    }
-    let mut cells = BTreeMap::new();
-    while let Some(line) = lines.next() {
-        if line.is_empty() {
-            continue;
-        }
-        let key = line.strip_prefix("cell ")?;
-        let scenario: ClusterScenario = key.parse().ok()?;
-        let fidelity: Fidelity = lines.next()?.strip_prefix("fidelity ")?.parse().ok()?;
-        let mut summary = lines.next()?.strip_prefix("summary ")?.split(' ');
-        let total: u64 = summary.next()?.parse().ok()?;
-        let rejected: u64 = summary.next()?.parse().ok()?;
-        let device_rejected: u64 = summary.next()?.parse().ok()?;
-        let completed: u64 = summary.next()?.parse().ok()?;
-        let met: u64 = summary.next()?.parse().ok()?;
-        let lost: u64 = summary.next()?.parse().ok()?;
-        let retried: u64 = summary.next()?.parse().ok()?;
-        let shed: u64 = summary.next()?.parse().ok()?;
-        let makespan = Duration::from_cycles(summary.next()?.parse().ok()?);
-        let events: u64 = summary.next()?.parse().ok()?;
-        let mut misses_parts = lines.next()?.strip_prefix("misses ")?.split(' ');
-        let mut misses = MissBreakdown::default();
-        for cause in MissCause::ALL {
-            misses.add_n(cause, misses_parts.next()?.parse().ok()?);
-        }
-        let devices_line = lines.next()?.strip_prefix("devices")?;
-        let per_device_jobs: Vec<u64> = devices_line
-            .split_whitespace()
-            .map(|c| c.parse().ok())
-            .collect::<Option<_>>()?;
-        let mut sk = lines.next()?.strip_prefix("sketch ")?.split(' ');
-        let zeros: u64 = sk.next()?.parse().ok()?;
-        let sum = f64_from_hex(sk.next()?)?;
-        let min = f64_from_hex(sk.next()?)?;
-        let max = f64_from_hex(sk.next()?)?;
-        let buckets_line = lines.next()?.strip_prefix("buckets")?;
-        let mut counts = Vec::new();
-        for pair in buckets_line.split_whitespace() {
-            let (i, c) = pair.split_once(':')?;
-            let i: usize = i.parse().ok()?;
-            let c: u64 = c.parse().ok()?;
-            if i >= counts.len() {
-                counts.resize(i + 1, 0);
-            }
-            counts[i] = c;
-        }
-        if lines.next()? != "end" {
-            return None;
-        }
-        let latency_us = StreamingQuantiles::from_raw_parts(counts, zeros, sum, min, max);
-        cells.insert(
-            key.to_string(),
-            ClusterReport {
-                scenario,
-                fidelity,
-                total,
-                rejected,
-                device_rejected,
-                completed,
-                met,
-                lost,
-                retried,
-                shed,
-                misses,
-                latency_us,
-                per_device_jobs,
-                makespan,
-                events,
-            },
-        );
-    }
-    Some(cells)
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Mutex;
@@ -2122,30 +1857,6 @@ mod tests {
         for needle in ["policy", "attain", "p99_us", "p999_us", "RR", "LL", "HYBRID:high"] {
             assert!(text.contains(needle), "table must mention {needle}:\n{text}");
         }
-    }
-
-    #[test]
-    fn checkpoint_round_trips_reports_exactly() {
-        let dir = std::env::temp_dir().join(format!("lax-cluster-ckpt-{}", std::process::id()));
-        let path = dir.join("cluster.ckpt");
-        let _ = fs::remove_file(&path);
-        let mut ckpt = ClusterCheckpoint::open(&path);
-        assert!(ckpt.is_empty());
-        let reports: Vec<ClusterReport> =
-            ["RR", "LL"].iter().map(|p| ClusterBuilder::new(scen(p)).run().unwrap()).collect();
-        for r in &reports {
-            ckpt.record(&r.scenario.to_string(), r).unwrap();
-        }
-        let reopened = ClusterCheckpoint::open(&path);
-        assert_eq!(reopened.len(), 2);
-        for r in &reports {
-            let key = r.scenario.to_string();
-            assert!(reopened.contains(&key));
-            assert_eq!(reopened.get(&key).unwrap(), r, "{key} must round-trip bit-exactly");
-        }
-        ckpt.discard_file().unwrap();
-        assert!(ClusterCheckpoint::open(&path).is_empty());
-        let _ = fs::remove_dir(&dir);
     }
 
     #[test]
@@ -2460,25 +2171,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_checkpoint_round_trips_failure_counters() {
-        let dir = std::env::temp_dir().join(format!("lax-chaos-ckpt-{}", std::process::id()));
-        let path = dir.join("chaos.ckpt");
-        let _ = fs::remove_file(&path);
-        let s = scen("RR").with_fault_milli(1500);
-        let r = ClusterBuilder::new(s).run().unwrap();
-        let mut ckpt = ClusterCheckpoint::open(&path);
-        ckpt.record(&r.scenario.to_string(), &r).unwrap();
-        let reopened = ClusterCheckpoint::open(&path);
-        assert_eq!(
-            reopened.get(&r.scenario.to_string()).unwrap(),
-            &r,
-            "lost/retried/shed must survive the checkpoint round trip"
-        );
-        ckpt.discard_file().unwrap();
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn chaos_table_reports_failure_columns() {
         let s = scen("RR");
         let plan = mid_stream_crash(&s);
@@ -2490,22 +2182,6 @@ mod tests {
         // The intensity column reflects the scenario, not the override.
         let seeded = ClusterBuilder::new(s.with_fault_milli(1500)).run().unwrap();
         assert!(chaos_table(&[seeded]).render().contains("1.5"));
-    }
-
-    #[test]
-    fn foreign_checkpoint_files_are_ignored() {
-        let dir = std::env::temp_dir().join(format!("lax-cluster-foreign-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.ckpt");
-        fs::write(&path, "not a checkpoint\ncell garbage\n").unwrap();
-        assert!(ClusterCheckpoint::open(&path).is_empty());
-        // Pre-miss-attribution files (v2 header) are foreign too: the
-        // parser must not guess at a missing `misses` line.
-        fs::write(&path, "lax-bench-cluster-checkpoint v2\ncell LL:HYBRID:high:d4:j400:s7\n")
-            .unwrap();
-        assert!(ClusterCheckpoint::open(&path).is_empty(), "v2 files must restart from scratch");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_dir(&dir);
     }
 
     /// Checks every conservation identity [`MissBreakdown`] documents

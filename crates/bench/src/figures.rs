@@ -362,18 +362,56 @@ impl FaultSweep {
     /// The cells of this grid in render order, each with its checkpoint
     /// key (the scenario string suffixed with `:f<intensity>` — not a
     /// parseable [`Scenario`], so `bin/all`'s resume path ignores them).
-    fn cells(&self) -> Vec<(String, Scenario, f64)> {
+    fn cells(&self) -> Vec<(String, (Scenario, f64))> {
         let mut cells = Vec::new();
         for s in &self.schedulers {
             for &b in &self.benches {
                 for &i in &self.intensities {
                     let scenario = Scenario::new(s, b, ArrivalRate::High, self.n_jobs, self.seed);
-                    cells.push((format!("{scenario}:f{i}"), scenario, i));
+                    cells.push((format!("{scenario}:f{i}"), (scenario, i)));
                 }
             }
         }
         cells
     }
+}
+
+/// Runs a checkpointed grid of `(key, cell)` pairs and returns one report
+/// per cell, in order. Cells already recorded in `checkpoint` are restored;
+/// the rest fan out over `workers` threads and are recorded the moment
+/// each lands, so a kill loses at most the cells still running.
+///
+/// # Errors
+///
+/// The first failing cell, after all runnable cells finished (and were
+/// checkpointed).
+fn run_checkpointed<C: Sync>(
+    cells: &[(String, C)],
+    workers: usize,
+    mut checkpoint: Option<&mut Checkpoint>,
+    run: impl Fn(&C) -> Result<SimReport, BenchError> + Sync,
+) -> Result<Vec<SimReport>, BenchError> {
+    let mut reports: Vec<Option<SimReport>> = cells
+        .iter()
+        .map(|(key, _)| checkpoint.as_ref().and_then(|ck| ck.get(key)).map(|(r, _)| r.clone()))
+        .collect();
+    let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
+    let results = par_map_with(
+        &missing,
+        workers,
+        |&idx| run(&cells[idx].1),
+        |i, r: &Result<SimReport, BenchError>, _| {
+            if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
+                if let Err(e) = ck.record(&cells[missing[i]].0, (report.clone(), None)) {
+                    eprintln!("warning: checkpoint write failed: {e}");
+                }
+            }
+        },
+    );
+    for (&idx, result) in missing.iter().zip(results) {
+        reports[idx] = Some(result?);
+    }
+    Ok(reports.into_iter().flatten().collect())
 }
 
 /// Renders the fault-robustness study: deadline-met counts and
@@ -394,49 +432,14 @@ impl FaultSweep {
 pub fn faults(
     sweep: &FaultSweep,
     workers: usize,
-    mut checkpoint: Option<&mut Checkpoint>,
+    checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let cells = sweep.cells();
-    let mut reports: Vec<Option<SimReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, (key, _, _)) in cells.iter().enumerate() {
-        match checkpoint.as_ref().and_then(|ck| ck.get(key)) {
-            Some(report) => reports[idx] = Some(report.clone()),
-            None => missing.push(idx),
-        }
-    }
-    let mut first_err: Option<BenchError> = None;
-    if !missing.is_empty() {
-        let results = par_map_with(
-            &missing,
-            workers,
-            |&idx| {
-                let (_, scenario, intensity) = &cells[idx];
-                run_cell_opts(scenario, &SweepOptions::new(1).fault_intensity(*intensity))
-            },
-            |i, r: &Result<SimReport, BenchError>, _| {
-                if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                    if let Err(e) = ck.record(&cells[missing[i]].0, report) {
-                        eprintln!("warning: checkpoint write failed: {e}");
-                    }
-                }
-            },
-        );
-        for (&idx, result) in missing.iter().zip(results) {
-            match result {
-                Ok(report) => reports[idx] = Some(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint, |(scenario, intensity)| {
+        run_cell_opts(scenario, &SweepOptions::new(1).fault_intensity(*intensity))
+    })?;
     let met = |sched: usize, bench: usize, inten: usize| -> usize {
         let idx = (sched * sweep.benches.len() + bench) * sweep.intensities.len() + inten;
-        reports[idx].as_ref().expect("all cells ran").deadlines_met()
+        reports[idx].deadlines_met()
     };
     // Ratio vs the scheduler's own clean (intensity-0) cell, with the
     // 0-over-0 -> 1.0 convention normalized bar charts use.
@@ -561,46 +564,14 @@ impl DagSweep {
 pub fn dag(
     sweep: &DagSweep,
     workers: usize,
-    mut checkpoint: Option<&mut Checkpoint>,
+    checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let cells = sweep.cells();
-    let mut reports: Vec<Option<SimReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, (key, _)) in cells.iter().enumerate() {
-        match checkpoint.as_ref().and_then(|ck| ck.get(key)) {
-            Some(report) => reports[idx] = Some(report.clone()),
-            None => missing.push(idx),
-        }
-    }
-    let mut first_err: Option<BenchError> = None;
-    if !missing.is_empty() {
-        let results = par_map_with(
-            &missing,
-            workers,
-            |&idx| run_cell_opts(&cells[idx].1, &SweepOptions::new(1)),
-            |i, r: &Result<SimReport, BenchError>, _| {
-                if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                    if let Err(e) = ck.record(&cells[missing[i]].0, report) {
-                        eprintln!("warning: checkpoint write failed: {e}");
-                    }
-                }
-            },
-        );
-        for (&idx, result) in missing.iter().zip(results) {
-            match result {
-                Ok(report) => reports[idx] = Some(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint, |scenario| {
+        run_cell_opts(scenario, &SweepOptions::new(1))
+    })?;
     let cell = |sched: usize, bench: usize, rate: usize| -> &SimReport {
         let idx = (sched * sweep.benches.len() + bench) * sweep.rates.len() + rate;
-        reports[idx].as_ref().expect("all cells ran")
+        &reports[idx]
     };
     let mut out = format!(
         "DAG workloads: deadline-met counts on graph-structured jobs\n\
@@ -655,12 +626,12 @@ mod tests {
         let partial_cells: Vec<(String, SimReport)> = ck
             .cells()
             .take(2)
-            .map(|(k, r)| (k.to_string(), r.clone()))
+            .map(|(k, (r, _))| (k.to_string(), r.clone()))
             .collect();
         std::fs::remove_file(&path).unwrap();
         let mut partial = Checkpoint::open(&path);
-        for (k, r) in &partial_cells {
-            partial.record(k, r).unwrap();
+        for (k, r) in partial_cells {
+            partial.record(&k, (r, None)).unwrap();
         }
         let resumed = faults(&grid, 2, Some(&mut partial)).unwrap();
         assert_eq!(resumed, serial, "resume from a partial checkpoint must be byte-identical");

@@ -12,8 +12,11 @@
 //! self-healing — a panicking or runaway cell degrades to a typed
 //! [`BenchError`] after bounded retries instead of killing the grid — and
 //! long runs stream finished cells into a crash-safe [`checkpoint`] file
-//! so an interrupted `bin/all` or `bin/faults` restarted with `--resume`
-//! only re-runs what is missing, byte-identically.
+//! so an interrupted `bin/all`, `bin/faults`, `bin/dag`, `bin/cluster` or
+//! `bin/chaos` restarted with `--resume` only re-runs what is missing,
+//! byte-identically. All five share one store with two record codecs
+//! (sweep and fleet reports); a corrupt cell block is dropped, the intact
+//! ones kept.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,6 @@
 //! process reuses the same runs.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use gpu_sim::prelude::*;
 use sim_core::table::{fmt_f, Table};
@@ -55,26 +54,20 @@ impl ResultsDb {
         self
     }
 
-    /// Attaches a crash-safe checkpoint file: cells a previous run
-    /// recorded there are preloaded into the cache (reports round-trip
-    /// bit-exactly, so warmed figures stay byte-identical), and every cell
-    /// finished from now on is persisted as soon as it lands. Keys whose
-    /// string form does not parse back into a [`Scenario`] are ignored —
-    /// they belong to other binaries sharing the format.
-    pub fn with_checkpoints(mut self, path: impl AsRef<Path>) -> Self {
-        let ck = Checkpoint::open(path.as_ref());
-        let mut restored = 0;
-        for (key, report) in ck.cells() {
+    /// Attaches a crash-safe checkpoint: cells a previous run recorded
+    /// there are preloaded into the cache (reports round-trip bit-exactly,
+    /// so warmed figures stay byte-identical), and every cell finished
+    /// from now on is persisted as soon as it lands. Keys whose string
+    /// form does not parse back into a [`Scenario`] are ignored — they
+    /// belong to other binaries sharing the format.
+    pub fn with_checkpoints(mut self, ck: Checkpoint) -> Self {
+        for (key, (report, profile)) in ck.cells() {
             if let Ok(scenario) = key.parse::<Scenario>() {
-                if let Some(profile) = ck.profile(key) {
-                    self.profiles.insert(scenario.clone(), profile);
+                if let Some(profile) = profile {
+                    self.profiles.insert(scenario.clone(), *profile);
                 }
                 self.cache.insert(scenario, report.clone());
-                restored += 1;
             }
-        }
-        if self.verbose && restored > 0 {
-            eprintln!("[resume] restored {restored} cell(s) from {}", ck.path().display());
         }
         self.checkpoint = Some(ck);
         self
@@ -96,7 +89,7 @@ impl ResultsDb {
         profile: CellProfile,
     ) {
         if let Some(ck) = checkpoint.as_mut() {
-            if let Err(e) = ck.record_profiled(&scenario.to_string(), report, profile) {
+            if let Err(e) = ck.record(&scenario.to_string(), (report.clone(), Some(profile))) {
                 eprintln!("warning: checkpoint write failed: {e}");
             }
         }
@@ -495,7 +488,7 @@ mod tests {
     fn checkpointed_cells_resume_bit_identically() {
         let path = std::env::temp_dir().join(format!("lax-db-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut first = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut first = ResultsDb::with_jobs(4, 2).with_checkpoints(Checkpoint::open(&path));
         first
             .warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2)
             .unwrap();
@@ -503,7 +496,7 @@ mod tests {
 
         // A new db over the same file starts fully warm — the resume path —
         // and serves reports bit-identical to a from-scratch run.
-        let mut resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(Checkpoint::open(&path));
         assert_eq!(resumed.len(), 2, "cells preloaded from the checkpoint");
         let mut fresh = ResultsDb::with_jobs(4, 2);
         for sched in ["RR", "EDF"] {
@@ -542,15 +535,15 @@ mod tests {
     fn foreign_checkpoint_keys_are_ignored_on_resume() {
         let path = std::env::temp_dir().join(format!("lax-db-foreign-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut ck = crate::checkpoint::Checkpoint::open(&path);
+        let mut ck = Checkpoint::open(&path);
         let report = sweep::run_cell(
             &Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::Low, 2, 1),
             &sweep::RunOptions::default(),
         )
         .unwrap();
         // A fault-sweep style key: not a parseable Scenario.
-        ck.record("RR:IPV6:low:j2:s1:f0.5", &report).unwrap();
-        let db = ResultsDb::with_jobs(2, 1).with_checkpoints(&path);
+        ck.record("RR:IPV6:low:j2:s1:f0.5", (report, None)).unwrap();
+        let db = ResultsDb::with_jobs(2, 1).with_checkpoints(Checkpoint::open(&path));
         assert!(db.is_empty(), "suffixed keys belong to other binaries");
         std::fs::remove_file(&path).unwrap();
     }
@@ -559,7 +552,7 @@ mod tests {
     fn warm_profiles_every_cell_and_profiles_survive_resume() {
         let path = std::env::temp_dir().join(format!("lax-db-prof-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut db = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let mut db = ResultsDb::with_jobs(4, 2).with_checkpoints(Checkpoint::open(&path));
         db.warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2).unwrap();
         assert_eq!(db.profiles().len(), 2, "every warmed cell gets a profile");
         for (s, p) in db.profiles() {
@@ -571,7 +564,7 @@ mod tests {
         assert!(summary.contains("slowest cells"), "{summary}");
         assert!(summary.contains("RR:IPV6:low:j4:s2"), "{summary}");
 
-        let resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(&path);
+        let resumed = ResultsDb::with_jobs(4, 2).with_checkpoints(Checkpoint::open(&path));
         assert_eq!(resumed.profiles(), db.profiles(), "profiles restore from the checkpoint");
         assert_eq!(resumed.slowest_cells(1).len(), 1);
         std::fs::remove_file(&path).unwrap();

@@ -48,6 +48,7 @@ use std::time::{Duration as WallDuration, Instant};
 use gpu_sim::prelude::*;
 use schedulers::registry::{self, UnknownScheduler};
 use schedulers::routing::UnknownRoutePolicy;
+use sim_core::rng::Fnv1a;
 use workloads::burst::apply_bursts;
 use workloads::spec::{ArrivalRate, Benchmark, ParseSpecError};
 use workloads::suite::BenchmarkSuite;
@@ -111,21 +112,13 @@ impl Scenario {
     /// figure 6–10 grids) would pick up workload sampling noise instead of
     /// scheduler differences.
     pub fn cell_seed(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
-        eat(self.bench.name().as_bytes());
-        eat(b":");
-        eat(self.rate.name().as_bytes());
-        eat(&(self.n_jobs as u64).to_le_bytes());
-        h
+        let mut h = Fnv1a::new();
+        h.eat(&self.seed.to_le_bytes());
+        h.eat(self.bench.name().as_bytes());
+        h.eat(b":");
+        h.eat(self.rate.name().as_bytes());
+        h.eat(&(self.n_jobs as u64).to_le_bytes());
+        h.finish()
     }
 }
 

@@ -173,7 +173,16 @@ impl StreamingQuantiles {
         if v < QUANTILE_FLOOR {
             return 0;
         }
-        ((v / QUANTILE_FLOOR).ln() / QUANTILE_GROWTH.ln()).floor() as usize
+        // The ratio saturates at f64::MAX rather than overflowing to +inf,
+        // so every finite sample lands at or below `max_bucket`.
+        ((v / QUANTILE_FLOOR).min(f64::MAX).ln() / QUANTILE_GROWTH.ln()).floor() as usize
+    }
+
+    /// The highest bucket index any finite sample can land in (about 71k),
+    /// which bounds the sketch's bucket vector. Checkpoint parsers reject
+    /// stored bucket indices above it.
+    pub fn max_bucket() -> usize {
+        Self::bucket_of(f64::MAX)
     }
 
     /// Geometric midpoint of bucket `i`, the sketch's representative for
@@ -598,5 +607,16 @@ mod tests {
     #[should_panic = "non-finite sample"]
     fn streaming_quantiles_reject_nan() {
         StreamingQuantiles::new().push(f64::NAN);
+    }
+
+    #[test]
+    fn the_largest_finite_sample_lands_in_the_top_bucket() {
+        let top = StreamingQuantiles::max_bucket();
+        assert!((71_000..72_000).contains(&top), "{top}");
+        let mut q = StreamingQuantiles::new();
+        q.push(f64::MAX);
+        q.push(f64::MAX / 2.0);
+        assert_eq!(q.raw_parts().0.len(), top + 1);
+        assert_eq!(q.max(), f64::MAX);
     }
 }

@@ -55,7 +55,7 @@ use std::sync::Arc;
 
 use gpu_sim::job::{JobDesc, JobError, JobGraph, JobId};
 use sim_core::json::{self, JsonError, Value};
-use sim_core::rng::SimRng;
+use sim_core::rng::{Fnv1a, SimRng};
 use sim_core::time::{Cycle, Duration};
 
 use crate::spec::{ArrivalRate, Benchmark};
@@ -310,27 +310,19 @@ impl ScenarioFile {
     /// same value) as the sweep engine's `Scenario::cell_seed`, so a file
     /// naming a benchmark reproduces that sweep cell byte-for-byte.
     pub fn cell_seed(&self, rate: ArrivalRate) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.eat(&self.seed.to_le_bytes());
         match &self.workload {
-            WorkloadSpec::Named(b) => eat(b.name().as_bytes()),
+            WorkloadSpec::Named(b) => h.eat(b.name().as_bytes()),
             WorkloadSpec::Inline(_) => {
-                eat(b"dag-file:");
-                eat(self.name.as_bytes());
+                h.eat(b"dag-file:");
+                h.eat(self.name.as_bytes());
             }
         }
-        eat(b":");
-        eat(rate.name().as_bytes());
-        eat(&(self.n_jobs as u64).to_le_bytes());
-        h
+        h.eat(b":");
+        h.eat(rate.name().as_bytes());
+        h.eat(&(self.n_jobs as u64).to_le_bytes());
+        h.finish()
     }
 
     /// Generates the cell's job stream at one rate level: named workloads

@@ -121,6 +121,40 @@ assert rows >= 8, rows
 EOF
 echo "   chaos grid conserves jobs and is byte-identical across workers and resume"
 
+echo "== tier1: resume from a corrupt checkpoint (no panic, clean artifact) =="
+# One corrupt block per store, keyed by a real smoke cell: an empty job-fate
+# field (sweep store) and a sketch bucket index past the largest a finite
+# sample can reach (fleet store). Both used to panic the parsers. Resuming
+# must drop the bad block, rerun that cell and write the clean artifact.
+printf 'lax-bench-checkpoint v2\ncell RR:IPV6:high:j8:s20210301:f0\nscheduler A\nsummary 1 0 0 0 0 0 1\njob 0 0 0  0 b\nend\n' \
+    > "$TMP/bad_sweep.ckpt"
+"$FAULTS_BIN" --smoke --jobs 2 --resume --out "$TMP/fbad.txt" --ckpt "$TMP/bad_sweep.ckpt" \
+    2> "$TMP/fbad.err"
+if grep -q "panicked" "$TMP/fbad.err"; then
+    echo "faults panicked on a corrupt checkpoint" >&2
+    exit 1
+fi
+cmp "$TMP/a.txt" "$TMP/fbad.txt"
+{
+    echo 'lax-bench-cluster-checkpoint v3'
+    echo 'cell LL:HYBRID:high:d4:j2000:s20210301'
+    echo 'fidelity fast'
+    echo 'summary 400 133 0 267 267 0 0 0 28692795 534'
+    echo 'misses 133 0 0 0 0 0 0'
+    echo 'devices 74 69 62 62'
+    echo 'sketch 0 41312e61fdf3b645 40863e90b9af7201 40bb3a54d242e6be'
+    echo 'buckets 18446744073709551615:1'
+    echo 'end'
+} > "$TMP/bad_fleet.ckpt"
+"$CHAOS_BIN" --smoke --jobs 2 --resume --out "$TMP/chbad.txt" --ckpt "$TMP/bad_fleet.ckpt" \
+    2> "$TMP/chbad.err"
+if grep -q "panicked" "$TMP/chbad.err"; then
+    echo "chaos panicked on a corrupt checkpoint" >&2
+    exit 1
+fi
+cmp "$TMP/ch1.txt" "$TMP/chbad.txt"
+echo "   corrupt checkpoint blocks are dropped and rerun; artifacts match the clean runs"
+
 echo "== tier1: committed fleet grids regenerate byte-identically =="
 # results/cluster.txt and results/chaos.txt are behavioural contracts: the
 # full grids (12 cluster cells of 1M jobs each, 36 chaos cells) must come
@@ -173,7 +207,10 @@ if "$DAG_BIN" --check --scenario-file "$TMP/bad.json" 2> "$TMP/bad.err"; then
     exit 1
 fi
 grep -q "must be a string" "$TMP/bad.err"
-! grep -q "panicked" "$TMP/bad.err"
+if grep -q "panicked" "$TMP/bad.err"; then
+    echo "malformed scenario file panicked instead of failing typed" >&2
+    exit 1
+fi
 echo "   scenario files validate, run deterministically, and fail typed"
 
 echo "== tier1: perf smoke (batched-vs-reference digest + throughput floor) =="
