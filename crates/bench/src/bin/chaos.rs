@@ -32,42 +32,14 @@
 //! `SUMMARY.txt` there.
 
 use std::error::Error;
-use std::fs;
 use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterScenario};
 use lax_bench::profile::FleetProfile;
-use lax_bench::sweep;
+use lax_bench::sweep::{self, take_flag, take_value, write_output};
 use sim_core::time::Duration;
-use workloads::spec::{ArrivalRate, Benchmark};
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
-/// Parses one `--intensities` entry into milli-units (`1.5` → 1500).
-fn parse_milli(v: &str) -> Result<u32, Box<dyn Error>> {
-    let f: f64 = v.parse()?;
-    if !f.is_finite() || f < 0.0 || f * 1000.0 > f64::from(u32::MAX) {
-        return Err(format!("bad fault intensity `{v}`").into());
-    }
-    Ok((f * 1000.0).round() as u32)
-}
+use workloads::spec::{intensity_to_milli, ArrivalRate, Benchmark};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -116,7 +88,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             schedulers::routing::names().iter().map(|s| s.to_string()).collect()
         });
     let intensities: Vec<u32> = match take_value(&mut rest, "--intensities") {
-        Some(v) => v.split(',').map(parse_milli).collect::<Result<_, _>>()?,
+        Some(v) => v
+            .split(',')
+            .map(|i| i.parse().ok().and_then(intensity_to_milli).ok_or(i))
+            .collect::<Result<_, _>>()
+            .map_err(|i| format!("bad fault intensity `{i}` (want >= 0 in whole thousandths)"))?,
         None if smoke => vec![0, 1000],
         None => vec![0, 1000, 2000],
     };
@@ -201,12 +177,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     text.push_str("#  lost past the retry budget, retried = recovered placements)\n");
     text.push_str(&format!("# fidelity: {fidelity}\n"));
     text.push_str(&chaos_table(&reports).render());
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    fs::write(&out, &text)?;
+    write_output(&out, &text)?;
     let results_dir = out.parent().filter(|d| !d.as_os_str().is_empty());
     profile.write_artifacts(results_dir.unwrap_or_else(|| std::path::Path::new(".")), 10)?;
     if let Some(ckpt) = checkpoint.as_ref() {

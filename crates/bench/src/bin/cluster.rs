@@ -30,32 +30,14 @@
 //! table is upserted into `SUMMARY.txt` there.
 
 use std::error::Error;
-use std::fs;
 use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
 use lax_bench::profile::FleetProfile;
-use lax_bench::sweep;
+use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
+use lax_bench::sweep::{self, take_flag, take_value, write_output};
 use workloads::spec::{ArrivalRate, Benchmark};
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -66,10 +48,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         if let Some(unknown) = rest.first() {
             return Err(format!("unknown argument `{unknown}` with --scenario-file").into());
         }
-        let source = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let file: workloads::scenario::ScenarioFile =
-            source.parse().map_err(|e| format!("{}: {e}", path.display()))?;
+        let file = read_scenario_file(&path)?;
         if file.fleet.is_none() {
             return Err(format!(
                 "{}: the cluster binary needs a `fleet` key (use bin/dag for single-device files)",
@@ -77,22 +56,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             )
             .into());
         }
-        eprintln!(
-            "[cluster] scenario {}: {} cell(s) x {} job(s) on {jobs} worker thread(s)",
-            file.name,
-            file.schedulers.len() * file.rates.len(),
-            file.n_jobs
-        );
-        let t0 = std::time::Instant::now();
-        let text = lax_bench::scenario_file::run_scenario_file(&file, jobs)?;
-        if let Some(dir) = out.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        fs::write(&out, &text)?;
-        eprintln!("[cluster] wrote {} in {:?}", out.display(), t0.elapsed());
-        return Ok(());
+        return write_scenario_report("cluster", &file, &out, jobs);
     }
     let smoke = take_flag(&mut rest, "--smoke");
     let resume = take_flag(&mut rest, "--resume");
@@ -192,12 +156,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     text.push_str("#  test to the cluster front door; attain counts rejected jobs as misses)\n");
     text.push_str(&format!("# fidelity: {fidelity}\n"));
     text.push_str(&cluster_table(&reports).render());
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    fs::write(&out, &text)?;
+    write_output(&out, &text)?;
     let results_dir = out.parent().filter(|d| !d.as_os_str().is_empty());
     profile.write_artifacts(results_dir.unwrap_or_else(|| std::path::Path::new(".")), 10)?;
     if let Some(ckpt) = checkpoint.as_ref() {

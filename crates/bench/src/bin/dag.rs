@@ -24,31 +24,12 @@
 //! parses + validates without running anything.
 
 use std::error::Error;
-use std::fs;
 use std::path::PathBuf;
 
 use lax_bench::figures::{dag, DagSweep};
-use lax_bench::scenario_file::run_scenario_file;
-use lax_bench::{sweep, Checkpoint};
-use workloads::scenario::ScenarioFile;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
+use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
+use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::Checkpoint;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -67,36 +48,20 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     if let Some(path) = scenario_file {
-        let source = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let file: ScenarioFile =
-            source.parse().map_err(|e| format!("{}: {e}", path.display()))?;
-        let cells = file.schedulers.len() * file.rates.len();
+        let file = read_scenario_file(&path)?;
         if check {
             println!(
-                "{}: ok ({} scheduler(s) x {} rate(s) = {cells} cell(s), {} job(s)/cell{})",
+                "{}: ok ({} scheduler(s) x {} rate(s) = {} cell(s), {} job(s)/cell{})",
                 path.display(),
                 file.schedulers.len(),
                 file.rates.len(),
+                file.schedulers.len() * file.rates.len(),
                 file.n_jobs,
                 if file.fleet.is_some() { ", fleet" } else { "" }
             );
             return Ok(());
         }
-        eprintln!(
-            "[dag] scenario {}: {cells} cell(s) x {} job(s) on {jobs} worker thread(s)",
-            file.name, file.n_jobs
-        );
-        let t0 = std::time::Instant::now();
-        let text = run_scenario_file(&file, jobs)?;
-        if let Some(dir) = out.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        fs::write(&out, &text)?;
-        eprintln!("[dag] wrote {} in {:?}", out.display(), t0.elapsed());
-        return Ok(());
+        return write_scenario_report("dag", &file, &out, jobs);
     }
 
     let grid = if smoke { DagSweep::smoke() } else { DagSweep::full() };
@@ -108,12 +73,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let t0 = std::time::Instant::now();
     let text = dag(&grid, jobs, Some(&mut checkpoint))?;
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    fs::write(&out, &text)?;
+    write_output(&out, &text)?;
     checkpoint.discard_file()?;
     eprintln!("[dag] wrote {} in {:?}", out.display(), t0.elapsed());
     Ok(())

@@ -20,29 +20,11 @@
 //! discarded; on success the checkpoint is removed.
 
 use std::error::Error;
-use std::fs;
 use std::path::PathBuf;
 
 use lax_bench::figures::{faults, FaultSweep};
-use lax_bench::{sweep, Checkpoint};
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
+use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::Checkpoint;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
@@ -61,19 +43,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut checkpoint = Checkpoint::for_run(&ckpt, resume, "faults");
     let total =
-        grid.schedulers.len() * grid.benches.len() * grid.intensities.len();
+        grid.schedulers.len() * grid.benches.len() * grid.fault_milli.len();
     eprintln!(
         "[faults] {} grid: {total} cells on {jobs} worker thread(s)",
         if smoke { "smoke" } else { "full" }
     );
     let t0 = std::time::Instant::now();
     let text = faults(&grid, jobs, Some(&mut checkpoint))?;
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    fs::write(&out, &text)?;
+    write_output(&out, &text)?;
     checkpoint.discard_file()?;
     eprintln!("[faults] wrote {} in {:?}", out.display(), t0.elapsed());
     Ok(())

@@ -25,43 +25,19 @@
 //! [`sim_core::json::validate`] before they are written.
 
 use std::error::Error;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::{FleetSampler, FleetTraceWriter};
 use lax_bench::cluster::{ClusterBuilder, ClusterScenario};
-use lax_bench::sweep;
+use lax_bench::sweep::{self, take_flag, take_value, write_output};
 use sim_core::json;
 use sim_core::time::Duration;
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
 
 /// Validates a JSON artifact and writes it, creating parent directories.
 fn write_json(path: &Path, doc: &str) -> Result<(), Box<dyn Error>> {
     json::validate(doc).map_err(|e| format!("{}: invalid JSON produced: {e}", path.display()))?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    fs::write(path, doc)?;
+    write_output(path, doc)?;
     Ok(())
 }
 
@@ -149,10 +125,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
     if let Some(path) = csv {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        fs::write(&path, sampler.to_csv())?;
+        write_output(&path, sampler.to_csv())?;
         eprintln!("[fleet-trace] wrote {} window(s) to {}", sampler.len(), path.display());
     }
     if let Some(path) = series {

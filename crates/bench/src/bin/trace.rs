@@ -5,13 +5,14 @@
 //! ```text
 //! cargo run --release -p lax-bench --bin trace -- SCENARIO \
 //!     [--out trace.json] [--csv metrics.csv] [--series-json metrics.json] \
-//!     [--fault INTENSITY] [--watch JOB]
+//!     [--watch JOB]
 //! ```
 //!
-//! `SCENARIO` is the usual cell string, e.g. `LAX:IPV6:high:j128:s20210301`.
-//! The run is bit-identical to the same cell executed without observers (the
-//! probe layer never schedules events), so traced reports match sweep
-//! artifacts exactly.
+//! `SCENARIO` is the usual cell string, e.g. `LAX:IPV6:high:j128:s20210301`;
+//! a `:fI` suffix (`LAX:IPV6:high:j128:s20210301:f1`) runs it under a
+//! seeded fault storm of intensity `I`. The run is bit-identical to the
+//! same cell executed without observers (the probe layer never schedules
+//! events), so traced reports match sweep artifacts exactly.
 //!
 //! Outputs:
 //!
@@ -39,14 +40,13 @@ struct Args {
     out: String,
     csv: String,
     series_json: Option<String>,
-    fault: f64,
     watch: Option<u32>,
 }
 
 fn usage() -> String {
     "usage: trace SCENARIO [--out trace.json] [--csv metrics.csv] \
-     [--series-json FILE] [--fault INTENSITY] [--watch JOB]\n\
-     SCENARIO example: LAX:IPV6:high:j128:s20210301"
+     [--series-json FILE] [--watch JOB]\n\
+     SCENARIO example: LAX:IPV6:high:j128:s20210301 (append :f1 for faults)"
         .to_string()
 }
 
@@ -55,7 +55,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut out = "trace.json".to_string();
     let mut csv = "metrics.csv".to_string();
     let mut series_json = None;
-    let mut fault = 0.0;
     let mut watch = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -66,11 +65,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out" => out = value_of("--out")?,
             "--csv" => csv = value_of("--csv")?,
             "--series-json" => series_json = Some(value_of("--series-json")?),
-            "--fault" => {
-                fault = value_of("--fault")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault value: {e}"))?;
-            }
             "--watch" => {
                 watch = Some(
                     value_of("--watch")?
@@ -86,7 +80,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     let scenario = scenario.ok_or_else(usage)?;
-    Ok(Args { scenario, out, csv, series_json, fault, watch })
+    Ok(Args { scenario, out, csv, series_json, watch })
 }
 
 fn run(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -96,10 +90,7 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     let sampler = Arc::new(Mutex::new(sampler));
     let writer = Arc::new(Mutex::new(ChromeTraceWriter::new()));
-    let opts = RunOptions::default()
-        .fault_intensity(args.fault)
-        .observe(sampler.clone())
-        .observe(writer.clone());
+    let opts = RunOptions::default().observe(sampler.clone()).observe(writer.clone());
     let report = run_cell(&args.scenario, &opts)?;
 
     let writer = writer.lock().expect("trace writer lock");

@@ -23,10 +23,9 @@
 //!   dropped and the good blocks are kept. No input panics: the worst case
 //!   is re-running work.
 //!
-//! Cells are keyed by caller-chosen strings (a scenario's string form,
-//! optionally suffixed, e.g. `LAX:IPV6:high:j128:s42:f0.5` for a fault
-//! cell) rather than parsed structs, so one sweep format serves `all`,
-//! `faults` and `dag`.
+//! Cells are keyed by strings (a cell's string form, e.g.
+//! `LAX:IPV6:high:j128:s42:f0.5` for a faulted cell) rather than parsed
+//! structs, so one sweep format serves `all`, `faults` and `dag`.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};

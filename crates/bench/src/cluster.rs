@@ -7,8 +7,9 @@
 //! door:
 //!
 //! * [`ClusterScenario`] — the cluster experiment cell (routing policy ×
-//!   benchmark × arrival rate × device count × job count × seed), with the
-//!   same lossless string round trip as [`crate::sweep::Scenario`].
+//!   benchmark × arrival rate × device count × job count × seed × fault
+//!   intensity), with the same lossless string round trip — one grammar,
+//!   plus the required `dD` field — as [`crate::sweep::Scenario`].
 //! * [`ClusterBuilder`] — mirrors `gpu_sim`'s `SimBuilder`: fidelity tier,
 //!   per-device scheduler, slot count, jitter, worker count, probe
 //!   observers; [`ClusterBuilder::run`] produces a [`ClusterReport`].
@@ -76,10 +77,12 @@ use sim_core::stats::StreamingQuantiles;
 use sim_core::table::Table;
 use workloads::dag::{fanout_graph, ipa_graph, sample_fanout_width, IPA_WIDTH};
 use workloads::rnn::{build_chain, sample_seq_len, Hidden, RnnCell};
-use workloads::spec::{ArrivalRate, Benchmark, ParseSpecError};
+use workloads::spec::{cell_seed, milli_to_intensity, ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 
-use crate::sweep::{default_jobs, par_map, BenchError, SharedObserver};
+use crate::sweep::{
+    default_jobs, par_map, BenchError, CellFields, ParseScenarioError, SharedObserver,
+};
 
 /// One cluster experiment cell: a routing policy placing an open-loop
 /// arrival stream across `devices` accelerators. Self-describing, totally
@@ -153,25 +156,19 @@ impl ClusterScenario {
     /// Fleet-fault intensity as the float [`gpu_sim::fleet::FleetFaultPlan::seeded`]
     /// consumes.
     pub fn fault_intensity(&self) -> f64 {
-        f64::from(self.fault_milli) / 1000.0
+        milli_to_intensity(self.fault_milli)
     }
 
-    /// The seed feeding the cluster workload generator: an FNV-1a hash of
-    /// the base seed and the workload-identifying fields. The routing
+    /// The seed feeding the cluster workload generator:
+    /// [`workloads::spec::cell_seed`] over the base seed and the
+    /// workload-identifying fields, the device count included. The routing
     /// policy is deliberately **not** mixed in — every policy compared at
     /// one `(bench, rate, devices, n_jobs, seed)` cell must route the
     /// identical arrival stream, or policy comparisons would pick up
     /// sampling noise. The same contract as [`crate::sweep::Scenario::cell_seed`],
     /// lifted to the fleet.
     pub fn cell_seed(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(self.bench.name().as_bytes());
-        h.eat(b":");
-        h.eat(self.rate.name().as_bytes());
-        h.eat(&(self.devices as u64).to_le_bytes());
-        h.eat(&(self.n_jobs as u64).to_le_bytes());
-        h.finish()
+        cell_seed(self.seed, self.bench.name(), self.rate, Some(self.devices), self.n_jobs)
     }
 
     /// The jitter-stream seed of device `d`: hashed from the cell seed and
@@ -203,85 +200,26 @@ impl ClusterScenario {
 
 impl fmt::Display for ClusterScenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}:{}:d{}:j{}:s{}",
-            self.policy, self.bench, self.rate, self.devices, self.n_jobs, self.seed
-        )?;
-        if self.fault_milli > 0 {
-            // f64 Display prints the shortest round-tripping form, so
-            // `(printed * 1000).round()` in the parser recovers the exact
-            // milli value.
-            write!(f, ":f{}", self.fault_intensity())?;
+        CellFields {
+            name: &self.policy,
+            bench: self.bench,
+            rate: self.rate,
+            devices: self.devices,
+            n_jobs: self.n_jobs,
+            seed: self.seed,
+            fault_milli: self.fault_milli,
         }
-        Ok(())
+        .fmt(f)
     }
 }
-
-/// Error parsing a [`ClusterScenario`] from its string form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseClusterScenarioError {
-    input: String,
-    reason: String,
-}
-
-impl fmt::Display for ParseClusterScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid cluster scenario `{}`: {} (expected POLICY:BENCH:RATE:dD:jN:sSEED[:fI], e.g. LL:HYBRID:high:d16:j1000000:s42:f1.5)",
-            self.input, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ParseClusterScenarioError {}
 
 impl FromStr for ClusterScenario {
-    type Err = ParseClusterScenarioError;
+    type Err = ParseScenarioError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = |reason: String| ParseClusterScenarioError { input: s.to_string(), reason };
-        let parts: Vec<&str> = s.split(':').collect();
-        let (core, fault) = match parts.as_slice() {
-            [p @ .., f] if parts.len() == 7 => (p, Some(*f)),
-            p => (p, None),
-        };
-        let [policy, bench, rate, devices, jobs, seed] = core else {
-            return Err(bad(format!("{} fields, expected 6 or 7", parts.len())));
-        };
-        let bench: Benchmark = bench.parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
-        let rate: ArrivalRate = rate.parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
-        let devices: usize = devices
-            .strip_prefix('d')
-            .and_then(|n| n.parse().ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(|| bad(format!("bad device count `{devices}`")))?;
-        let n_jobs = jobs
-            .strip_prefix('j')
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| bad(format!("bad job count `{jobs}`")))?;
-        let seed = seed
-            .strip_prefix('s')
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| bad(format!("bad seed `{seed}`")))?;
-        if policy.is_empty() {
-            return Err(bad("empty policy name".to_string()));
-        }
-        let fault_milli = match fault {
-            None => 0,
-            Some(f) => f
-                .strip_prefix('f')
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|&v| v.is_finite() && v > 0.0)
-                .map(|v| (v * 1000.0).round())
-                .filter(|&m| m <= f64::from(u32::MAX))
-                .map(|m| m as u32)
-                .filter(|&m| m > 0)
-                .ok_or_else(|| bad(format!("bad fault intensity `{f}`")))?,
-        };
-        Ok(ClusterScenario::new(policy, bench, rate, devices, n_jobs, seed)
-            .with_fault_milli(fault_milli))
+        let c = CellFields::parse(s, true)?;
+        Ok(ClusterScenario::new(c.name, c.bench, c.rate, c.devices, c.n_jobs, c.seed)
+            .with_fault_milli(c.fault_milli))
     }
 }
 
@@ -1688,36 +1626,6 @@ mod tests {
         ] {
             let text = s.to_string();
             assert_eq!(text.parse::<ClusterScenario>().unwrap(), s, "{text}");
-        }
-    }
-
-    #[test]
-    fn cluster_scenario_parse_rejects_malformed_input() {
-        for (bad, why) in [
-            ("", "1 fields"),
-            ("LL", "1 fields"),
-            ("LL:HYBRID:high:d16:j128", "5 fields"),
-            ("LL:HYBRID:high:d16:j128:s42:f1:x", "8 fields"),
-            ("LL:HYBRID:high:d16:j128:s42:x", "bad fault intensity"),
-            ("LL:HYBRID:high:d16:j128:s42:f0", "bad fault intensity"),
-            ("LL:HYBRID:high:d16:j128:s42:f-1", "bad fault intensity"),
-            ("LL:HYBRID:high:d16:j128:s42:fx", "bad fault intensity"),
-            ("LL:HYBRID:high:d16:j128:s42:fnan", "bad fault intensity"),
-            ("LL:WARP9:high:d16:j128:s42", "WARP9"),
-            ("LL:HYBRID:sometimes:d16:j128:s42", "sometimes"),
-            ("LL:HYBRID:high:16:j128:s42", "bad device count"),
-            ("LL:HYBRID:high:d0:j128:s42", "bad device count"),
-            ("LL:HYBRID:high:dx:j128:s42", "bad device count"),
-            ("LL:HYBRID:high:d16:128:s42", "bad job count"),
-            ("LL:HYBRID:high:d16:j128:42", "bad seed"),
-            (":HYBRID:high:d16:j128:s42", "empty policy"),
-        ] {
-            let err = bad.parse::<ClusterScenario>();
-            assert!(err.is_err(), "`{bad}` should not parse");
-            let msg = err.unwrap_err().to_string();
-            assert!(msg.contains("invalid cluster scenario"), "{msg}");
-            assert!(msg.contains(why), "`{bad}` should diagnose `{why}`, got: {msg}");
-            assert!(msg.contains(bad), "the error must echo the input: {msg}");
         }
     }
 

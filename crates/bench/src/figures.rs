@@ -13,7 +13,7 @@ use lax::lax::Lax;
 use sim_core::stats::geomean;
 use sim_core::table::{fmt_f, Table};
 use workloads::batching::batched_workload;
-use workloads::spec::{ArrivalRate, Benchmark};
+use workloads::spec::{milli_to_intensity, ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 use workloads::table1;
 
@@ -324,9 +324,10 @@ pub struct FaultSweep {
     pub schedulers: Vec<String>,
     /// Benchmarks to sweep.
     pub benches: Vec<Benchmark>,
-    /// Fault intensities, `0.0` first (the clean baseline each scheduler's
-    /// degradation curve is normalized to).
-    pub intensities: Vec<f64>,
+    /// Fault intensities in milli-units (`1000` = intensity 1.0), `0`
+    /// first (the clean baseline each scheduler's degradation curve is
+    /// normalized to).
+    pub fault_milli: Vec<u32>,
     /// Jobs per cell.
     pub n_jobs: usize,
     /// Base RNG seed.
@@ -341,7 +342,7 @@ impl FaultSweep {
         FaultSweep {
             schedulers: vec!["RR".into(), "EDF".into(), "LAX".into()],
             benches: vec![Benchmark::Ipv6, Benchmark::Stem, Benchmark::Gmm, Benchmark::Lstm],
-            intensities: vec![0.0, 0.5, 1.0, 2.0],
+            fault_milli: vec![0, 500, 1000, 2000],
             n_jobs: crate::runner::JOBS_PER_RUN,
             seed: crate::runner::DEFAULT_SEED,
         }
@@ -353,22 +354,23 @@ impl FaultSweep {
         FaultSweep {
             schedulers: vec!["RR".into(), "LAX".into()],
             benches: vec![Benchmark::Ipv6],
-            intensities: vec![0.0, 1.0],
+            fault_milli: vec![0, 1000],
             n_jobs: 8,
             seed: crate::runner::DEFAULT_SEED,
         }
     }
 
-    /// The cells of this grid in render order, each with its checkpoint
-    /// key (the scenario string suffixed with `:f<intensity>` — not a
-    /// parseable [`Scenario`], so `bin/all`'s resume path ignores them).
-    fn cells(&self) -> Vec<(String, (Scenario, f64))> {
+    /// The cells of this grid in render order: ordinary [`Scenario`]s,
+    /// intensity included, so each is keyed by its own string.
+    fn cells(&self) -> Vec<Scenario> {
         let mut cells = Vec::new();
         for s in &self.schedulers {
             for &b in &self.benches {
-                for &i in &self.intensities {
-                    let scenario = Scenario::new(s, b, ArrivalRate::High, self.n_jobs, self.seed);
-                    cells.push((format!("{scenario}:f{i}"), (scenario, i)));
+                for &milli in &self.fault_milli {
+                    cells.push(
+                        Scenario::new(s, b, ArrivalRate::High, self.n_jobs, self.seed)
+                            .with_fault_milli(milli),
+                    );
                 }
             }
         }
@@ -376,33 +378,34 @@ impl FaultSweep {
     }
 }
 
-/// Runs a checkpointed grid of `(key, cell)` pairs and returns one report
-/// per cell, in order. Cells already recorded in `checkpoint` are restored;
-/// the rest fan out over `workers` threads and are recorded the moment
-/// each lands, so a kill loses at most the cells still running.
+/// Runs a checkpointed grid of cells, each keyed by its string form, and
+/// returns one report per cell, in order. Cells already recorded in
+/// `checkpoint` are restored; the rest fan out over `workers` threads and
+/// are recorded the moment each lands, so a kill loses at most the cells
+/// still running.
 ///
 /// # Errors
 ///
 /// The first failing cell, after all runnable cells finished (and were
 /// checkpointed).
-fn run_checkpointed<C: Sync>(
-    cells: &[(String, C)],
+fn run_checkpointed(
+    cells: &[Scenario],
     workers: usize,
     mut checkpoint: Option<&mut Checkpoint>,
-    run: impl Fn(&C) -> Result<SimReport, BenchError> + Sync,
 ) -> Result<Vec<SimReport>, BenchError> {
-    let mut reports: Vec<Option<SimReport>> = cells
+    let keys: Vec<String> = cells.iter().map(Scenario::to_string).collect();
+    let mut reports: Vec<Option<SimReport>> = keys
         .iter()
-        .map(|(key, _)| checkpoint.as_ref().and_then(|ck| ck.get(key)).map(|(r, _)| r.clone()))
+        .map(|key| checkpoint.as_ref().and_then(|ck| ck.get(key)).map(|(r, _)| r.clone()))
         .collect();
     let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
     let results = par_map_with(
         &missing,
         workers,
-        |&idx| run(&cells[idx].1),
+        |&idx| run_cell_opts(&cells[idx], &SweepOptions::new(1)),
         |i, r: &Result<SimReport, BenchError>, _| {
             if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                if let Err(e) = ck.record(&cells[missing[i]].0, (report.clone(), None)) {
+                if let Err(e) = ck.record(&keys[missing[i]], (report.clone(), None)) {
                     eprintln!("warning: checkpoint write failed: {e}");
                 }
             }
@@ -434,11 +437,9 @@ pub fn faults(
     workers: usize,
     checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint, |(scenario, intensity)| {
-        run_cell_opts(scenario, &SweepOptions::new(1).fault_intensity(*intensity))
-    })?;
+    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint)?;
     let met = |sched: usize, bench: usize, inten: usize| -> usize {
-        let idx = (sched * sweep.benches.len() + bench) * sweep.intensities.len() + inten;
+        let idx = (sched * sweep.benches.len() + bench) * sweep.fault_milli.len() + inten;
         reports[idx].deadlines_met()
     };
     // Ratio vs the scheduler's own clean (intensity-0) cell, with the
@@ -466,17 +467,17 @@ pub fn faults(
     for (si, sched) in sweep.schedulers.iter().enumerate() {
         out.push_str(&format!("\n{sched}: deadlines met (fraction of own clean run)\n\n"));
         let mut header = vec!["benchmark".to_string()];
-        header.extend(sweep.intensities.iter().map(|i| format!("f={i}")));
+        header.extend(sweep.fault_milli.iter().map(|&m| format!("f={}", milli_to_intensity(m))));
         let mut t = Table::new(header);
         for (bi, bench) in sweep.benches.iter().enumerate() {
             let mut row = vec![bench.name().to_string()];
-            for ii in 0..sweep.intensities.len() {
+            for ii in 0..sweep.fault_milli.len() {
                 row.push(format!("{} ({})", met(si, bi, ii), fmt_f(ratio(si, bi, ii), 2)));
             }
             t.row(row);
         }
         let mut gm = vec!["GMEAN ratio".to_string()];
-        for ii in 0..sweep.intensities.len() {
+        for ii in 0..sweep.fault_milli.len() {
             let ratios: Vec<f64> =
                 (0..sweep.benches.len()).map(|bi| ratio(si, bi, ii)).collect();
             gm.push(fmt_f(geomean(&ratios), 2));
@@ -531,16 +532,14 @@ impl DagSweep {
         }
     }
 
-    /// The cells of this grid in render order, keyed by their scenario
-    /// string (plain parseable [`Scenario`]s — DAG cells are ordinary
-    /// cells, the job generator just emits graphs).
-    fn cells(&self) -> Vec<(String, Scenario)> {
+    /// The cells of this grid in render order (ordinary [`Scenario`]s —
+    /// DAG cells are ordinary cells, the job generator just emits graphs).
+    fn cells(&self) -> Vec<Scenario> {
         let mut cells = Vec::new();
         for s in &self.schedulers {
             for &b in &self.benches {
                 for &r in &self.rates {
-                    let scenario = Scenario::new(s, b, r, self.n_jobs, self.seed);
-                    cells.push((scenario.to_string(), scenario));
+                    cells.push(Scenario::new(s, b, r, self.n_jobs, self.seed));
                 }
             }
         }
@@ -566,9 +565,7 @@ pub fn dag(
     workers: usize,
     checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint, |scenario| {
-        run_cell_opts(scenario, &SweepOptions::new(1))
-    })?;
+    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint)?;
     let cell = |sched: usize, bench: usize, rate: usize| -> &SimReport {
         let idx = (sched * sweep.benches.len() + bench) * sweep.rates.len() + rate;
         &reports[idx]

@@ -57,12 +57,12 @@ impl ResultsDb {
     /// Attaches a crash-safe checkpoint: cells a previous run recorded
     /// there are preloaded into the cache (reports round-trip bit-exactly,
     /// so warmed figures stay byte-identical), and every cell finished
-    /// from now on is persisted as soon as it lands. Keys whose string
-    /// form does not parse back into a [`Scenario`] are ignored — they
-    /// belong to other binaries sharing the format.
+    /// from now on is persisted as soon as it lands. Keys that are not a
+    /// fault-free [`Scenario`] are ignored — they belong to other binaries
+    /// sharing the format (the fault sweep's cells carry `:fI`).
     pub fn with_checkpoints(mut self, ck: Checkpoint) -> Self {
         for (key, (report, profile)) in ck.cells() {
-            if let Ok(scenario) = key.parse::<Scenario>() {
+            if let Some(scenario) = key.parse::<Scenario>().ok().filter(|s| s.fault_milli == 0) {
                 if let Some(profile) = profile {
                     self.profiles.insert(scenario.clone(), *profile);
                 }
@@ -541,8 +541,9 @@ mod tests {
             &sweep::RunOptions::default(),
         )
         .unwrap();
-        // A fault-sweep style key: not a parseable Scenario.
-        ck.record("RR:IPV6:low:j2:s1:f0.5", (report, None)).unwrap();
+        // A fault-sweep key, and one in the fault sweep's older `:f0` form.
+        ck.record("RR:IPV6:low:j2:s1:f0.5", (report.clone(), None)).unwrap();
+        ck.record("RR:IPV6:low:j2:s1:f0", (report, None)).unwrap();
         let db = ResultsDb::with_jobs(2, 1).with_checkpoints(Checkpoint::open(&path));
         assert!(db.is_empty(), "suffixed keys belong to other binaries");
         std::fs::remove_file(&path).unwrap();

@@ -2,119 +2,104 @@
 //!
 //! A scenario file describes an experiment grid as data — workload (named
 //! benchmark or inline DAG), schedulers, arrival rates, fault intensity,
-//! and optionally a fleet topology. This module turns one parsed
-//! [`ScenarioFile`] into the corresponding cells and renders the results
+//! and optionally a fleet topology. This module expands one parsed
+//! [`ScenarioFile`] into ordinary cells ([`file_cells`]) — the same cells
+//! the sweep and cluster strings name — runs them, and renders the results
 //! as the house-style ASCII table the other binaries emit:
 //!
-//! * No `fleet` key → one single-device cell per scheduler × rate, run
-//!   through the same machinery as [`crate::sweep::run_cell`] (fault plans
-//!   seeded from the cell seed, arrival bursts applied to the job stream).
-//! * With `fleet` → one cluster cell per scheduler × rate: the file's
-//!   routing policy and device count in front of per-device simulations,
-//!   with each scheduler name taking the device-scheduler slot.
+//! * No `fleet` key, named benchmark → one [`Scenario`] per scheduler ×
+//!   rate, carrying the file's fault intensity, run by [`run_cell`].
+//! * No `fleet` key, inline DAG → the same scheduler × rate grid; the
+//!   file generates each cell's jobs, and the rest of the cell is the body
+//!   [`run_cell`] runs after job generation.
+//! * With `fleet` → one [`ClusterScenario`] per scheduler × rate (the
+//!   file's routing policy and device count), run by [`ClusterBuilder`]
+//!   with the scheduler in the device-scheduler slot.
 //!
 //! # Determinism
 //!
-//! Cells are seeded from [`ScenarioFile::cell_seed`] (workload fields
-//! only, never scheduler/policy/worker count) and fanned with
+//! Cells are seeded from the one cell-seed recipe (workload fields only,
+//! never scheduler/policy/worker count) and fanned with
 //! [`crate::sweep::par_map`], which returns results in input order — so
 //! the rendered report is byte-identical for any `--jobs N`, the same
 //! contract the sweep binaries honor.
 
-use std::sync::Arc;
+use std::error::Error;
+use std::path::Path;
 
 use gpu_sim::prelude::*;
-use schedulers::registry;
-use workloads::burst::apply_bursts;
 use workloads::scenario::{ScenarioFile, ScenarioFileError, WorkloadSpec};
-use workloads::spec::ArrivalRate;
+use workloads::spec::{milli_to_intensity, ArrivalRate};
 use workloads::suite::BenchmarkSuite;
 
 use sim_core::table::{fmt_f, Table};
 
 use crate::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
-use crate::sweep::{par_map, BenchError, SharedObserver};
+use crate::sweep::{par_map, run_cell, run_jobs, write_output, BenchError, RunOptions, Scenario};
 
-/// One cell of a scenario file's grid: a scheduler at a rate level.
+/// The cells a scenario file expands into, schedulers outer and rates
+/// inner (the row order of the rendered table).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileCell {
-    /// Device-scheduler name.
-    pub scheduler: String,
-    /// Arrival-rate level.
-    pub rate: ArrivalRate,
+pub enum FileCells {
+    /// A named workload on one device: ordinary sweep cells.
+    Device(Vec<Scenario>),
+    /// An inline DAG on one device: scheduler × rate, with jobs from the
+    /// file's own workload and rate table.
+    Inline(Vec<(String, ArrivalRate)>),
+    /// A fleet: each device scheduler with the ordinary cluster cell it
+    /// serves in.
+    Fleet(Vec<(String, ClusterScenario)>),
 }
 
-/// The scheduler × rate grid a scenario file spans, in file order
-/// (schedulers outer, rates inner — the row order of the rendered table).
-pub fn file_cells(file: &ScenarioFile) -> Vec<FileCell> {
-    let mut cells = Vec::with_capacity(file.schedulers.len() * file.rates.len());
-    for scheduler in &file.schedulers {
-        for &rate in &file.rates {
-            cells.push(FileCell { scheduler: scheduler.clone(), rate });
-        }
-    }
-    cells
-}
-
-/// Runs one single-device cell of a scenario file: generate the cell's
-/// jobs (named workloads byte-identical to the sweep engine's cells,
-/// inline DAGs from the file's own rate table), seed the fault plan from
-/// the cell seed at the file's intensity, attach `observers`, run.
+/// Expands a scenario file into its cells.
 ///
 /// # Errors
 ///
-/// [`BenchError::Scenario`] when the inline workload cannot materialize,
-/// [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] as for
-/// [`crate::sweep::run_cell`].
-pub fn run_file_cell(
+/// [`BenchError::Scenario`] when a file with a `fleet` key names an inline
+/// DAG (the cluster's symbolic fast tier needs a named benchmark).
+pub fn file_cells(file: &ScenarioFile) -> Result<FileCells, BenchError> {
+    let grid = file
+        .schedulers
+        .iter()
+        .flat_map(|s| file.rates.iter().map(move |&rate| (s.clone(), rate)));
+    Ok(match (&file.workload, &file.fleet) {
+        (WorkloadSpec::Named(bench), None) => FileCells::Device(
+            grid.map(|(s, rate)| {
+                Scenario::new(&s, *bench, rate, file.n_jobs, file.seed)
+                    .with_fault_milli(file.fault_milli)
+            })
+            .collect(),
+        ),
+        (WorkloadSpec::Inline(_), None) => FileCells::Inline(grid.collect()),
+        (WorkloadSpec::Named(bench), Some(fleet)) => FileCells::Fleet(
+            grid.map(|(s, rate)| {
+                let (policy, devices, n_jobs) = (&fleet.policy, fleet.devices, file.n_jobs);
+                let cell = ClusterScenario::new(policy, *bench, rate, devices, n_jobs, file.seed);
+                (s, cell.with_fault_milli(file.fault_milli))
+            })
+            .collect(),
+        ),
+        (WorkloadSpec::Inline(_), Some(_)) => {
+            return Err(ScenarioFileError::Value {
+                key: "fleet".into(),
+                why: "fleet topology requires a named benchmark workload, not an inline DAG".into(),
+            }
+            .into())
+        }
+    })
+}
+
+/// Runs one inline-DAG cell: the file's job stream at `rate`, then the
+/// same fault plan, bursts and simulation as [`run_cell`].
+fn run_inline_cell(
     file: &ScenarioFile,
     scheduler: &str,
     rate: ArrivalRate,
-    observers: &[SharedObserver],
 ) -> Result<SimReport, BenchError> {
     let suite = BenchmarkSuite::calibrated();
-    let mut jobs = file.generate_jobs(suite, rate)?;
-    let mode = registry::try_build(scheduler)?;
-    let cfg = GpuConfig::default();
-    // Same fault-span contract as the sweep engine: storms are drawn over
-    // the window jobs can occupy.
-    let span = jobs
-        .iter()
-        .map(|j| j.arrival.saturating_since(Cycle::ZERO) + j.deadline)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let plan = FaultPlan::seeded(file.cell_seed(rate), file.fault_intensity, span, cfg.num_cus);
-    apply_bursts(&mut jobs, &plan.bursts);
-    let mut builder = Simulation::builder()
-        .offline_rates(suite.offline_rates())
-        .jobs(jobs)
-        .scheduler(mode)
-        .faults(plan);
-    for obs in observers {
-        builder = builder.observe(Box::new(Arc::clone(obs)));
-    }
-    let mut sim = builder.build()?;
-    sim.try_run().map_err(BenchError::Sim)
-}
-
-/// The cluster scenario one fleet-mode cell maps to.
-///
-/// # Errors
-///
-/// [`BenchError::Scenario`] when the file has no `fleet` key or its
-/// workload is an inline DAG (the cluster's symbolic fast tier needs a
-/// named benchmark).
-pub fn fleet_scenario(file: &ScenarioFile, rate: ArrivalRate) -> Result<ClusterScenario, BenchError> {
-    let fleet = file.fleet.as_ref().ok_or(ScenarioFileError::Missing { key: "fleet" })?;
-    let WorkloadSpec::Named(bench) = &file.workload else {
-        return Err(ScenarioFileError::Value {
-            key: "fleet".into(),
-            why: "fleet topology requires a named benchmark workload, not an inline DAG".into(),
-        }
-        .into());
-    };
-    Ok(ClusterScenario::new(&fleet.policy, *bench, rate, fleet.devices, file.n_jobs, file.seed)
-        .with_fault_milli((file.fault_intensity * 1000.0).round() as u32))
+    let jobs = file.generate_jobs(suite, rate)?;
+    let intensity = milli_to_intensity(file.fault_milli);
+    run_jobs(suite, jobs, scheduler, file.cell_seed(rate), intensity, &[])
 }
 
 /// Runs a scenario file's whole grid on `workers` threads and renders the
@@ -125,36 +110,42 @@ pub fn fleet_scenario(file: &ScenarioFile, rate: ArrivalRate) -> Result<ClusterS
 /// The first cell failure aborts the run — a scenario file is one
 /// experiment, not a sweep where partial grids are useful.
 pub fn run_scenario_file(file: &ScenarioFile, workers: usize) -> Result<String, BenchError> {
-    let mut text = String::new();
-    text.push_str(&format!("# scenario: {}\n", file.name));
-    text.push_str(&format!(
-        "# seed {}, {} job(s)/cell, fault intensity {}\n",
-        file.seed, file.n_jobs, file.fault_intensity
-    ));
-    if file.fleet.is_some() {
-        let mut reports = Vec::new();
-        for cell in file_cells(file) {
-            let scenario = fleet_scenario(file, cell.rate)?;
-            let report = ClusterBuilder::new(scenario)
-                .device_scheduler(&cell.scheduler)
-                .workers(workers)
-                .run()?;
-            reports.push(report);
+    let mut text = format!(
+        "# scenario: {}\n# seed {}, {} job(s)/cell, fault intensity {}\n",
+        file.name,
+        file.seed,
+        file.n_jobs,
+        milli_to_intensity(file.fault_milli)
+    );
+    let (rows, results) = match file_cells(file)? {
+        FileCells::Fleet(cells) => {
+            let mut reports = Vec::with_capacity(cells.len());
+            for (scheduler, cell) in cells {
+                reports.push(
+                    ClusterBuilder::new(cell).device_scheduler(&scheduler).workers(workers).run()?,
+                );
+            }
+            text.push_str(&cluster_table(&reports).render());
+            return Ok(text);
         }
-        text.push_str(&cluster_table(&reports).render());
-        return Ok(text);
-    }
-    let cells = file_cells(file);
-    let results = par_map(&cells, workers, |c| run_file_cell(file, &c.scheduler, c.rate, &[]));
+        FileCells::Device(cells) => {
+            let results = par_map(&cells, workers, |s| run_cell(s, &RunOptions::default()));
+            (cells.into_iter().map(|s| (s.scheduler, s.rate)).collect(), results)
+        }
+        FileCells::Inline(cells) => {
+            let results = par_map(&cells, workers, |(s, rate)| run_inline_cell(file, s, *rate));
+            (cells, results)
+        }
+    };
     let mut table = Table::with_columns(&[
         "scheduler", "rate", "jobs", "met", "rejected", "attain", "p99_ms", "thpt/s",
     ]);
-    for (cell, result) in cells.iter().zip(results) {
+    for ((scheduler, rate), result) in rows.into_iter().zip(results) {
         let r = result?;
         let n = r.records.len();
         table.row(vec![
-            cell.scheduler.clone(),
-            cell.rate.to_string(),
+            scheduler,
+            rate.to_string(),
             n.to_string(),
             r.deadlines_met().to_string(),
             r.rejected().to_string(),
@@ -167,9 +158,48 @@ pub fn run_scenario_file(file: &ScenarioFile, workers: usize) -> Result<String, 
     Ok(text)
 }
 
+/// Reads and parses the scenario file at `path`, naming the path in any
+/// error.
+///
+/// # Errors
+///
+/// The read's I/O error or the file's typed [`ScenarioFileError`].
+pub fn read_scenario_file(path: &Path) -> Result<ScenarioFile, Box<dyn Error>> {
+    let source =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Ok(source.parse().map_err(|e| format!("{}: {e}", path.display()))?)
+}
+
+/// The `--scenario-file` mode of `bin/cluster` and `bin/dag`: runs the
+/// file's grid on `workers` threads and writes the report to `out`,
+/// narrating on stderr under `[bin]`.
+///
+/// # Errors
+///
+/// The first failing cell, or the write's I/O error.
+pub fn write_scenario_report(
+    bin: &str,
+    file: &ScenarioFile,
+    out: &Path,
+    workers: usize,
+) -> Result<(), Box<dyn Error>> {
+    eprintln!(
+        "[{bin}] scenario {}: {} cell(s) x {} job(s) on {workers} worker thread(s)",
+        file.name,
+        file.schedulers.len() * file.rates.len(),
+        file.n_jobs
+    );
+    let t0 = std::time::Instant::now();
+    let text = run_scenario_file(file, workers)?;
+    write_output(out, &text)?;
+    eprintln!("[{bin}] wrote {} in {:?}", out.display(), t0.elapsed());
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::scenario::FleetSpec;
     use workloads::spec::Benchmark;
 
     fn small_named() -> ScenarioFile {
@@ -180,29 +210,46 @@ mod tests {
                 "jobs": 8,
                 "schedulers": ["RR", "LAX"],
                 "rates": ["low"],
-                "workload": "IPV6"
+                "workload": "IPV6",
+                "fault_intensity": 1.5
             }"#,
         )
         .unwrap()
     }
 
     #[test]
-    fn named_file_cell_matches_the_sweep_cell() {
+    fn file_cells_equal_direct_cells() {
         // The central promise: a file naming a benchmark reproduces the
-        // sweep engine's cell bit-for-bit.
-        let file = small_named();
-        let sweep_cell = crate::sweep::Scenario::new(
-            "RR",
-            Benchmark::Ipv6,
-            ArrivalRate::Low,
-            8,
-            3,
+        // sweep engine's cell bit-for-bit, fault storm included.
+        let mut file = small_named();
+        let direct =
+            Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::Low, 8, 3).with_fault_milli(1500);
+        let FileCells::Device(cells) = file_cells(&file).unwrap() else {
+            panic!("a named file without a fleet expands into device cells");
+        };
+        assert_eq!(cells[0], direct);
+        assert_eq!(file.cell_seed(ArrivalRate::Low), direct.cell_seed());
+        let via_sweep = run_cell(&direct, &RunOptions::default()).unwrap();
+        assert_eq!(run_cell(&cells[0], &RunOptions::default()).unwrap(), via_sweep);
+        assert_ne!(
+            via_sweep,
+            run_cell(&direct.clone().with_fault_milli(0), &RunOptions::default()).unwrap(),
+            "the file's intensity reaches the cell"
         );
-        assert_eq!(file.cell_seed(ArrivalRate::Low), sweep_cell.cell_seed());
-        let via_file = run_file_cell(&file, "RR", ArrivalRate::Low, &[]).unwrap();
-        let via_sweep =
-            crate::sweep::run_cell(&sweep_cell, &crate::sweep::RunOptions::default()).unwrap();
-        assert_eq!(via_file, via_sweep);
+
+        // With a fleet key the same file expands into cluster cells.
+        file.fleet = Some(FleetSpec { devices: 2, policy: "LL".into() });
+        file.n_jobs = 200;
+        let direct = ClusterScenario::new("LL", Benchmark::Ipv6, ArrivalRate::Low, 2, 200, 3)
+            .with_fault_milli(1500);
+        let FileCells::Fleet(cells) = file_cells(&file).unwrap() else {
+            panic!("a fleet file expands into cluster cells");
+        };
+        assert_eq!(cells[1], ("LAX".to_string(), direct.clone()));
+        let via_file =
+            ClusterBuilder::new(cells[1].1.clone()).device_scheduler("LAX").run().unwrap();
+        let via_cluster = ClusterBuilder::new(direct).device_scheduler("LAX").run().unwrap();
+        assert_eq!(via_file, via_cluster);
     }
 
     #[test]
@@ -228,7 +275,9 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let report = run_file_cell(&file, "RR", ArrivalRate::Low, &[]).unwrap();
+        let cells = FileCells::Inline(vec![("RR".into(), ArrivalRate::Low)]);
+        assert_eq!(file_cells(&file).unwrap(), cells);
+        let report = run_inline_cell(&file, "RR", ArrivalRate::Low).unwrap();
         assert_eq!(report.records.len(), 6);
         assert!(report.completed() > 0);
     }
@@ -241,19 +290,20 @@ mod tests {
         assert_eq!(serial, parallel);
         assert!(serial.contains("scheduler"));
         assert!(serial.contains("LAX"));
+        assert!(serial.contains("fault intensity 1.5"));
     }
 
     #[test]
     fn fleet_with_inline_workload_is_a_typed_error() {
         let mut file = small_named();
-        file.fleet = Some(workloads::scenario::FleetSpec { devices: 2, policy: "LL".into() });
+        file.fleet = Some(FleetSpec { devices: 2, policy: "LL".into() });
         file.workload = WorkloadSpec::Inline(workloads::scenario::DagSpec {
             deadline_us: 100.0,
             rate_jobs_per_sec: [1000.0, 500.0, 100.0],
             stages: vec![workloads::scenario::StageSpec { kernel: "stem".into(), deadline_us: None }],
             edges: vec![],
         });
-        match fleet_scenario(&file, ArrivalRate::Low).unwrap_err() {
+        match file_cells(&file).unwrap_err() {
             BenchError::Scenario(ScenarioFileError::Value { key, .. }) => assert_eq!(key, "fleet"),
             other => panic!("expected a typed scenario error, got {other:?}"),
         }

@@ -5,12 +5,16 @@
 //! fully independent deterministic simulation. This module fans those cells
 //! across worker threads with nothing beyond `std`:
 //!
-//! * [`Scenario`] — a self-describing, `Send`-able experiment cell with a
-//!   lossless string round-trip (`Display`/`FromStr`) for CLI use.
-//! * [`run_cell`] — run one cell under [`RunOptions`] (fault intensity,
-//!   probe observers, wall-clock deadline), returning typed [`BenchError`]s
-//!   instead of panics. One entrypoint; faults and observers are options,
-//!   not separate functions.
+//! * [`Scenario`] — a self-describing, `Send`-able experiment cell, fault
+//!   intensity included, with a lossless string round-trip
+//!   (`Display`/`FromStr`) for CLI use. Its string form shares one grammar
+//!   with [`crate::cluster::ClusterScenario`]:
+//!   `NAME:BENCH:RATE[:dD]:jN:sSEED[:fI]`, where only fleet cells carry
+//!   `dD` and `:fI` appears only for a non-zero intensity.
+//! * [`run_cell`] — run one cell under [`RunOptions`] (probe observers,
+//!   wall-clock deadline), returning typed [`BenchError`]s instead of
+//!   panics. What a cell simulates lives in the [`Scenario`]; how it is
+//!   executed lives in the options.
 //! * [`run_sweep`] / [`run_sweep_opts`] — a work queue over
 //!   `std::thread::scope`: `N` workers pull cells from an atomic cursor,
 //!   results flow back over a channel, and a progress callback fires on
@@ -24,7 +28,8 @@
 //! # Determinism
 //!
 //! Each cell's RNG seed is derived as a hash of the base seed and the
-//! workload-identifying fields ([`Scenario::cell_seed`]), never from worker
+//! workload-identifying fields ([`Scenario::cell_seed`], the one recipe in
+//! [`workloads::spec::cell_seed`]), never from worker
 //! identity or completion order, so per-scenario reports are
 //! **bit-identical** whether the sweep runs on 1 thread or 64 (covered by
 //! `sweeps_are_deterministic_across_thread_counts`). Results are returned
@@ -36,10 +41,15 @@
 //!
 //! Binaries take `--jobs N`, falling back to the `LAX_BENCH_JOBS`
 //! environment variable, falling back to
-//! [`std::thread::available_parallelism`] (see [`default_jobs`]).
+//! [`std::thread::available_parallelism`] (see [`default_jobs`]). The rest
+//! of their command lines go through [`take_value`] / [`take_flag`], and
+//! their artifacts through [`write_output`].
 
 use std::fmt;
+use std::fs;
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -48,14 +58,16 @@ use std::time::{Duration as WallDuration, Instant};
 use gpu_sim::prelude::*;
 use schedulers::registry::{self, UnknownScheduler};
 use schedulers::routing::UnknownRoutePolicy;
-use sim_core::rng::Fnv1a;
 use workloads::burst::apply_bursts;
-use workloads::spec::{ArrivalRate, Benchmark, ParseSpecError};
+use workloads::spec::{
+    cell_seed, intensity_to_milli, milli_to_intensity, ArrivalRate, Benchmark, ParseSpecError,
+};
 use workloads::suite::BenchmarkSuite;
 
 /// One experiment cell: a scheduler on a benchmark at an arrival rate, with
-/// a job count and a base RNG seed. Self-describing and totally ordered so
-/// it can key result caches; stringifiable for CLIs (`Display`/`FromStr`).
+/// a job count, a base RNG seed and a fault intensity. Self-describing and
+/// totally ordered so it can key result caches and checkpoints;
+/// stringifiable for CLIs (`Display`/`FromStr`).
 ///
 /// # Examples
 ///
@@ -66,6 +78,9 @@ use workloads::suite::BenchmarkSuite;
 /// let s = Scenario::new("LAX", Benchmark::Ipv6, ArrivalRate::High, 128, 42);
 /// assert_eq!(s.to_string(), "LAX:IPV6:high:j128:s42");
 /// assert_eq!("LAX:IPV6:high:j128:s42".parse::<Scenario>().unwrap(), s);
+/// let faulty = s.with_fault_milli(1500);
+/// assert_eq!(faulty.to_string(), "LAX:IPV6:high:j128:s42:f1.5");
+/// assert_eq!("LAX:IPV6:high:j128:s42:f1.5".parse::<Scenario>().unwrap(), faulty);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Scenario {
@@ -82,6 +97,11 @@ pub struct Scenario {
     pub n_jobs: usize,
     /// Base RNG seed; the per-cell stream is [`Scenario::cell_seed`].
     pub seed: u64,
+    /// Fault-plan intensity in milli-units (`1000` = intensity 1.0),
+    /// stored fixed-point so the cell stays totally ordered and hashable.
+    /// `0` (the default) installs the empty plan and is omitted from the
+    /// string form, so fault-free scenario strings are unchanged.
+    pub fault_milli: u32,
 }
 
 impl Scenario {
@@ -97,71 +117,117 @@ impl Scenario {
             !scheduler.contains(':'),
             "scheduler name {scheduler:?} contains ':', the Scenario string-form separator"
         );
-        Scenario { scheduler: scheduler.to_string(), bench, rate, n_jobs, seed }
+        Scenario { scheduler: scheduler.to_string(), bench, rate, n_jobs, seed, fault_milli: 0 }
     }
 
-    /// The seed actually fed to the workload generator: an FNV-1a hash of
-    /// the base seed and the workload-identifying fields (benchmark, rate,
-    /// job count), so each workload column gets an independent stream and
-    /// the value never depends on which worker runs the cell or in what
-    /// order.
+    /// The same cell with a fault-plan intensity (in milli-units; `1000` =
+    /// intensity 1.0). String form gains a `:fI` suffix when non-zero.
+    pub fn with_fault_milli(mut self, fault_milli: u32) -> Self {
+        self.fault_milli = fault_milli;
+        self
+    }
+
+    /// Fault-plan intensity as the float [`FaultPlan::seeded`] consumes.
+    pub fn fault_intensity(&self) -> f64 {
+        milli_to_intensity(self.fault_milli)
+    }
+
+    /// The seed actually fed to the workload generator:
+    /// [`workloads::spec::cell_seed`] over the base seed and the
+    /// workload-identifying fields (benchmark, rate, job count), so each
+    /// workload column gets an independent stream and the value never
+    /// depends on which worker runs the cell or in what order.
     ///
     /// The scheduler name is deliberately **not** mixed in: every scheduler
     /// compared at the same `(bench, rate, n_jobs, seed)` must see the
     /// identical job trace, or cross-scheduler metrics (met ratios, the
     /// figure 6–10 grids) would pick up workload sampling noise instead of
-    /// scheduler differences.
+    /// scheduler differences. Nor is the fault intensity: a scheduler's
+    /// degradation curve compares one job trace under growing storms.
     pub fn cell_seed(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.eat(&self.seed.to_le_bytes());
-        h.eat(self.bench.name().as_bytes());
-        h.eat(b":");
-        h.eat(self.rate.name().as_bytes());
-        h.eat(&(self.n_jobs as u64).to_le_bytes());
-        h.finish()
+        cell_seed(self.seed, self.bench.name(), self.rate, None, self.n_jobs)
     }
 }
 
 impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}:{}:j{}:s{}",
-            self.scheduler, self.bench, self.rate, self.n_jobs, self.seed
-        )
+        CellFields {
+            name: &self.scheduler,
+            bench: self.bench,
+            rate: self.rate,
+            devices: 0,
+            n_jobs: self.n_jobs,
+            seed: self.seed,
+            fault_milli: self.fault_milli,
+        }
+        .fmt(f)
     }
 }
-
-/// Error parsing a [`Scenario`] from its string form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseScenarioError {
-    input: String,
-    reason: String,
-}
-
-impl fmt::Display for ParseScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid scenario `{}`: {} (expected SCHED:BENCH:RATE:jN:sSEED, e.g. LAX:IPV6:high:j128:s42)",
-            self.input, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ParseScenarioError {}
 
 impl FromStr for Scenario {
     type Err = ParseScenarioError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = |reason: String| ParseScenarioError { input: s.to_string(), reason };
+        let c = CellFields::parse(s, false)?;
+        Ok(Scenario::new(c.name, c.bench, c.rate, c.n_jobs, c.seed).with_fault_milli(c.fault_milli))
+    }
+}
+
+/// The fields of a cell string, in the one grammar [`Scenario`] and
+/// [`crate::cluster::ClusterScenario`] share:
+/// `NAME:BENCH:RATE[:dD]:jN:sSEED[:fI]`.
+///
+/// A device cell has no `dD` field (`devices == 0`); a fleet cell must
+/// have one. `:fI` is printed only for a non-zero intensity, and `f0` is
+/// rejected, so every cell has exactly one spelling.
+pub(crate) struct CellFields<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) bench: Benchmark,
+    pub(crate) rate: ArrivalRate,
+    pub(crate) devices: usize,
+    pub(crate) n_jobs: usize,
+    pub(crate) seed: u64,
+    pub(crate) fault_milli: u32,
+}
+
+impl fmt::Display for CellFields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}:{}", self.name, self.bench, self.rate)?;
+        if self.devices > 0 {
+            write!(f, ":d{}", self.devices)?;
+        }
+        write!(f, ":j{}:s{}", self.n_jobs, self.seed)?;
+        if self.fault_milli > 0 {
+            // f64 Display prints the shortest round-tripping form, so the
+            // parser's exact conversion recovers the milli value.
+            write!(f, ":f{}", milli_to_intensity(self.fault_milli))?;
+        }
+        Ok(())
+    }
+}
+
+impl<'a> CellFields<'a> {
+    /// Parses a cell string: `fleet` requires the `dD` field, otherwise it
+    /// must be absent.
+    pub(crate) fn parse(s: &'a str, fleet: bool) -> Result<Self, ParseScenarioError> {
+        let bad = |reason: String| ParseScenarioError { input: s.to_string(), reason, fleet };
         let parts: Vec<&str> = s.split(':').collect();
-        let [scheduler, bench, rate, jobs, seed] = parts.as_slice() else {
-            return Err(bad(format!("{} fields, expected 5", parts.len())));
+        let base = if fleet { 6 } else { 5 };
+        if parts.len() != base && parts.len() != base + 1 {
+            return Err(bad(format!("{} fields, expected {base} or {}", parts.len(), base + 1)));
+        }
+        let (name, jobs, seed) = (parts[0], parts[base - 2], parts[base - 1]);
+        let bench: Benchmark = parts[1].parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
+        let rate: ArrivalRate = parts[2].parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
+        let devices = if fleet {
+            parts[3]
+                .strip_prefix('d')
+                .and_then(|n| n.parse().ok())
+                .filter(|&n| n > 0)
+                .ok_or_else(|| bad(format!("bad device count `{}`", parts[3])))?
+        } else {
+            0
         };
-        let bench: Benchmark = bench.parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
-        let rate: ArrivalRate = rate.parse().map_err(|e: ParseSpecError| bad(e.to_string()))?;
         let n_jobs = jobs
             .strip_prefix('j')
             .and_then(|n| n.parse().ok())
@@ -170,12 +236,47 @@ impl FromStr for Scenario {
             .strip_prefix('s')
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| bad(format!("bad seed `{seed}`")))?;
-        if scheduler.is_empty() {
-            return Err(bad("empty scheduler name".to_string()));
+        if name.is_empty() {
+            let what = if fleet { "policy" } else { "scheduler" };
+            return Err(bad(format!("empty {what} name")));
         }
-        Ok(Scenario::new(scheduler, bench, rate, n_jobs, seed))
+        let fault_milli = match parts.get(base) {
+            None => 0,
+            Some(f) => f
+                .strip_prefix('f')
+                .and_then(|v| v.parse().ok())
+                .and_then(intensity_to_milli)
+                .filter(|&m| m > 0)
+                .ok_or_else(|| bad(format!("bad fault intensity `{f}`")))?,
+        };
+        Ok(CellFields { name, bench, rate, devices, n_jobs, seed, fault_milli })
     }
 }
+
+/// Error parsing a [`Scenario`] or [`crate::cluster::ClusterScenario`] from
+/// its string form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseScenarioError {
+    input: String,
+    reason: String,
+    fleet: bool,
+}
+
+impl fmt::Display for ParseScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (what, expected) = if self.fleet {
+            (
+                "cluster scenario",
+                "POLICY:BENCH:RATE:dD:jN:sSEED[:fI], e.g. LL:HYBRID:high:d16:j1000000:s42:f1.5",
+            )
+        } else {
+            ("scenario", "SCHED:BENCH:RATE:jN:sSEED[:fI], e.g. LAX:IPV6:high:j128:s42")
+        };
+        write!(f, "invalid {what} `{}`: {} (expected {expected})", self.input, self.reason)
+    }
+}
+
+impl std::error::Error for ParseScenarioError {}
 
 /// Typed failure of one experiment cell. Carries enough context to report
 /// the cell without aborting the rest of the grid.
@@ -301,13 +402,10 @@ impl From<workloads::scenario::ScenarioFileError> for BenchError {
 pub type SharedObserver = Arc<Mutex<dyn Observer<ProbeEvent> + Send>>;
 
 /// Everything that can vary about *how* one cell is executed, as opposed to
-/// *what* it simulates (the [`Scenario`]): fault intensity, attached
-/// observers, and an optional wall-clock deadline.
+/// *what* it simulates (the [`Scenario`], fault intensity included):
+/// attached observers and an optional wall-clock deadline.
 ///
-/// This is the single knob struct behind [`run_cell`], replacing the old
-/// `run_scenario` / `run_faulty_scenario` / `run_faulty_scenario_observed`
-/// trio. The default value runs the cell fault-free, unobserved and
-/// unbounded — byte-identical to what plain `run_scenario` produced.
+/// The default value runs the cell unobserved and unbounded.
 ///
 /// # Examples
 ///
@@ -317,15 +415,11 @@ pub type SharedObserver = Arc<Mutex<dyn Observer<ProbeEvent> + Send>>;
 ///
 /// let s = Scenario::new("LAX", Benchmark::Ipv6, ArrivalRate::Low, 4, 1);
 /// let clean = run_cell(&s, &RunOptions::default()).unwrap();
-/// let faulty = run_cell(&s, &RunOptions::default().fault_intensity(1.0)).unwrap();
+/// let faulty = run_cell(&s.with_fault_milli(1000), &RunOptions::default()).unwrap();
 /// assert_ne!(clean, faulty);
 /// ```
 #[derive(Clone, Default)]
 pub struct RunOptions {
-    /// Fault-plan intensity ([`FaultPlan::seeded`] over the cell's seed and
-    /// workload span); `0.0` (default) installs the empty plan, which is
-    /// bit-identical to a build that never touches the faults API.
-    pub fault_intensity: f64,
     /// Observers attached to the simulation's probe bus. Attaching
     /// observers never perturbs the report (the probe layer schedules no
     /// events), so observed and unobserved runs of the same cell are
@@ -342,7 +436,6 @@ pub struct RunOptions {
 impl fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunOptions")
-            .field("fault_intensity", &self.fault_intensity)
             .field("observers", &self.observers.len())
             .field("deadline", &self.deadline)
             .finish()
@@ -350,12 +443,6 @@ impl fmt::Debug for RunOptions {
 }
 
 impl RunOptions {
-    /// Sets the fault-plan intensity.
-    pub fn fault_intensity(mut self, intensity: f64) -> Self {
-        self.fault_intensity = intensity;
-        self
-    }
-
     /// Attaches one observer to the cell's probe bus. Concrete
     /// `Arc<Mutex<T>>` handles coerce to [`SharedObserver`] here, so callers
     /// pass `sampler.clone()` and keep their handle for reading results.
@@ -372,13 +459,14 @@ impl RunOptions {
 }
 
 /// Runs one experiment cell under the given [`RunOptions`] — the sole cell
-/// entrypoint (faults, observers and deadlines are all options, not
-/// separate functions).
+/// entrypoint (observers and deadlines are options, not separate
+/// functions).
 ///
-/// The fault plan is derived from [`Scenario::cell_seed`] — which excludes
-/// the scheduler name — so every scheduler compared at one `(bench, rate,
-/// n_jobs, seed, intensity)` cell faces the *identical* storm: the same
-/// slowdown windows, CU outages, DRAM throttles and arrival bursts.
+/// The fault plan is drawn at the cell's intensity from
+/// [`Scenario::cell_seed`] — which excludes the scheduler name — so every
+/// scheduler compared at one `(bench, rate, n_jobs, seed, intensity)` cell
+/// faces the *identical* storm: the same slowdown windows, CU outages,
+/// DRAM throttles and arrival bursts.
 ///
 /// # Errors
 ///
@@ -414,13 +502,27 @@ pub fn run_cell(scenario: &Scenario, opts: &RunOptions) -> Result<SimReport, Ben
     }
 }
 
-/// The deadline-free cell body: generate jobs, seed the fault plan, attach
-/// observers, run.
+/// The deadline-free cell body: generate jobs, then [`run_jobs`].
 fn run_cell_inline(scenario: &Scenario, opts: &RunOptions) -> Result<SimReport, BenchError> {
     let suite = BenchmarkSuite::calibrated();
-    let mut jobs =
-        suite.generate_jobs(scenario.bench, scenario.rate, scenario.n_jobs, scenario.cell_seed());
-    let mode = registry::try_build(&scenario.scheduler)?;
+    let seed = scenario.cell_seed();
+    let jobs = suite.generate_jobs(scenario.bench, scenario.rate, scenario.n_jobs, seed);
+    run_jobs(suite, jobs, &scenario.scheduler, seed, scenario.fault_intensity(), &opts.observers)
+}
+
+/// The half of a cell after job generation, shared by [`run_cell`] and a
+/// scenario file's inline-DAG cells: seed the fault plan from `cell_seed`
+/// at `intensity` over the jobs' span, apply its arrival bursts, attach
+/// `observers`, run under `scheduler`.
+pub(crate) fn run_jobs(
+    suite: &BenchmarkSuite,
+    mut jobs: Vec<JobDesc>,
+    scheduler: &str,
+    cell_seed: u64,
+    intensity: f64,
+    observers: &[SharedObserver],
+) -> Result<SimReport, BenchError> {
+    let mode = registry::try_build(scheduler)?;
     let cfg = GpuConfig::default();
     // Faults are drawn over the span jobs can occupy: last arrival plus the
     // latest relative deadline, so late windows still overlap live work.
@@ -429,14 +531,14 @@ fn run_cell_inline(scenario: &Scenario, opts: &RunOptions) -> Result<SimReport, 
         .map(|j| j.arrival.saturating_since(Cycle::ZERO) + j.deadline)
         .max()
         .unwrap_or(Duration::ZERO);
-    let plan = FaultPlan::seeded(scenario.cell_seed(), opts.fault_intensity, span, cfg.num_cus);
+    let plan = FaultPlan::seeded(cell_seed, intensity, span, cfg.num_cus);
     apply_bursts(&mut jobs, &plan.bursts);
     let mut builder = Simulation::builder()
         .offline_rates(suite.offline_rates())
         .jobs(jobs)
         .scheduler(mode)
         .faults(plan);
-    for obs in &opts.observers {
+    for obs in observers {
         builder = builder.observe(Box::new(Arc::clone(obs)));
     }
     let mut sim = builder.build()?;
@@ -498,6 +600,41 @@ pub fn jobs_from_cli(args: impl Iterator<Item = String>) -> (usize, Vec<String>)
         }
     }
     (jobs.unwrap_or_else(default_jobs), rest)
+}
+
+/// Removes `flag` and the value after it from `args`, returning the value.
+/// Only the first occurrence is taken; a `flag` with nothing after it is
+/// removed and reported on stderr.
+pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    if pos + 1 >= args.len() {
+        eprintln!("warning: {flag} is missing its value");
+        args.remove(pos);
+        return None;
+    }
+    let value = args.remove(pos + 1);
+    args.remove(pos);
+    Some(value)
+}
+
+/// Removes every occurrence of `flag` from `args`, returning whether there
+/// was one.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
+/// Writes an artifact to `path`, creating its parent directory first.
+///
+/// # Errors
+///
+/// The directory creation's or the write's I/O error.
+pub fn write_output(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        fs::create_dir_all(dir)?;
+    }
+    fs::write(path, contents)
 }
 
 /// Progress of a sweep, reported once per finished cell (on the calling
@@ -668,20 +805,13 @@ impl SweepOptions {
         self.run.deadline = Some(limit);
         self
     }
-
-    /// Sets the fault-plan intensity for every cell
-    /// ([`RunOptions::fault_intensity`]).
-    pub fn fault_intensity(mut self, intensity: f64) -> Self {
-        self.run.fault_intensity = intensity;
-        self
-    }
 }
 
 /// Runs one cell under [`SweepOptions`]: catch panics, retry a bounded
 /// number of times, and (when configured) give up at the wall-clock
 /// deadline. The per-cell building block of [`run_sweep_opts`], public so
-/// binaries with non-`Scenario` grids (the fault sweep varies intensity
-/// per cell) get the same isolation.
+/// checkpointed grids that fan out themselves (the fault and DAG sweeps)
+/// get the same isolation.
 ///
 /// # Errors
 ///
@@ -731,7 +861,7 @@ pub fn run_sweep<'s>(
 }
 
 /// [`run_sweep`] with explicit [`SweepOptions`] (retry budget, per-cell
-/// deadline, fault intensity).
+/// deadline).
 ///
 /// # Errors
 ///
@@ -767,6 +897,8 @@ pub fn run_sweep_opts<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterScenario;
+    use sim_core::rng::SimRng;
 
     fn tiny(scheduler: &str) -> Scenario {
         Scenario::new(scheduler, Benchmark::Ipv6, ArrivalRate::Low, 4, 1)
@@ -774,40 +906,148 @@ mod tests {
 
     #[test]
     fn scenario_round_trips_through_strings() {
-        for s in [
-            Scenario::new("LAX", Benchmark::Ipv6, ArrivalRate::High, 128, 20210301),
-            Scenario::new("LAX-SW", Benchmark::Hybrid, ArrivalRate::Medium, 1, 0),
-            Scenario::new("RR", Benchmark::Stem, ArrivalRate::Low, 64, u64::MAX),
+        for (s, text) in [
+            (
+                Scenario::new("LAX", Benchmark::Ipv6, ArrivalRate::High, 128, 20210301),
+                "LAX:IPV6:high:j128:s20210301",
+            ),
+            (
+                Scenario::new("LAX-SW", Benchmark::Hybrid, ArrivalRate::Medium, 1, 0),
+                "LAX-SW:HYBRID:medium:j1:s0",
+            ),
+            (
+                Scenario::new("RR", Benchmark::Stem, ArrivalRate::Low, 64, u64::MAX),
+                "RR:STEM:low:j64:s18446744073709551615",
+            ),
+            (
+                Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::High, 8, 20210301)
+                    .with_fault_milli(500),
+                "RR:IPV6:high:j8:s20210301:f0.5",
+            ),
+            (
+                Scenario::new("LAX", Benchmark::Gmm, ArrivalRate::Low, 8, 1).with_fault_milli(1),
+                "LAX:GMM:low:j8:s1:f0.001",
+            ),
         ] {
-            let text = s.to_string();
+            assert_eq!(s.to_string(), text);
             assert_eq!(text.parse::<Scenario>().unwrap(), s, "{text}");
         }
     }
 
+    /// Both cell strings through the one grammar: (input, fleet cell?,
+    /// expected fragment of the reason) — every arm of the parser's error
+    /// handling, so CLI typos always get a diagnosis.
     #[test]
-    fn scenario_parse_rejects_malformed_input() {
-        // (input, expected fragment of the reason) — every arm of the
-        // parser's error handling, so CLI typos always get a diagnosis.
-        for (bad, why) in [
-            ("", "1 fields"),
-            ("LAX", "1 fields"),
-            ("LAX:IPV6:high:j128", "4 fields"),
-            ("LAX:IPV6:high:j128:s42:extra", "6 fields"),
-            ("LAX:WARP9:high:j128:s42", "WARP9"),
-            ("LAX:IPV6:sometimes:j128:s42", "sometimes"),
-            ("LAX:IPV6:high:128:s42", "bad job count"),
-            ("LAX:IPV6:high:j128:42", "bad seed"),
-            ("LAX:IPV6:high:jxx:s42", "bad job count"),
-            ("LAX:IPV6:high:j128:sQQ", "bad seed"),
-            (":IPV6:high:j128:s42", "empty scheduler"),
+    fn cell_strings_reject_malformed_input() {
+        for (bad, fleet, why) in [
+            ("", false, "1 fields"),
+            ("LAX", false, "1 fields"),
+            ("LAX:IPV6:high:j128", false, "4 fields"),
+            ("LAX:IPV6:high:j128:s42:extra", false, "bad fault intensity `extra`"),
+            ("LAX:IPV6:high:j128:s42:f1:x", false, "7 fields"),
+            ("LAX:WARP9:high:j128:s42", false, "WARP9"),
+            ("LAX:IPV6:sometimes:j128:s42", false, "sometimes"),
+            ("LAX:IPV6:high:128:s42", false, "bad job count"),
+            ("LAX:IPV6:high:j128:42", false, "bad seed"),
+            ("LAX:IPV6:high:jxx:s42", false, "bad job count"),
+            ("LAX:IPV6:high:j128:sQQ", false, "bad seed"),
+            (":IPV6:high:j128:s42", false, "empty scheduler"),
+            ("LL:HYBRID:high:d16:j128:s42", false, "bad job count `d16`"),
+            ("LAX:IPV6:high:j128:s42:f0", false, "bad fault intensity"),
+            ("LAX:IPV6:high:j128:s42:f1e300", false, "bad fault intensity"),
+            ("LAX:IPV6:high:j128:s42:f0.0004", false, "bad fault intensity"),
+            ("LAX:IPV6:high:j128:s42:f1.0005", false, "bad fault intensity"),
+            ("", true, "1 fields"),
+            ("LL", true, "1 fields"),
+            ("LL:HYBRID:high:d16:j128", true, "5 fields"),
+            ("LAX:IPV6:high:j128:s42", true, "5 fields"),
+            ("LL:HYBRID:high:d16:j128:s42:f1:x", true, "8 fields"),
+            ("LL:HYBRID:high:d16:j128:s42:x", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:f0", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:f-1", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:fx", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:fnan", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:f1e300", true, "bad fault intensity"),
+            ("LL:HYBRID:high:d16:j128:s42:f0.0004", true, "bad fault intensity"),
+            ("LL:WARP9:high:d16:j128:s42", true, "WARP9"),
+            ("LL:HYBRID:sometimes:d16:j128:s42", true, "sometimes"),
+            ("LL:HYBRID:high:16:j128:s42", true, "bad device count"),
+            ("LL:HYBRID:high:d0:j128:s42", true, "bad device count"),
+            ("LL:HYBRID:high:dx:j128:s42", true, "bad device count"),
+            ("LL:HYBRID:high:d16:128:s42", true, "bad job count"),
+            ("LL:HYBRID:high:d16:j128:42", true, "bad seed"),
+            (":HYBRID:high:d16:j128:s42", true, "empty policy"),
         ] {
-            let err = bad.parse::<Scenario>();
-            assert!(err.is_err(), "`{bad}` should not parse");
-            let msg = err.unwrap_err().to_string();
-            assert!(msg.contains("invalid scenario"), "{msg}");
+            let (err, what) = if fleet {
+                (bad.parse::<ClusterScenario>().err(), "invalid cluster scenario")
+            } else {
+                (bad.parse::<Scenario>().err(), "invalid scenario")
+            };
+            let msg = err.unwrap_or_else(|| panic!("`{bad}` should not parse")).to_string();
+            assert!(msg.contains(what), "{msg}");
             assert!(msg.contains(why), "`{bad}` should diagnose `{why}`, got: {msg}");
             assert!(msg.contains(bad), "the error must echo the input: {msg}");
         }
+    }
+
+    /// One seeded mutation of a cell string: a truncation, a byte flip, or
+    /// a field spliced in from another corpus string.
+    fn mutate(text: &str, corpus: &[&str], rng: &mut SimRng) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        match rng.below(3) {
+            0 => bytes.truncate(rng.below(bytes.len() as u64 + 1) as usize),
+            1 if !bytes.is_empty() => {
+                let i = rng.below(bytes.len() as u64) as usize;
+                bytes[i] ^= 1 << rng.below(8);
+            }
+            _ => {
+                let donor = corpus[rng.below(corpus.len() as u64) as usize];
+                let donor: Vec<&str> = donor.split(':').collect();
+                let mut fields: Vec<&str> = text.split(':').collect();
+                let field = donor[rng.below(donor.len() as u64) as usize];
+                let at = rng.below(fields.len() as u64 + 1) as usize;
+                match rng.below(3) {
+                    0 if at < fields.len() => fields[at] = field,
+                    1 if at < fields.len() => {
+                        fields.remove(at);
+                    }
+                    _ => fields.insert(at, field),
+                }
+                bytes = fields.join(":").into_bytes();
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn mutated_cell_strings_never_panic_and_accepted_ones_round_trip() {
+        let corpus = [
+            "LAX:IPV6:high:j128:s42",
+            "LAX-SW:HYBRID:medium:j1:s0:f1.5",
+            "RR:STEM:low:j64:s18446744073709551615:f0.001",
+            "LL:HYBRID:high:d16:j1000000:s42",
+            "RR:IPV6:low:d1:j1:s0:f2",
+            "P2C:FANOUT:medium:d64:j12:s7:f4294967.295",
+        ];
+        let mut rng = SimRng::seed_from(0xce11);
+        let (mut devices, mut fleets) = (0, 0);
+        for round in 0..4000 {
+            let mut s = corpus[round % corpus.len()].to_string();
+            for _ in 0..=round % 3 {
+                s = mutate(&s, &corpus, &mut rng);
+            }
+            if let Ok(cell) = s.parse::<Scenario>() {
+                devices += 1;
+                assert_eq!(cell.to_string().parse::<Scenario>(), Ok(cell), "from `{s}`");
+            }
+            if let Ok(cell) = s.parse::<ClusterScenario>() {
+                fleets += 1;
+                assert_eq!(cell.to_string().parse::<ClusterScenario>(), Ok(cell), "from `{s}`");
+            }
+        }
+        // The mutator must leave some inputs valid, or the round trip
+        // half of the test checks nothing.
+        assert!(devices > 100 && fleets > 100, "{devices} device, {fleets} fleet");
     }
 
     #[test]
@@ -923,6 +1163,31 @@ mod tests {
     }
 
     #[test]
+    fn take_value_and_take_flag_edit_the_argument_list() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut args = argv(&["--out", "a.txt", "x", "--smoke", "--out", "b.txt", "--smoke"]);
+        assert_eq!(take_value(&mut args, "--out").as_deref(), Some("a.txt"), "first one wins");
+        assert!(take_flag(&mut args, "--smoke"), "a repeated flag is present");
+        assert_eq!(args, ["x", "--out", "b.txt"], "every occurrence of the flag is removed");
+        assert!(!take_flag(&mut args, "--smoke"));
+        assert_eq!(take_value(&mut args, "--ckpt"), None);
+        // A flag missing its value is dropped without eating anything else.
+        let mut args = argv(&["x", "--out"]);
+        assert_eq!(take_value(&mut args, "--out"), None);
+        assert_eq!(args, ["x"]);
+    }
+
+    #[test]
+    fn write_output_creates_the_parent_directory() {
+        let dir = std::env::temp_dir().join(format!("lax-write-output-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("out.txt");
+        write_output(&path, "hello").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "hello");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     #[should_panic(expected = "contains ':'")]
     fn scenario_new_rejects_colon_in_scheduler_name() {
         let _ = Scenario::new("LAX:EVIL", Benchmark::Ipv6, ArrivalRate::High, 1, 1);
@@ -935,18 +1200,23 @@ mod tests {
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
+    /// A cell whose job count overflows the job vector's capacity panics
+    /// inside the cell body — a stand-in for any cell-local panic.
+    fn panicking(scheduler: &str) -> Scenario {
+        Scenario::new(scheduler, Benchmark::Ipv6, ArrivalRate::Low, usize::MAX, 1)
+    }
+
     #[test]
     fn panicking_cell_becomes_a_typed_error_after_bounded_retries() {
-        // A negative intensity trips an assert inside the cell body — a
-        // stand-in for any cell-local panic. The sweep must isolate it.
-        let scenarios = vec![tiny("RR"), tiny("EDF")];
-        let opts = SweepOptions::new(2).retries(2).fault_intensity(-1.0);
+        // The sweep must isolate the panic.
+        let scenarios = vec![panicking("RR"), panicking("EDF")];
+        let opts = SweepOptions::new(2).retries(2);
         let results = run_sweep_opts(&scenarios, &opts, |_| {}).unwrap();
         for r in &results {
             match r {
                 Err(BenchError::Panicked { attempts, message }) => {
                     assert_eq!(*attempts, 3, "1 try + 2 retries");
-                    assert!(message.contains("non-negative"), "{message}");
+                    assert!(message.contains("capacity overflow"), "{message}");
                 }
                 other => panic!("expected Panicked, got {other:?}"),
             }
@@ -1045,10 +1315,11 @@ mod tests {
     #[test]
     fn nonzero_intensity_changes_outcomes_but_stays_deterministic() {
         let s = Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::High, 16, 3);
-        let storm = RunOptions::default().fault_intensity(1.0);
-        let a = run_cell(&s, &storm).unwrap();
-        let b = run_cell(&s, &storm).unwrap();
+        let storm = s.clone().with_fault_milli(1000);
+        let a = run_cell(&storm, &RunOptions::default()).unwrap();
+        let b = run_cell(&storm, &RunOptions::default()).unwrap();
         assert_eq!(a, b, "same intensity, same storm, same report");
+        assert_eq!(storm.cell_seed(), s.cell_seed(), "job traces pair across intensities");
         let clean = run_cell(&s, &RunOptions::default()).unwrap();
         assert_ne!(a, clean, "an intensity-1.0 storm must perturb the run");
     }
@@ -1058,14 +1329,11 @@ mod tests {
         // A cell that panics *before* its generous deadline must surface as
         // Panicked, not DeadlineExceeded: the helper thread re-raises the
         // panic on the caller, and the retry loop converts it.
-        let s = tiny("RR");
-        let opts = SweepOptions::new(1)
-            .retries(0)
-            .cell_deadline(WallDuration::from_secs(300))
-            .fault_intensity(-1.0);
+        let s = panicking("RR");
+        let opts = SweepOptions::new(1).retries(0).cell_deadline(WallDuration::from_secs(300));
         match run_cell_profiled(&s, &opts) {
             (Err(BenchError::Panicked { attempts: 1, message }), 1) => {
-                assert!(message.contains("non-negative"), "{message}");
+                assert!(message.contains("capacity overflow"), "{message}");
             }
             other => panic!("expected Panicked after 1 attempt, got {other:?}"),
         }

@@ -6,8 +6,9 @@
 //! deadlines, rtdag-style), the arrival process (named Table-4 levels, or
 //! the file's own jobs/sec table for inline DAGs), a fault-plan intensity,
 //! and an optional fleet topology. `lax-bench` binaries accept
-//! `--scenario-file` and build their cells from it; see
-//! `examples/scenarios/` for committed exemplars.
+//! `--scenario-file` and expand it into the same cells the sweep strings
+//! name (`lax_bench::scenario_file`); see `examples/scenarios/` for
+//! committed exemplars.
 //!
 //! # Schema
 //!
@@ -42,12 +43,18 @@
 //!
 //! # Seeding
 //!
-//! [`ScenarioFile::cell_seed`] uses the same FNV-1a recipe as the sweep
-//! engine's `Scenario::cell_seed`: it hashes the base seed and the
-//! workload-identifying fields (workload tag, rate, job count) and never
-//! the scheduler, policy, or worker count — so paired comparisons and
-//! `--jobs N` byte-identity carry over to file-driven cells, and a file
-//! naming a benchmark reproduces the sweep cell byte-for-byte.
+//! [`ScenarioFile::cell_seed`] is the one cell-seed recipe,
+//! [`crate::spec::cell_seed`], that the sweep and cluster cells use too: it
+//! hashes the base seed and the workload-identifying fields (workload tag,
+//! rate, job count) and never the scheduler, policy, or worker count — so
+//! paired comparisons and `--jobs N` byte-identity carry over to
+//! file-driven cells, and a file naming a benchmark reproduces the sweep
+//! cell byte-for-byte.
+//!
+//! `fault_intensity` is stored as fixed-point milli-units through the one
+//! conversion the cell strings use ([`crate::spec::intensity_to_milli`]),
+//! so a value finer than a milli or beyond `u32` milli-units fails typed
+//! instead of being rounded.
 
 use std::fmt;
 use std::str::FromStr;
@@ -55,10 +62,10 @@ use std::sync::Arc;
 
 use gpu_sim::job::{JobDesc, JobError, JobGraph, JobId};
 use sim_core::json::{self, JsonError, Value};
-use sim_core::rng::{Fnv1a, SimRng};
+use sim_core::rng::SimRng;
 use sim_core::time::{Cycle, Duration};
 
-use crate::spec::{ArrivalRate, Benchmark};
+use crate::spec::{cell_seed, intensity_to_milli, milli_to_intensity, ArrivalRate, Benchmark};
 use crate::suite::BenchmarkSuite;
 
 /// Why a scenario file was rejected. Every malformed input maps to one of
@@ -240,8 +247,9 @@ pub struct ScenarioFile {
     pub rates: Vec<ArrivalRate>,
     /// The workload.
     pub workload: WorkloadSpec,
-    /// Fault-plan intensity (`0.0` = fault-free).
-    pub fault_intensity: f64,
+    /// Fault-plan intensity in milli-units (`1000` = intensity 1.0; `0` =
+    /// fault-free), the fixed point the sweep and cluster cells store.
+    pub fault_milli: u32,
     /// Optional fleet topology.
     pub fleet: Option<FleetSpec>,
 }
@@ -266,7 +274,7 @@ impl ScenarioFile {
         let mut schedulers = None;
         let mut rates = None;
         let mut workload = None;
-        let mut fault_intensity = None;
+        let mut fault_milli = None;
         let mut fleet = None;
         for (key, value) in pairs {
             match key.as_str() {
@@ -278,13 +286,14 @@ impl ScenarioFile {
                 "workload" => workload = Some(parse_workload(value)?),
                 "fault_intensity" => {
                     let v = f64_value(value, "fault_intensity")?;
-                    if v.is_nan() || v < 0.0 {
-                        return Err(ScenarioFileError::Value {
-                            key: "fault_intensity".into(),
-                            why: format!("must be >= 0, got {v}"),
-                        });
-                    }
-                    fault_intensity = Some(v);
+                    let milli = intensity_to_milli(v).ok_or_else(|| ScenarioFileError::Value {
+                        key: "fault_intensity".into(),
+                        why: format!(
+                            "must be >= 0 in whole thousandths, at most {}, got {v}",
+                            milli_to_intensity(u32::MAX)
+                        ),
+                    })?;
+                    fault_milli = Some(milli);
                 }
                 "fleet" => fleet = Some(parse_fleet(value)?),
                 other => {
@@ -299,30 +308,25 @@ impl ScenarioFile {
             schedulers: schedulers.unwrap_or_else(|| vec!["RR".into(), "LAX".into()]),
             rates: rates.unwrap_or_else(|| vec![ArrivalRate::High]),
             workload: workload.ok_or(ScenarioFileError::Missing { key: "workload" })?,
-            fault_intensity: fault_intensity.unwrap_or(0.0),
+            fault_milli: fault_milli.unwrap_or(0),
             fleet,
         })
     }
 
-    /// The seed actually fed to the workload generator: FNV-1a over the
-    /// base seed and the workload-identifying fields, never the scheduler
-    /// or routing policy — the same recipe (and for named workloads the
-    /// same value) as the sweep engine's `Scenario::cell_seed`, so a file
-    /// naming a benchmark reproduces that sweep cell byte-for-byte.
+    /// The seed actually fed to a single-device cell's workload generator:
+    /// [`crate::spec::cell_seed`] over the base seed, the workload tag (the
+    /// benchmark name, or `dag-file:NAME` for an inline DAG), the rate and
+    /// the job count — for named workloads the same value as the sweep
+    /// engine's `Scenario::cell_seed`, so a file naming a benchmark
+    /// reproduces that sweep cell byte-for-byte.
     pub fn cell_seed(&self, rate: ArrivalRate) -> u64 {
-        let mut h = Fnv1a::new();
-        h.eat(&self.seed.to_le_bytes());
         match &self.workload {
-            WorkloadSpec::Named(b) => h.eat(b.name().as_bytes()),
+            WorkloadSpec::Named(b) => cell_seed(self.seed, b.name(), rate, None, self.n_jobs),
             WorkloadSpec::Inline(_) => {
-                h.eat(b"dag-file:");
-                h.eat(self.name.as_bytes());
+                let tag = format!("dag-file:{}", self.name);
+                cell_seed(self.seed, &tag, rate, None, self.n_jobs)
             }
         }
-        h.eat(b":");
-        h.eat(rate.name().as_bytes());
-        h.eat(&(self.n_jobs as u64).to_le_bytes());
-        h.finish()
     }
 
     /// Generates the cell's job stream at one rate level: named workloads
@@ -435,7 +439,7 @@ impl fmt::Display for ScenarioFile {
                 out.push_str("]\n  },\n");
             }
         }
-        out.push_str(&format!("  \"fault_intensity\": {}", self.fault_intensity));
+        out.push_str(&format!("  \"fault_intensity\": {}", milli_to_intensity(self.fault_milli)));
         if let Some(fleet) = &self.fleet {
             out.push_str(&format!(
                 ",\n  \"fleet\": {{ \"devices\": {}, \"policy\": \"{}\" }}",
@@ -727,7 +731,7 @@ mod tests {
                 ],
                 edges: vec![(0, 1), (0, 2), (1, 3), (2, 3)],
             }),
-            fault_intensity: 0.5,
+            fault_milli: 500,
             fleet: None,
         }
     }
@@ -741,7 +745,7 @@ mod tests {
             schedulers: vec!["LAX-SW".into(), "LAX".into()],
             rates: vec![ArrivalRate::High],
             workload: WorkloadSpec::Named(Benchmark::Gmm),
-            fault_intensity: 0.0,
+            fault_milli: 0,
             fleet: Some(FleetSpec { devices: 4, policy: "LL".into() }),
         };
         let text = file.to_string();
@@ -765,7 +769,7 @@ mod tests {
             schedulers: vec!["LAX".into()],
             rates: vec![ArrivalRate::High],
             workload: WorkloadSpec::Named(Benchmark::Ipv6),
-            fault_intensity: 0.0,
+            fault_milli: 0,
             fleet: None,
         };
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -849,6 +853,29 @@ mod tests {
             .unwrap_err(),
             ScenarioFileError::Value { key, .. } if key == "schedulers[0]"
         ));
+    }
+
+    #[test]
+    fn fault_intensity_must_convert_exactly_to_milli() {
+        let with = |v: &str| {
+            ScenarioFile::parse(&format!(
+                r#"{{"name": "x", "seed": 1, "jobs": 4, "workload": "GMM",
+                    "fault_intensity": {v}}}"#
+            ))
+        };
+        // 1e300 used to reach the fault planner unbounded; 0.0004 and
+        // 1.0005 used to round differently on device and fleet cells.
+        for v in ["1e300", "0.0004", "1.0005", "-1", "4294968"] {
+            let err = with(v);
+            assert!(
+                matches!(&err, Err(ScenarioFileError::Value { key, .. }) if key == "fault_intensity"),
+                "{v} must be rejected, got {err:?}"
+            );
+        }
+        let max = ("4294967.295", u32::MAX);
+        for (v, milli) in [("0", 0), ("0.001", 1), ("1", 1000), ("1.5", 1500), max] {
+            assert_eq!(with(v).unwrap().fault_milli, milli, "{v}");
+        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Benchmark specifications: deadlines, input sizes and arrival rates from
-//! the paper's Table 4, and the many-/few-kernel taxonomy of Figure 1.
+//! the paper's Table 4, and the many-/few-kernel taxonomy of Figure 1 —
+//! plus the two recipes every experiment cell shares: its workload seed
+//! ([`cell_seed`]) and its fixed-point fault intensity
+//! ([`intensity_to_milli`]).
 
+use sim_core::rng::Fnv1a;
 use sim_core::time::Duration;
 
 /// The eight latency-sensitive benchmarks (Section 3 / Table 4).
@@ -217,9 +221,108 @@ impl std::str::FromStr for ArrivalRate {
     }
 }
 
+/// The seed fed to one experiment cell's workload generator: FNV-1a over
+/// the base seed and the workload-identifying fields — the workload tag (a
+/// benchmark name, or `dag-file:NAME` for a scenario file's inline DAG),
+/// the rate, the device count of a fleet cell, and the job count.
+///
+/// Schedulers, routing policies, fault intensities and worker counts are
+/// deliberately **not** mixed in: every scheduler or policy compared on
+/// one workload must see the identical job trace, arrival streams pair
+/// across fault intensities, and the value never depends on which worker
+/// runs the cell.
+pub fn cell_seed(
+    seed: u64,
+    workload: &str,
+    rate: ArrivalRate,
+    devices: Option<usize>,
+    n_jobs: usize,
+) -> u64 {
+    let mut h = Fnv1a::new();
+    h.eat(&seed.to_le_bytes());
+    h.eat(workload.as_bytes());
+    h.eat(b":");
+    h.eat(rate.name().as_bytes());
+    if let Some(d) = devices {
+        h.eat(&(d as u64).to_le_bytes());
+    }
+    h.eat(&(n_jobs as u64).to_le_bytes());
+    h.finish()
+}
+
+/// Converts a fault intensity to the fixed-point milli-units cells store
+/// (`1.5` → `1500`), so cells stay totally ordered and hashable.
+///
+/// Only exact values convert: `None` unless some `m` that fits in `u32`
+/// gives back `x` as `m / 1000`. A value finer than a milli (`0.0004`),
+/// negative, non-finite, or too large for `u32` milli-units is rejected,
+/// never rounded or saturated.
+pub fn intensity_to_milli(x: f64) -> Option<u32> {
+    let m = (x * 1000.0).round();
+    if !(0.0..=f64::from(u32::MAX)).contains(&m) {
+        return None;
+    }
+    let m = m as u32;
+    (milli_to_intensity(m) == x).then_some(m)
+}
+
+/// The fault intensity a milli value stands for (`1500` → `1.5`); the
+/// inverse of [`intensity_to_milli`].
+pub fn milli_to_intensity(milli: u32) -> f64 {
+    f64::from(milli) / 1000.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn intensities_convert_only_when_exact() {
+        for (x, m) in [(0.0, 0), (0.001, 1), (0.5, 500), (1.0, 1000), (1.5, 1500), (2.0, 2000)] {
+            assert_eq!(intensity_to_milli(x), Some(m), "{x}");
+            assert_eq!(milli_to_intensity(m), x);
+        }
+        let max = milli_to_intensity(u32::MAX);
+        assert_eq!(intensity_to_milli(max), Some(u32::MAX));
+        for x in [0.0004, 1.0005, -1.0, -0.001, 1e300, max + 1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(intensity_to_milli(x), None, "{x}");
+        }
+        // Every milli value survives the printed round trip the cell
+        // strings and scenario files rely on.
+        for m in [1, 7, 999, 1001, 123_456, u32::MAX - 1, u32::MAX] {
+            let printed = milli_to_intensity(m).to_string();
+            assert_eq!(intensity_to_milli(printed.parse().unwrap()), Some(m), "{printed}");
+        }
+    }
+
+    #[test]
+    fn cell_seed_pins_the_fnv1a_recipe() {
+        // A hand-written FNV-1a-64 over the documented byte layout, so the
+        // recipe cannot drift without failing here.
+        let reference = |parts: &[&[u8]]| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in parts.concat().iter() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        };
+        assert_eq!(
+            cell_seed(42, "IPV6", ArrivalRate::High, None, 128),
+            reference(&[&42u64.to_le_bytes(), b"IPV6", b":", b"high", &128u64.to_le_bytes()])
+        );
+        assert_eq!(
+            cell_seed(7, "HYBRID", ArrivalRate::Low, Some(16), 1000),
+            reference(&[
+                &7u64.to_le_bytes(),
+                b"HYBRID",
+                b":",
+                b"low",
+                &16u64.to_le_bytes(),
+                &1000u64.to_le_bytes(),
+            ])
+        );
+    }
 
     #[test]
     fn deadlines_match_table4() {

@@ -386,7 +386,7 @@ fn scenario_files_round_trip_and_fail_typed() {
             schedulers: (0..1 + rng.below(4)).map(|i| format!("S{i}")).collect(),
             rates: vec![ArrivalRate::ALL[rng.below(3) as usize]],
             workload,
-            fault_intensity: rng.below(3) as f64 * 0.5,
+            fault_milli: rng.below(3) as u32 * 500,
             fleet: if rng.below(3) == 0 {
                 Some(FleetSpec { devices: 1 + rng.below(16) as usize, policy: "LL".into() })
             } else {

@@ -126,7 +126,7 @@ echo "== tier1: resume from a corrupt checkpoint (no panic, clean artifact) =="
 # field (sweep store) and a sketch bucket index past the largest a finite
 # sample can reach (fleet store). Both used to panic the parsers. Resuming
 # must drop the bad block, rerun that cell and write the clean artifact.
-printf 'lax-bench-checkpoint v2\ncell RR:IPV6:high:j8:s20210301:f0\nscheduler A\nsummary 1 0 0 0 0 0 1\njob 0 0 0  0 b\nend\n' \
+printf 'lax-bench-checkpoint v2\ncell RR:IPV6:high:j8:s20210301\nscheduler A\nsummary 1 0 0 0 0 0 1\njob 0 0 0  0 b\nend\n' \
     > "$TMP/bad_sweep.ckpt"
 "$FAULTS_BIN" --smoke --jobs 2 --resume --out "$TMP/fbad.txt" --ckpt "$TMP/bad_sweep.ckpt" \
     2> "$TMP/fbad.err"
@@ -200,6 +200,12 @@ done
 "$DAG_BIN" --scenario-file examples/scenarios/fanout-diamond.json --jobs 8 --out "$TMP/sf8.txt"
 cmp "$TMP/sf1.txt" "$TMP/sf8.txt"
 grep -q "fanout-diamond" "$TMP/sf1.txt"
+# The fleet-mode file expands into ordinary cluster cells: same bytes for
+# any worker count.
+"$CLUSTER_BIN" --scenario-file examples/scenarios/ipa-fleet.json --jobs 1 --out "$TMP/sff1.txt"
+"$CLUSTER_BIN" --scenario-file examples/scenarios/ipa-fleet.json --jobs 8 --out "$TMP/sff8.txt"
+cmp "$TMP/sff1.txt" "$TMP/sff8.txt"
+grep -q "ipa-fleet" "$TMP/sff1.txt"
 # A malformed file must exit non-zero with a typed diagnosis, not panic.
 echo '{"name": 3}' > "$TMP/bad.json"
 if "$DAG_BIN" --check --scenario-file "$TMP/bad.json" 2> "$TMP/bad.err"; then
