@@ -15,7 +15,9 @@
 //! Positional `SCENARIO`s are cluster-scenario strings with an optional
 //! fault-intensity suffix (`POLICY:BENCH:RATE:dD:jN:sSEED[:fI]`). Without
 //! positionals the grid is every routing policy × arrival rate × failure
-//! intensity on one workload cell. Fault plans derive from the workload
+//! intensity on one workload cell; the grid flags (`--devices` through
+//! `--intensities`) only shape that default grid, and giving one alongside
+//! positional cells is an error. Fault plans derive from the workload
 //! cell and intensity — never the policy — so every policy faces the
 //! identical fault schedule and the comparison is paired; arrival streams
 //! are also paired *across* intensities, isolating the faults' effect.
@@ -61,33 +63,43 @@ fn main() -> Result<(), Box<dyn Error>> {
         take_value(&mut rest, "--retry-budget").map(|v| v.parse::<u32>()).transpose()?;
     let backoff_us =
         take_value(&mut rest, "--backoff-us").map(|v| v.parse::<u64>()).transpose()?;
-    let devices = take_value(&mut rest, "--devices")
+    // Grid flags shape the default grid only; positional cells carry their
+    // own values, so giving both is an error that names the flag.
+    let mut grid_flags = Vec::new();
+    let mut grid_value = |rest: &mut Vec<String>, flag: &'static str| {
+        let value = take_value(rest, flag);
+        if value.is_some() {
+            grid_flags.push(flag);
+        }
+        value
+    };
+    let devices = grid_value(&mut rest, "--devices")
         .map(|v| v.parse::<usize>())
         .transpose()?
         .unwrap_or(if smoke { 4 } else { 8 });
-    let n_jobs = take_value(&mut rest, "--njobs")
+    let n_jobs = grid_value(&mut rest, "--njobs")
         .map(|v| v.parse::<usize>())
         .transpose()?
         .unwrap_or(if smoke { 2000 } else { 200_000 });
-    let seed = take_value(&mut rest, "--seed")
+    let seed = grid_value(&mut rest, "--seed")
         .map(|v| v.parse::<u64>())
         .transpose()?
         .unwrap_or(20210301);
-    let bench: Benchmark = take_value(&mut rest, "--bench")
+    let bench: Benchmark = grid_value(&mut rest, "--bench")
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(Benchmark::Hybrid);
-    let rates: Vec<ArrivalRate> = match take_value(&mut rest, "--rate") {
+    let rates: Vec<ArrivalRate> = match grid_value(&mut rest, "--rate") {
         Some(v) => vec![v.parse()?],
         None if smoke => vec![ArrivalRate::High],
         None => vec![ArrivalRate::High, ArrivalRate::Medium, ArrivalRate::Low],
     };
-    let policies: Vec<String> = take_value(&mut rest, "--policies")
+    let policies: Vec<String> = grid_value(&mut rest, "--policies")
         .map(|v| v.split(',').map(str::to_string).collect())
         .unwrap_or_else(|| {
             schedulers::routing::names().iter().map(|s| s.to_string()).collect()
         });
-    let intensities: Vec<u32> = match take_value(&mut rest, "--intensities") {
+    let intensities: Vec<u32> = match grid_value(&mut rest, "--intensities") {
         Some(v) => v
             .split(',')
             .map(|i| i.parse().ok().and_then(intensity_to_milli).ok_or(i))
@@ -102,6 +114,9 @@ fn main() -> Result<(), Box<dyn Error>> {
             return Err(format!("unknown argument `{arg}`").into());
         }
         scenarios.push(arg.parse::<ClusterScenario>()?);
+    }
+    if let Some(flag) = grid_flags.first().filter(|_| !scenarios.is_empty()) {
+        return Err(format!("`{flag}` only shapes the default grid, not positional cells").into());
     }
     if scenarios.is_empty() {
         // Intensity outermost, then rate, then policy: rows group by fault
@@ -120,9 +135,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut checkpoint = ckpt_path.map(|p| FleetCheckpoint::for_run(p, resume, "chaos"));
     eprintln!(
-        "[chaos] {} fidelity, {} cell(s) x {n_jobs} job(s) on {jobs} worker thread(s)",
-        fidelity,
-        scenarios.len()
+        "[chaos] {fidelity} fidelity, {} cell(s), {} job(s) on {jobs} worker thread(s)",
+        scenarios.len(),
+        scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
     let mut profile = FleetProfile::new("chaos");

@@ -16,7 +16,9 @@
 //! Positional `SCENARIO`s are cluster-scenario strings
 //! (`POLICY:BENCH:RATE:dD:jN:sSEED`). Without positionals the grid is the
 //! four routing policies on one workload cell — by default the paper-scale
-//! fleet run: 16 devices, one million HYBRID jobs at the high rate.
+//! fleet run: 16 devices, one million HYBRID jobs at the high rate. The
+//! grid flags (`--devices` through `--policies`) only shape that default
+//! grid: giving one alongside positional cells is an error.
 //! Per-device seeds hash from the workload cell, never the policy, so the
 //! output is bit-identical for any `--jobs N`.
 //!
@@ -71,27 +73,37 @@ fn main() -> Result<(), Box<dyn Error>> {
     let scheduler = take_value(&mut rest, "--scheduler");
     let slots = take_value(&mut rest, "--slots").map(|v| v.parse::<usize>()).transpose()?;
     let jitter = take_value(&mut rest, "--jitter").map(|v| v.parse::<f64>()).transpose()?;
-    let devices = take_value(&mut rest, "--devices")
+    // Grid flags shape the default grid only; positional cells carry their
+    // own values, so giving both is an error that names the flag.
+    let mut grid_flags = Vec::new();
+    let mut grid_value = |rest: &mut Vec<String>, flag: &'static str| {
+        let value = take_value(rest, flag);
+        if value.is_some() {
+            grid_flags.push(flag);
+        }
+        value
+    };
+    let devices = grid_value(&mut rest, "--devices")
         .map(|v| v.parse::<usize>())
         .transpose()?
         .unwrap_or(if smoke { 4 } else { 16 });
-    let n_jobs = take_value(&mut rest, "--njobs")
+    let n_jobs = grid_value(&mut rest, "--njobs")
         .map(|v| v.parse::<usize>())
         .transpose()?
         .unwrap_or(if smoke { 4000 } else { 1_000_000 });
-    let seed = take_value(&mut rest, "--seed")
+    let seed = grid_value(&mut rest, "--seed")
         .map(|v| v.parse::<u64>())
         .transpose()?
         .unwrap_or(20210301);
-    let bench: Benchmark = take_value(&mut rest, "--bench")
+    let bench: Benchmark = grid_value(&mut rest, "--bench")
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(Benchmark::Hybrid);
-    let rate: ArrivalRate = take_value(&mut rest, "--rate")
+    let rate: ArrivalRate = grid_value(&mut rest, "--rate")
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(ArrivalRate::High);
-    let policies: Vec<String> = take_value(&mut rest, "--policies")
+    let policies: Vec<String> = grid_value(&mut rest, "--policies")
         .map(|v| v.split(',').map(str::to_string).collect())
         .unwrap_or_else(|| {
             schedulers::routing::names().iter().map(|s| s.to_string()).collect()
@@ -103,6 +115,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         scenarios.push(arg.parse::<ClusterScenario>()?);
     }
+    if let Some(flag) = grid_flags.first().filter(|_| !scenarios.is_empty()) {
+        return Err(format!("`{flag}` only shapes the default grid, not positional cells").into());
+    }
     if scenarios.is_empty() {
         for policy in &policies {
             scenarios.push(ClusterScenario::new(policy, bench, rate, devices, n_jobs, seed));
@@ -111,9 +126,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut checkpoint = ckpt_path.map(|p| FleetCheckpoint::for_run(p, resume, "cluster"));
     eprintln!(
-        "[cluster] {} fidelity, {} cell(s) x {n_jobs} job(s) on {jobs} worker thread(s)",
-        fidelity,
-        scenarios.len()
+        "[cluster] {fidelity} fidelity, {} cell(s), {} job(s) on {jobs} worker thread(s)",
+        scenarios.len(),
+        scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
     let mut profile = FleetProfile::new("cluster");

@@ -23,6 +23,15 @@
 //! * Latency tails stream through [`StreamingQuantiles`] (p50/p99/p999),
 //!   merged across devices in device-index order, so a million-job run
 //!   reports SLO attainment without holding a million samples.
+//! * The arrival stream is generated as it is routed, a bounded chunk of
+//!   jobs at a time through one reused buffer, so a fault-free cell or one
+//!   with an injected plan ([`ClusterBuilder::fleet_faults`]) holds
+//!   per-device state, not per-job state, at any job count. A cell seeded
+//!   from its own `:fI` intensity still generates its whole stream before
+//!   routing: [`FleetFaultPlan::seeded`] spreads its windows over the
+//!   realized span, which is the last arrival. The detailed tier also
+//!   keeps every surviving booking for its phase-2 simulations, and an
+//!   observed run buffers its outcome events to sort them.
 //! * Finished cells persist through [`crate::checkpoint::FleetCheckpoint`]
 //!   (summary + sketch), the same crash-safe store the sweep binaries use,
 //!   so an interrupted grid resumes byte-identically.
@@ -354,45 +363,113 @@ fn materialize_job(
     .expect("calibrated specs materialize into valid jobs")
 }
 
-/// Generates the cluster arrival stream: `n_jobs` open-loop arrivals at
-/// `devices ×` the benchmark's Table 4 rate, each with a calibrated
-/// service estimate. Seeded by [`ClusterScenario::cell_seed`] only — the
-/// routing policy never perturbs the stream.
-fn generate_cluster_jobs(scenario: &ClusterScenario, suite: &BenchmarkSuite) -> Vec<ClusterJob> {
-    let mut rng = SimRng::seed_from(scenario.cell_seed());
-    let rate = scenario.bench.rate_jobs_per_sec(scenario.rate) * scenario.devices as f64;
-    // (variant, seq_len) -> service; at most a few dozen distinct chains.
-    let mut costs: BTreeMap<(u8, u32), Duration> = BTreeMap::new();
-    let mut now = Cycle::ZERO;
-    let mut out = Vec::with_capacity(scenario.n_jobs);
-    for i in 0..scenario.n_jobs {
-        now += rng.exp_interarrival(rate);
-        let spec = match scenario.bench {
-            Benchmark::Lstm => rnn_spec(RnnCell::Lstm, Hidden::H128, &mut rng),
-            Benchmark::Gru => rnn_spec(RnnCell::Gru, Hidden::H128, &mut rng),
-            Benchmark::Van => rnn_spec(RnnCell::Vanilla, Hidden::H256, &mut rng),
-            Benchmark::Hybrid => {
-                if i % 2 == 0 {
-                    rnn_spec(RnnCell::Lstm, Hidden::H128, &mut rng)
-                } else {
-                    rnn_spec(RnnCell::Gru, Hidden::H256, &mut rng)
-                }
-            }
-            Benchmark::FanOut => ChainSpec::Dag { width: sample_fanout_width(&mut rng) as u32 },
-            Benchmark::Ipa => ChainSpec::Dag { width: IPA_WIDTH as u32 },
-            _ => ChainSpec::Single,
+/// Jobs per refill of a streamed cell's arrival buffer (~128 KB of
+/// [`ClusterJob`]s): all such a cell ever holds of its arrival stream.
+const CHUNK: usize = 4096;
+
+/// Longest arrival stream a cell may carry: job ids are `u32`, so one more
+/// job would hand observers a duplicate id.
+const MAX_JOBS: u64 = 1 << 32;
+
+/// The cluster arrival stream as a resumable generator: `n_jobs` open-loop
+/// arrivals at `devices ×` the benchmark's Table 4 rate, each with a
+/// calibrated service estimate. Seeded by [`ClusterScenario::cell_seed`]
+/// only — the routing policy never perturbs the stream.
+///
+/// It generates `chunk` jobs at a time into one reused buffer and yields
+/// them in arrival order. The RNG, clock, job index and service memo carry
+/// over between refills, so the chunk size never changes a job. The first
+/// chunk is generated on construction, so a stream built with
+/// `chunk >= n_jobs` holds the whole stream in `buf` before it is read.
+struct JobStream<'a> {
+    suite: &'a BenchmarkSuite,
+    bench: Benchmark,
+    rng: SimRng,
+    /// Fleet-wide arrival rate, jobs per second.
+    rate: f64,
+    /// Arrival instant of the last job generated.
+    now: Cycle,
+    /// Index (and id) of the next job to generate.
+    next: usize,
+    n_jobs: usize,
+    chunk: usize,
+    /// (variant, seq_len) -> service; at most a few dozen distinct chains.
+    costs: BTreeMap<(u8, u32), Duration>,
+    /// The current chunk, and the position of the next job to yield in it.
+    buf: Vec<ClusterJob>,
+    pos: usize,
+}
+
+impl<'a> JobStream<'a> {
+    fn new(scenario: &ClusterScenario, suite: &'a BenchmarkSuite, chunk: usize) -> Self {
+        let mut stream = JobStream {
+            suite,
+            bench: scenario.bench,
+            rng: SimRng::seed_from(scenario.cell_seed()),
+            rate: scenario.bench.rate_jobs_per_sec(scenario.rate) * scenario.devices as f64,
+            now: Cycle::ZERO,
+            next: 0,
+            n_jobs: scenario.n_jobs,
+            chunk,
+            costs: BTreeMap::new(),
+            buf: Vec::new(),
+            pos: 0,
         };
-        let key = match spec {
-            ChainSpec::Single => (u8::MAX, 0),
-            ChainSpec::Rnn { cell, hidden, seq_len } => (variant_key(cell, hidden), seq_len),
-            ChainSpec::Dag { width } => (u8::MAX - 1, width),
-        };
-        let service_est = *costs
-            .entry(key)
-            .or_insert_with(|| chain_service(suite, spec, scenario.bench));
-        out.push(ClusterJob { id: i as u32, arrival: now, service_est, spec });
+        stream.refill();
+        stream
     }
-    out
+
+    /// Replaces the buffer's contents with the next chunk of the stream
+    /// (empty once the stream is exhausted).
+    fn refill(&mut self) {
+        self.buf.clear();
+        self.pos = 0;
+        let end = self.n_jobs.min(self.next.saturating_add(self.chunk));
+        self.buf.reserve_exact(end - self.next);
+        let (suite, bench) = (self.suite, self.bench);
+        for i in self.next..end {
+            self.now += self.rng.exp_interarrival(self.rate);
+            let rng = &mut self.rng;
+            let spec = match bench {
+                Benchmark::Lstm => rnn_spec(RnnCell::Lstm, Hidden::H128, rng),
+                Benchmark::Gru => rnn_spec(RnnCell::Gru, Hidden::H128, rng),
+                Benchmark::Van => rnn_spec(RnnCell::Vanilla, Hidden::H256, rng),
+                Benchmark::Hybrid => {
+                    if i % 2 == 0 {
+                        rnn_spec(RnnCell::Lstm, Hidden::H128, rng)
+                    } else {
+                        rnn_spec(RnnCell::Gru, Hidden::H256, rng)
+                    }
+                }
+                Benchmark::FanOut => ChainSpec::Dag { width: sample_fanout_width(rng) as u32 },
+                Benchmark::Ipa => ChainSpec::Dag { width: IPA_WIDTH as u32 },
+                _ => ChainSpec::Single,
+            };
+            let key = match spec {
+                ChainSpec::Single => (u8::MAX, 0),
+                ChainSpec::Rnn { cell, hidden, seq_len } => (variant_key(cell, hidden), seq_len),
+                ChainSpec::Dag { width } => (u8::MAX - 1, width),
+            };
+            let service_est =
+                *self.costs.entry(key).or_insert_with(|| chain_service(suite, spec, bench));
+            let id = u32::try_from(i).expect("ClusterBuilder::run bounds n_jobs by MAX_JOBS");
+            self.buf.push(ClusterJob { id, arrival: self.now, service_est, spec });
+        }
+        self.next = end;
+    }
+}
+
+impl Iterator for JobStream<'_> {
+    type Item = ClusterJob;
+
+    fn next(&mut self) -> Option<ClusterJob> {
+        if self.pos == self.buf.len() {
+            self.refill();
+        }
+        let job = self.buf.get(self.pos).copied()?;
+        self.pos += 1;
+        Some(job)
+    }
 }
 
 fn rnn_spec(cell: RnnCell, hidden: Hidden, rng: &mut SimRng) -> ChainSpec {
@@ -564,14 +641,28 @@ impl ClusterBuilder {
     /// one whose plan has no transitions, so an intensity-0 scenario is
     /// bit-identical to one that never mentions faults.
     ///
+    /// The engine generates the arrival stream as it routes it, a bounded
+    /// chunk of jobs at a time, so a fault-free cell or one with a plan
+    /// from [`ClusterBuilder::fleet_faults`] holds per-device state, not
+    /// per-job state, at any job count. A cell seeded from its own `:fI`
+    /// intensity is the exception: its plan spans the realized arrival
+    /// stream, so it generates the whole stream before the first arrival.
+    ///
     /// # Errors
     ///
     /// [`BenchError::UnknownPolicy`] for routing policies outside the
-    /// registry; [`BenchError::FleetKnob`] for zero slots or a jitter
-    /// outside `[0, 1)`; [`BenchError::FleetFault`] for an ill-formed fault
-    /// plan; [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
+    /// registry; [`BenchError::FleetKnob`] for zero slots, a jitter
+    /// outside `[0, 1)` or more than 2³² jobs (job ids are `u32`);
+    /// [`BenchError::FleetFault`] for an ill-formed fault plan;
+    /// [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
     /// detailed-tier devices.
     pub fn run(&self) -> Result<ClusterReport, BenchError> {
+        self.run_chunked(CHUNK)
+    }
+
+    /// [`ClusterBuilder::run`] with a streamed cell refilling `chunk` jobs
+    /// at a time.
+    fn run_chunked(&self, chunk: usize) -> Result<ClusterReport, BenchError> {
         let policy = routing::try_build(&self.scenario.policy)?;
         if self.slots == 0 {
             return Err(BenchError::FleetKnob { knob: "slots", value: self.slots.to_string() });
@@ -579,15 +670,24 @@ impl ClusterBuilder {
         if !(0.0..1.0).contains(&self.jitter) {
             return Err(BenchError::FleetKnob { knob: "jitter", value: self.jitter.to_string() });
         }
+        if self.scenario.n_jobs as u64 > MAX_JOBS {
+            let value = self.scenario.n_jobs.to_string();
+            return Err(BenchError::FleetKnob { knob: "n_jobs", value });
+        }
         let suite = BenchmarkSuite::calibrated();
-        let jobs = generate_cluster_jobs(&self.scenario, suite);
+        // Fault windows span the arrival stream, so a plan seeded from the
+        // cell's own intensity needs the whole stream generated as one chunk
+        // first; every other cell streams in bounded chunks.
+        let seeded = self.fleet_faults.is_none() && self.scenario.fault_milli > 0;
+        let chunk = if seeded { self.scenario.n_jobs } else { chunk };
+        let jobs = JobStream::new(&self.scenario, suite, chunk);
         let plan = match &self.fleet_faults {
             Some(p) => p.clone(),
-            None if self.scenario.fault_milli > 0 => {
-                // Fault windows span the arrival stream; the span is a pure
-                // function of the cell (arrivals are policy-blind), so the
-                // plan is too.
+            None if seeded => {
+                // The span is a pure function of the cell (arrivals are
+                // policy-blind), so the plan is too.
                 let span = jobs
+                    .buf
                     .last()
                     .map_or(Duration::ZERO, |j| j.arrival.saturating_since(Cycle::ZERO));
                 FleetFaultPlan::seeded(
@@ -624,7 +724,7 @@ impl ClusterBuilder {
     fn run_engine(
         &self,
         policy: routing::RoutePolicy,
-        jobs: Vec<ClusterJob>,
+        jobs: JobStream<'_>,
         suite: &BenchmarkSuite,
         plan: &FleetFaultPlan,
     ) -> Result<ClusterReport, BenchError> {
@@ -896,7 +996,7 @@ impl ClusterBuilder {
             }};
         }
 
-        for job in &jobs {
+        for job in jobs {
             let t_arr = job.arrival;
             // Transitions at or before the arrival, retries before it.
             replay!(|te| te <= t_arr, |tr| tr < t_arr);
@@ -965,7 +1065,6 @@ impl ClusterBuilder {
                 }
             }
         }
-        drop(jobs);
         // Drain what remains: the tail of the fault schedule and every
         // pending retry.
         replay!(|_| true, |_| true);
@@ -1617,6 +1716,97 @@ mod tests {
         ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7)
     }
 
+    /// The cell's arrival stream generated all at once, as one chunk.
+    fn whole_stream(s: &ClusterScenario) -> Vec<ClusterJob> {
+        JobStream::new(s, BenchmarkSuite::calibrated(), s.n_jobs).buf
+    }
+
+    /// Refill boundaries are invisible: the chunks of a streamed cell,
+    /// concatenated, are the whole stream job for job, at every length
+    /// around the chunk size. An odd chunk size too, because HYBRID
+    /// alternates variants by job index: a refill that restarted the index
+    /// would show only there.
+    #[test]
+    fn chunked_stream_concatenates_to_the_whole_stream() {
+        let suite = BenchmarkSuite::calibrated();
+        for bench in [Benchmark::Hybrid, Benchmark::FanOut, Benchmark::Ipv6] {
+            for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+                let s = ClusterScenario::new("RR", bench, ArrivalRate::High, 4, n, 7);
+                let whole = whole_stream(&s);
+                assert_eq!(whole.len(), n);
+                assert!(whole.iter().enumerate().all(|(i, j)| j.id as usize == i));
+                for chunk in [CHUNK, 7] {
+                    let mut stream = JobStream::new(&s, suite, chunk);
+                    let mut chunked = Vec::new();
+                    while !stream.buf.is_empty() {
+                        assert!(stream.buf.len() <= chunk, "{s}");
+                        chunked.extend_from_slice(&stream.buf);
+                        stream.refill();
+                    }
+                    assert_eq!(chunked, whole, "{s}/{chunk}: chunks must concatenate to it");
+                    let yielded: Vec<ClusterJob> = JobStream::new(&s, suite, chunk).collect();
+                    assert_eq!(yielded, whole, "{s}/{chunk}: the iterator must yield it");
+                }
+            }
+        }
+    }
+
+    /// Records every probe event with its instant.
+    #[derive(Default)]
+    struct EventLog(Vec<(Cycle, ProbeEvent)>);
+
+    impl Observer<ProbeEvent> for EventLog {
+        fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
+            self.0.push((at, event.clone()));
+        }
+    }
+
+    /// A cell seeded from its own intensity generates its whole stream as
+    /// one chunk; the same plan injected into the fault-free cell streams
+    /// in chunks. Both must produce the same report (but for the scenario
+    /// it names) and the same observed event stream, at both tiers.
+    #[test]
+    fn seeded_whole_stream_matches_the_chunked_injected_plan() {
+        // The detailed tier runs a full simulation per device, too slow for
+        // thousands of jobs in a test, so its cell streams in small chunks.
+        let cells = [
+            (Fidelity::Fast, Benchmark::Hybrid, ArrivalRate::High, 4, 3 * CHUNK + 7, CHUNK),
+            (Fidelity::Detailed, Benchmark::Ipv6, ArrivalRate::Low, 2, 3 * 8 + 3, 8),
+        ];
+        for (fidelity, bench, rate, devices, n, chunk) in cells {
+            for policy in ["RR", "LL"] {
+                let s = ClusterScenario::new(policy, bench, rate, devices, n, 7);
+                let span = whole_stream(&s).last().unwrap().arrival.saturating_since(Cycle::ZERO);
+                for milli in [1000, 2000] {
+                    let faulted = s.clone().with_fault_milli(milli);
+                    let plan = FleetFaultPlan::seeded(
+                        faulted.fault_seed(),
+                        faulted.fault_intensity(),
+                        span,
+                        devices as u32,
+                    );
+                    assert_ne!(plan, FleetFaultPlan::none(), "{faulted}: the plan must fault");
+                    let run = |builder: ClusterBuilder| {
+                        let log = Arc::new(Mutex::new(EventLog::default()));
+                        let builder = builder.fidelity(fidelity).observe(log.clone());
+                        let report = builder.run_chunked(chunk).unwrap();
+                        let events = std::mem::take(&mut log.lock().unwrap().0);
+                        (report, events)
+                    };
+                    let (seeded, seeded_events) = run(ClusterBuilder::new(faulted.clone()));
+                    let (chunked, chunked_events) =
+                        run(ClusterBuilder::new(s.clone()).fleet_faults(plan));
+                    assert_eq!(
+                        ClusterReport { scenario: s.clone(), ..seeded },
+                        chunked,
+                        "{faulted}: chunking must not change the report"
+                    );
+                    assert!(seeded_events == chunked_events, "{faulted}: event streams differ");
+                }
+            }
+        }
+    }
+
     #[test]
     fn cluster_scenario_round_trips_through_strings() {
         for s in [
@@ -1876,6 +2066,10 @@ mod tests {
             (base().jitter(1.5), "jitter"),
             (base().jitter(-0.1), "jitter"),
             (base().jitter(1.0), "jitter"),
+            (
+                ClusterBuilder::new(ClusterScenario { n_jobs: (1 << 32) + 1, ..scen("LL") }),
+                "n_jobs",
+            ),
         ] {
             for fidelity in [Fidelity::Fast, Fidelity::Detailed] {
                 let err = builder.clone().fidelity(fidelity).run().unwrap_err();
@@ -1897,7 +2091,7 @@ mod tests {
     #[test]
     fn booking_fate_boundary_is_the_crash_instant() {
         let s = ClusterScenario::new("RR", Benchmark::Stem, ArrivalRate::Low, 1, 1, 3);
-        let job = generate_cluster_jobs(&s, BenchmarkSuite::calibrated())[0];
+        let job = whole_stream(&s)[0];
         // Room for the retry to pass the laxity gate after a full service.
         assert!(job.service_est.as_cycles() * 2 < s.bench.deadline().as_cycles());
         let completion = job.arrival + job.service_est;
@@ -1922,7 +2116,7 @@ mod tests {
     /// Spans derive from the actual arrival stream so losses are
     /// guaranteed, not luck.
     fn mid_stream_crash(s: &ClusterScenario) -> FleetFaultPlan {
-        let jobs = generate_cluster_jobs(s, BenchmarkSuite::calibrated());
+        let jobs = whole_stream(s);
         let span = jobs.last().unwrap().arrival;
         let at = Cycle::from_cycles(span.as_cycles() / 4);
         let until = Cycle::from_cycles(span.as_cycles() / 2);
@@ -2024,7 +2218,7 @@ mod tests {
     #[test]
     fn shedding_under_degraded_capacity_is_opt_in() {
         let s = ClusterScenario::new("RR", Benchmark::Hybrid, ArrivalRate::High, 4, 2000, 7);
-        let jobs = generate_cluster_jobs(&s, BenchmarkSuite::calibrated());
+        let jobs = whole_stream(&s);
         let span = jobs.last().unwrap().arrival;
         let at = Cycle::from_cycles(span.as_cycles() / 8);
         let until = Cycle::from_cycles(span.as_cycles() * 7 / 8);
@@ -2053,7 +2247,7 @@ mod tests {
     #[test]
     fn detailed_chaos_conserves_jobs_across_both_phases() {
         let s = ClusterScenario::new("LOW", Benchmark::Ipv6, ArrivalRate::Low, 2, 24, 3);
-        let jobs = generate_cluster_jobs(&s, BenchmarkSuite::calibrated());
+        let jobs = whole_stream(&s);
         let span = jobs.last().unwrap().arrival;
         let plan = FleetFaultPlan {
             crashes: vec![DeviceCrash {
@@ -2145,7 +2339,7 @@ mod tests {
         .unwrap();
         assert_attribution_conserves(&plain);
         let s = ClusterScenario::new("LOW", Benchmark::Ipv6, ArrivalRate::Low, 2, 24, 3);
-        let jobs = generate_cluster_jobs(&s, BenchmarkSuite::calibrated());
+        let jobs = whole_stream(&s);
         let span = jobs.last().unwrap().arrival;
         let plan = FleetFaultPlan {
             crashes: vec![DeviceCrash {
@@ -2234,7 +2428,7 @@ mod tests {
     #[test]
     fn detailed_chaos_outcome_events_match_both_phases() {
         let s = ClusterScenario::new("LOW", Benchmark::Ipv6, ArrivalRate::Low, 2, 24, 3);
-        let jobs = generate_cluster_jobs(&s, BenchmarkSuite::calibrated());
+        let jobs = whole_stream(&s);
         let span = jobs.last().unwrap().arrival;
         let plan = FleetFaultPlan {
             crashes: vec![DeviceCrash {

@@ -171,6 +171,26 @@ cmp "$TMP/grid/cluster.txt" results/cluster.txt
 cmp "$TMP/grid/chaos.txt" results/chaos.txt
 echo "   regenerated cluster.txt and chaos.txt match the committed artifacts"
 
+echo "== tier1: fleet memory does not grow with job count =="
+# A fault-free fleet cell streams its arrivals through a bounded buffer, so
+# four times the jobs must peak at about the same resident set. Each cell
+# runs as its own child; its peak comes from the kernel's ru_maxrss.
+python3 - "$CLUSTER_BIN" "$TMP" <<'EOF'
+import os, subprocess, sys
+cluster, tmp = sys.argv[1], sys.argv[2]
+peaks = []
+for n in (1000000, 4000000):
+    cell = f"RR:HYBRID:high:d16:j{n}:s1"
+    child = subprocess.Popen([cluster, cell, "--out", f"{tmp}/mem/{n}.txt"],
+                             stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, (cell, status)
+    peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+    print(f"   {cell}: peak RSS {peaks[-1]:.1f} MB")
+assert peaks[1] <= peaks[0] + 16, f"4M-job cell peaks {peaks[1] - peaks[0]:.1f} MB above 1M"
+EOF
+echo "   fleet peak RSS is flat from 1M to 4M jobs"
+
 echo "== tier1: DAG sweep smoke + kill-and-resume + worker byte-identity =="
 DAG_BIN=target/release/dag
 # The graph-structured grid (2 schedulers x FANOUT x low rate). DAG cell
