@@ -1,11 +1,11 @@
 //! Microbenchmarks of the command-processor scheduling decisions.
 //!
 //! The paper's premise is that per-kernel scheduling decisions must happen
-//! at microsecond timescales (Section 1). These benches verify our LAX
-//! implementation's decision costs are comfortably inside that envelope
-//! even for the full 128-queue configuration: a priority-update tick over
-//! every busy queue, one admission evaluation, and one remaining-time
-//! estimate.
+//! at microsecond timescales (Section 1). These benches measure our LAX
+//! implementation's decision costs against that envelope, up to the full
+//! 128-queue configuration: a priority-update tick over every busy queue,
+//! one admission evaluation, and one remaining-time estimate
+//! (EXPERIMENTS.md, "Benchmarked decision costs").
 //!
 //! Self-hosted harness (no external deps; the registry is offline).
 

@@ -18,7 +18,6 @@
 //! The checkpoint is removed again once the run completes.
 use std::error::Error;
 use std::fs;
-use std::io::Write;
 
 use lax_bench::sweep;
 use lax_bench::Checkpoint;
@@ -64,23 +63,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     if max_batch > 0 {
         save(dir, "fig4", &lax_bench::figures::fig4(max_batch, jobs))?;
     }
-    let wall = t0.elapsed();
-    // Carry the previous profile's trajectory forward so the perf history
-    // across regenerations stays in the document.
-    let path = format!("{dir}/BENCH_throughput.json");
-    let previous = fs::read_to_string(&path).ok();
-    if let Some(json) = db.throughput_json(previous.as_deref()) {
-        fs::write(&path, json)?;
-        eprintln!("[all] wrote {path}");
-    }
-    let mut f = fs::File::create(format!("{dir}/SUMMARY.txt"))?;
-    writeln!(f, "full evaluation regenerated in {wall:?} on {jobs} worker thread(s)")?;
-    if let Some(profile) = db.profile_summary(10) {
-        writeln!(f, "\n{profile}")?;
-    }
     if let Some(ck) = db.checkpoint() {
         ck.discard_file()?;
     }
-    eprintln!("[all] done in {wall:?} ({} cells cached)", db.len());
+    eprintln!("[all] done in {:?} ({} cells cached)", t0.elapsed(), db.len());
     Ok(())
 }

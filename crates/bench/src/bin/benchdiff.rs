@@ -1,83 +1,43 @@
-//! Diffs two `BENCH_throughput.json` profiles so a perf PR's claim is
-//! mechanical instead of hand-waved.
+//! Compares two sides of the repository benchmark under its 10-pair rule.
 //!
 //! ```text
-//! benchdiff OLD.json NEW.json [--threshold PCT] [--summary SUMMARY.txt]
-//!           [--fail-on-regression] [--top N]
+//! benchdiff PARENT.jsonl CHANGE.jsonl
 //! ```
 //!
-//! Prints per-cell and geomean events/sec deltas, flags cells slower by
-//! more than the noise threshold (default 10%), and with `--summary`
-//! upserts the delta table between marker lines in `SUMMARY.txt`
-//! (idempotent; other sections untouched). `--fail-on-regression` exits
-//! non-zero when any cell trips the threshold, for use as a CI gate.
+//! Each file holds one benchmark result line per run (the JSON object the
+//! benchmark prints last); line `i` of both files is pair `i`. For every
+//! end-to-end metric of `BENCHMARK.json` it prints the parent's quartiles,
+//! the change's median, the pairs the change won and a verdict (gain,
+//! regression, unresolved, no regression); see [`lax_bench::benchdiff`].
+//! Exits 1 on a regression or a larger failed-operation share on the
+//! change side, 2 on unreadable or malformed input, 0 otherwise.
 
 use std::fs;
 use std::process::ExitCode;
 
-use lax_bench::benchdiff::diff;
+use lax_bench::benchdiff::{compare, rules, Report, BENCHMARK_JSON};
 
 fn main() -> ExitCode {
-    let mut files = Vec::new();
-    let mut threshold = 10.0f64;
-    let mut summary: Option<String> = None;
-    let mut fail_on_regression = false;
-    let mut top = 10usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threshold" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => threshold = t,
-                None => return usage("--threshold needs a numeric percent"),
-            },
-            "--summary" => match args.next() {
-                Some(p) => summary = Some(p),
-                None => return usage("--summary needs a path"),
-            },
-            "--top" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => top = n,
-                None => return usage("--top needs a count"),
-            },
-            "--fail-on-regression" => fail_on_regression = true,
-            _ if a.starts_with("--") => return usage(&format!("unknown flag {a}")),
-            _ => files.push(a),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [parent, change] = args.as_slice() else {
+        eprintln!("usage: benchdiff PARENT.jsonl CHANGE.jsonl");
+        return ExitCode::from(2);
+    };
+    match diff(parent, change) {
+        Ok(report) => {
+            print!("{}", report.render());
+            ExitCode::from(report.exit_code())
+        }
+        Err(e) => {
+            eprintln!("benchdiff: {e}");
+            ExitCode::from(2)
         }
     }
-    let [old_path, new_path] = files.as_slice() else {
-        return usage("expected exactly two BENCH_throughput.json paths");
-    };
-    let old_doc = match fs::read_to_string(old_path) {
-        Ok(d) => d,
-        Err(e) => return usage(&format!("cannot read {old_path}: {e}")),
-    };
-    let new_doc = match fs::read_to_string(new_path) {
-        Ok(d) => d,
-        Err(e) => return usage(&format!("cannot read {new_path}: {e}")),
-    };
-    let d = match diff(&old_doc, &new_doc, threshold / 100.0) {
-        Ok(d) => d,
-        Err(e) => return usage(&format!("parse error: {e}")),
-    };
-    print!("{}", d.render(top));
-    if let Some(path) = summary {
-        let existing = fs::read_to_string(&path).unwrap_or_default();
-        if let Err(e) = fs::write(&path, d.upsert_summary(&existing, top)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[benchdiff] upserted delta table into {path}");
-    }
-    if fail_on_regression && !d.regressions().is_empty() {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
-fn usage(err: &str) -> ExitCode {
-    eprintln!("benchdiff: {err}");
-    eprintln!(
-        "usage: benchdiff OLD.json NEW.json [--threshold PCT] [--summary SUMMARY.txt] \
-         [--fail-on-regression] [--top N]"
-    );
-    ExitCode::FAILURE
+fn diff(parent: &str, change: &str) -> Result<Report, String> {
+    let read =
+        |path: &str| fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let rules = rules(BENCHMARK_JSON).map_err(|e| e.to_string())?;
+    compare(&rules, &read(parent)?, &read(change)?).map_err(|e| e.to_string())
 }

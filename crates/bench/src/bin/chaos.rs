@@ -27,18 +27,12 @@
 //! rerunning with `--resume` keeps them and the final artifact is
 //! byte-identical to an uninterrupted run. On success the checkpoint is
 //! removed.
-//!
-//! Per-cell wall-clock profiles of executed (not restored) cells are
-//! merged into `BENCH_cluster.json` next to `--out` (preserving the
-//! `cluster` sweep's cells) and a slowest-cells table is upserted into
-//! `SUMMARY.txt` there.
 
 use std::error::Error;
 use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterScenario};
-use lax_bench::profile::FleetProfile;
 use lax_bench::sweep::{self, take_flag, take_value, write_output};
 use sim_core::time::Duration;
 use workloads::spec::{intensity_to_milli, ArrivalRate, Benchmark};
@@ -140,7 +134,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
-    let mut profile = FleetProfile::new("chaos");
     let mut reports = Vec::with_capacity(scenarios.len());
     for scenario in &scenarios {
         let key = scenario.to_string();
@@ -170,7 +163,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             builder = builder.retry_backoff(Duration::from_us(us));
         }
         let report = builder.run()?;
-        profile.record(&key, report.total, report.events, cell_t0.elapsed());
         eprintln!(
             "[chaos] {key}: attain {:.4}, lost {}, retried {} in {:?}",
             report.attainment(),
@@ -193,8 +185,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     text.push_str(&format!("# fidelity: {fidelity}\n"));
     text.push_str(&chaos_table(&reports).render());
     write_output(&out, &text)?;
-    let results_dir = out.parent().filter(|d| !d.as_os_str().is_empty());
-    profile.write_artifacts(results_dir.unwrap_or_else(|| std::path::Path::new(".")), 10)?;
     if let Some(ckpt) = checkpoint.as_ref() {
         ckpt.discard_file()?;
     }

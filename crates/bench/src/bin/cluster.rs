@@ -26,17 +26,12 @@
 //! rerunning with `--resume` keeps them and the final artifact is
 //! byte-identical to an uninterrupted run. On success the checkpoint is
 //! removed.
-//!
-//! Per-cell wall-clock profiles of executed (not restored) cells are
-//! merged into `BENCH_cluster.json` next to `--out` and a slowest-cells
-//! table is upserted into `SUMMARY.txt` there.
 
 use std::error::Error;
 use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
-use lax_bench::profile::FleetProfile;
 use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
 use lax_bench::sweep::{self, take_flag, take_value, write_output};
 use workloads::spec::{ArrivalRate, Benchmark};
@@ -131,7 +126,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
-    let mut profile = FleetProfile::new("cluster");
     let mut reports = Vec::with_capacity(scenarios.len());
     for scenario in &scenarios {
         let key = scenario.to_string();
@@ -152,7 +146,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             builder = builder.jitter(j);
         }
         let report = builder.run()?;
-        profile.record(&key, report.total, report.events, cell_t0.elapsed());
         eprintln!(
             "[cluster] {key}: attain {:.4}, p999 {:.1}us in {:?}",
             report.attainment(),
@@ -172,8 +165,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     text.push_str(&format!("# fidelity: {fidelity}\n"));
     text.push_str(&cluster_table(&reports).render());
     write_output(&out, &text)?;
-    let results_dir = out.parent().filter(|d| !d.as_os_str().is_empty());
-    profile.write_artifacts(results_dir.unwrap_or_else(|| std::path::Path::new(".")), 10)?;
     if let Some(ckpt) = checkpoint.as_ref() {
         ckpt.discard_file()?;
     }

@@ -5,8 +5,8 @@
 //! interrupted run restarted with `--resume` reloads the file and re-runs
 //! only the missing cells. One keyed [`Store`] does this for every binary,
 //! generic over a per-record [`Codec`] that owns only the body format:
-//! [`SweepCodec`] stores a [`SimReport`] plus an optional [`CellProfile`]
-//! ([`Checkpoint`]), and [`FleetCodec`] stores a [`ClusterReport`]
+//! [`SweepCodec`] stores a [`SimReport`] ([`Checkpoint`]), and
+//! [`FleetCodec`] stores a [`ClusterReport`]
 //! ([`FleetCheckpoint`]). Three properties make the store safe to lean on:
 //!
 //! * **Exact round-trip.** Resumed runs must stay byte-identical to
@@ -229,31 +229,21 @@ fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-/// Per-cell execution profile: how long the cell took to simulate and how
-/// many fault-injected retries it needed. Persisted alongside the report so
-/// a resumed sweep can still render the slowest-cells table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellProfile {
-    /// Wall-clock time spent simulating the cell (including retries).
-    pub wall: std::time::Duration,
-    /// Extra attempts beyond the first (0 for a clean first run).
-    pub retries: u32,
-}
-
-/// The sweep record: a [`SimReport`] and, for cells `all` profiled, its
-/// [`CellProfile`]. Free-text fields (the scheduler name, each job's
-/// benchmark label) end their lines so embedded spaces survive.
+/// The sweep record: a [`SimReport`]. Free-text fields (the scheduler name,
+/// each job's benchmark label) end their lines so embedded spaces survive.
 #[derive(Debug)]
 pub struct SweepCodec;
 
 impl Codec for SweepCodec {
-    type Record = (SimReport, Option<CellProfile>);
+    type Record = SimReport;
 
-    /// v2 added the `events` summary field and the optional `profile`
-    /// line; v1 files read as empty (their cells simply re-run).
+    /// v2 added the `events` summary field and an optional `profile` line
+    /// (one timed run per cell), which is no longer written and is skipped
+    /// on read, so files that carry it still resume; v1 files read as
+    /// empty (their cells simply re-run).
     const HEADER: &'static str = "lax-bench-checkpoint v2";
 
-    fn render(out: &mut String, (r, profile): &Self::Record) {
+    fn render(out: &mut String, r: &Self::Record) {
         let _ = writeln!(out, "scheduler {}", r.scheduler);
         let _ = writeln!(
             out,
@@ -266,11 +256,6 @@ impl Codec for SweepCodec {
             r.events,
             r.records.len()
         );
-        if let Some(p) = profile {
-            // Wall-clock as exact nanoseconds so resumed runs reload the
-            // same profile the original run measured.
-            let _ = writeln!(out, "profile {:x} {}", p.wall.as_nanos(), p.retries);
-        }
         for rec in &r.records {
             let _ = write!(
                 out,
@@ -305,15 +290,15 @@ impl Codec for SweepCodec {
         if s.next().is_some() {
             return None;
         }
-        let (profile, jobs) = match rest.split_first() {
-            Some((line, jobs)) if line.starts_with("profile ") => (Some(parse_profile(line)?), jobs),
-            _ => (None, rest),
+        let jobs = match rest.split_first() {
+            Some((line, jobs)) if line.starts_with("profile ") => jobs,
+            _ => rest,
         };
         if jobs.len() != n_records {
             return None;
         }
         let records = jobs.iter().map(|line| parse_job(line)).collect::<Option<Vec<_>>>()?;
-        let report = SimReport {
+        Some(SimReport {
             scheduler,
             records,
             makespan,
@@ -322,19 +307,8 @@ impl Codec for SweepCodec {
             l1_hit_rate,
             l2_hit_rate,
             events,
-        };
-        Some((report, profile))
+        })
     }
-}
-
-fn parse_profile(line: &str) -> Option<CellProfile> {
-    let mut p = line.strip_prefix("profile ")?.split(' ');
-    let nanos = u128::from_str_radix(p.next()?, 16).ok()?;
-    let retries = p.next()?.parse().ok()?;
-    if p.next().is_some() {
-        return None;
-    }
-    Some(CellProfile { wall: std::time::Duration::from_nanos(u64::try_from(nanos).ok()?), retries })
 }
 
 fn parse_job(line: &str) -> Option<JobRecord> {
@@ -513,10 +487,6 @@ mod tests {
         }
     }
 
-    fn profile() -> CellProfile {
-        CellProfile { wall: std::time::Duration::from_nanos(1_234_567_891), retries: 3 }
-    }
-
     /// The fleet cells the cluster tests use: a fault-free LL cell and a
     /// faulted RR cell with losses, retries and every miss counter.
     fn fleet_reports() -> Vec<ClusterReport> {
@@ -534,22 +504,18 @@ mod tests {
         std::env::temp_dir().join(format!("lax-ckpt-{name}-{}", std::process::id()))
     }
 
-    fn report_of(ck: &Checkpoint, key: &str) -> Option<SimReport> {
-        ck.get(key).map(|(r, _)| r.clone())
-    }
-
     #[test]
     fn restores_reports_bit_exactly() {
         let path = tmp_path("roundtrip");
         let mut ck = Checkpoint::open(&path);
         let a = report("LAX", 7);
         let b = report("RR with spaces", 3);
-        ck.record("LAX:IPV6:high:j128:s42", (a.clone(), None)).unwrap();
-        ck.record("RR:IPV6:high:j128:s42:f0.5", (b.clone(), None)).unwrap();
+        ck.record("LAX:IPV6:high:j128:s42", a.clone()).unwrap();
+        ck.record("RR:IPV6:high:j128:s42:f0.5", b.clone()).unwrap();
         let reloaded = Checkpoint::open(&path);
         assert_eq!(reloaded.len(), 2);
-        assert_eq!(report_of(&reloaded, "LAX:IPV6:high:j128:s42"), Some(a));
-        assert_eq!(report_of(&reloaded, "RR:IPV6:high:j128:s42:f0.5"), Some(b));
+        assert_eq!(reloaded.get("LAX:IPV6:high:j128:s42").cloned(), Some(a));
+        assert_eq!(reloaded.get("RR:IPV6:high:j128:s42:f0.5").cloned(), Some(b));
         ck.discard_file().unwrap();
         assert!(!path.exists());
     }
@@ -558,11 +524,11 @@ mod tests {
     fn recording_twice_overwrites_in_place() {
         let path = tmp_path("overwrite");
         let mut ck = Checkpoint::open(&path);
-        ck.record("k", (report("A", 2), None)).unwrap();
-        ck.record("k", (report("B", 1), None)).unwrap();
+        ck.record("k", report("A", 2)).unwrap();
+        ck.record("k", report("B", 1)).unwrap();
         let reloaded = Checkpoint::open(&path);
         assert_eq!(reloaded.len(), 1);
-        assert_eq!(report_of(&reloaded, "k").unwrap().scheduler, "B");
+        assert_eq!(reloaded.get("k").unwrap().scheduler, "B");
         ck.discard_file().unwrap();
     }
 
@@ -580,7 +546,7 @@ mod tests {
     fn torn_or_corrupt_cells_are_dropped_without_losing_good_ones() {
         let path = tmp_path("torn");
         let mut ck = Checkpoint::open(&path);
-        ck.record("good", (report("LAX", 2), None)).unwrap();
+        ck.record("good", report("LAX", 2)).unwrap();
         // Simulate a corrupted tail: a cell whose job count lies, then an
         // unterminated block (as if truncated mid-write).
         let mut text = fs::read_to_string(&path).unwrap();
@@ -609,20 +575,6 @@ mod tests {
         let survivor = reloaded.cells().next().unwrap().1;
         assert!(reports.contains(survivor));
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn profiles_round_trip_and_are_optional() {
-        let path = tmp_path("profiles");
-        let mut ck = Checkpoint::open(&path);
-        let r = report("LAX", 2);
-        ck.record("with", (r.clone(), Some(profile()))).unwrap();
-        ck.record("without", (r.clone(), None)).unwrap();
-        let reloaded = Checkpoint::open(&path);
-        assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded.get("with"), Some(&(r.clone(), Some(profile()))));
-        assert_eq!(reloaded.get("without"), Some(&(r.clone(), None)));
-        ck.discard_file().unwrap();
     }
 
     #[test]
@@ -664,7 +616,7 @@ mod tests {
     fn no_tmp_file_left_behind() {
         let path = tmp_path("tmpclean");
         let mut ck = Checkpoint::open(&path);
-        ck.record("k", (report("A", 1), None)).unwrap();
+        ck.record("k", report("A", 1)).unwrap();
         assert!(!path.with_extension("tmp").exists());
         ck.discard_file().unwrap();
     }
@@ -673,7 +625,7 @@ mod tests {
     fn a_fresh_run_discards_and_a_resumed_run_keeps() {
         let path = tmp_path("for-run");
         let mut ck = Checkpoint::open(&path);
-        ck.record("k", (report("A", 1), None)).unwrap();
+        ck.record("k", report("A", 1)).unwrap();
         assert_eq!(Checkpoint::for_run(&path, true, "test").len(), 1, "--resume keeps cells");
         assert!(Checkpoint::for_run(&path, false, "test").is_empty(), "fresh runs start empty");
         assert!(!path.exists(), "the stale file is gone");
@@ -755,17 +707,34 @@ end
     fn files_written_by_the_previous_stores_still_resume() {
         let sweep = parse_file::<SweepCodec>(PARENT_SWEEP_FILE);
         assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep["LAX:IPV6:high:j128:s42"], (report("LAX", 4), Some(profile())));
-        assert_eq!(sweep["RR:IPV6:high:j128:s42:f0.5"], (report("RR with spaces", 2), None));
+        assert_eq!(sweep["LAX:IPV6:high:j128:s42"], report("LAX", 4));
+        assert_eq!(sweep["RR:IPV6:high:j128:s42:f0.5"], report("RR with spaces", 2));
         let fleet = parse_file::<FleetCodec>(PARENT_FLEET_FILE);
         assert_eq!(fleet.values().cloned().collect::<Vec<_>>(), fleet_reports());
+    }
+
+    #[test]
+    fn a_parent_profile_line_is_skipped_and_never_written() {
+        // The parent file's first cell carries `profile 499602d3 3` (one
+        // timed run per cell, no longer stored): it loads to the same
+        // report as the cell without the line.
+        assert!(PARENT_SWEEP_FILE.contains("\nprofile 499602d3 3\n"));
+        let without = PARENT_SWEEP_FILE.replace("profile 499602d3 3\n", "");
+        assert_eq!(parse_file::<SweepCodec>(PARENT_SWEEP_FILE), parse_file::<SweepCodec>(&without));
+        truncation_keeps_only_intact_cells::<SweepCodec>(PARENT_SWEEP_FILE);
+        // Rendering that cell now gives the parent's bytes minus the line.
+        let mut store = Store::<SweepCodec> { path: PathBuf::new(), cells: BTreeMap::new() };
+        store.cells = parse_file::<SweepCodec>(PARENT_SWEEP_FILE);
+        let rendered = store.render();
+        assert!(!rendered.contains("profile"), "{rendered}");
+        assert_eq!(rendered, without);
     }
 
     /// Renders both kinds of file through a real store, for the fuzzers.
     fn sample_files() -> (String, String) {
         let mut sweep = Store::<SweepCodec> { path: PathBuf::new(), cells: BTreeMap::new() };
-        sweep.cells.insert("LAX:IPV6:high:j128:s42".into(), (report("LAX", 5), Some(profile())));
-        sweep.cells.insert("RR:IPV6:high:j128:s42:f0.5".into(), (report("RR with spaces", 3), None));
+        sweep.cells.insert("LAX:IPV6:high:j128:s42".into(), report("LAX", 5));
+        sweep.cells.insert("RR:IPV6:high:j128:s42:f0.5".into(), report("RR with spaces", 3));
         let mut fleet = Store::<FleetCodec> { path: PathBuf::new(), cells: BTreeMap::new() };
         for r in fleet_reports() {
             fleet.cells.insert(r.scenario.to_string(), r);

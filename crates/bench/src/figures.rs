@@ -396,16 +396,16 @@ fn run_checkpointed(
     let keys: Vec<String> = cells.iter().map(Scenario::to_string).collect();
     let mut reports: Vec<Option<SimReport>> = keys
         .iter()
-        .map(|key| checkpoint.as_ref().and_then(|ck| ck.get(key)).map(|(r, _)| r.clone()))
+        .map(|key| checkpoint.as_ref().and_then(|ck| ck.get(key)).cloned())
         .collect();
     let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
     let results = par_map_with(
         &missing,
         workers,
         |&idx| run_cell_opts(&cells[idx], &SweepOptions::new(1)),
-        |i, r: &Result<SimReport, BenchError>, _| {
+        |i, r: &Result<SimReport, BenchError>| {
             if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                if let Err(e) = ck.record(&keys[missing[i]], (report.clone(), None)) {
+                if let Err(e) = ck.record(&keys[missing[i]], report.clone()) {
                     eprintln!("warning: checkpoint write failed: {e}");
                 }
             }
@@ -623,12 +623,12 @@ mod tests {
         let partial_cells: Vec<(String, SimReport)> = ck
             .cells()
             .take(2)
-            .map(|(k, (r, _))| (k.to_string(), r.clone()))
+            .map(|(k, r)| (k.to_string(), r.clone()))
             .collect();
         std::fs::remove_file(&path).unwrap();
         let mut partial = Checkpoint::open(&path);
         for (k, r) in partial_cells {
-            partial.record(&k, (r, None)).unwrap();
+            partial.record(&k, r).unwrap();
         }
         let resumed = faults(&grid, 2, Some(&mut partial)).unwrap();
         assert_eq!(resumed, serial, "resume from a partial checkpoint must be byte-identical");

@@ -24,7 +24,6 @@ pub mod benchdiff;
 pub mod checkpoint;
 pub mod cluster;
 pub mod figures;
-pub mod profile;
 pub mod runner;
 pub mod scenario_file;
 pub mod sweep;

@@ -53,7 +53,7 @@ use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration as WallDuration, Instant};
+use std::time::Duration as WallDuration;
 
 use gpu_sim::prelude::*;
 use schedulers::registry::{self, UnknownScheduler};
@@ -647,8 +647,6 @@ pub struct Progress<'a> {
     pub total: usize,
     /// The cell that just finished.
     pub scenario: &'a Scenario,
-    /// Wall time this cell took on its worker.
-    pub cell_wall: WallDuration,
     /// Whether the cell produced a report (vs a [`BenchError`]).
     pub ok: bool,
 }
@@ -681,7 +679,7 @@ fn par_map_catching<T, R, F>(
     items: &[T],
     jobs: usize,
     f: F,
-    mut on_done: impl FnMut(usize, &R, WallDuration),
+    mut on_done: impl FnMut(usize, &R),
 ) -> (Vec<R>, Option<String>)
 where
     T: Sync,
@@ -690,7 +688,7 @@ where
 {
     let jobs = jobs.clamp(1, items.len().max(1));
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R, WallDuration)>();
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     let mut callback_panic: Option<String> = None;
     std::thread::scope(|scope| {
@@ -703,18 +701,16 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let t0 = Instant::now();
                 let r = f(&items[i]);
-                if tx.send((i, r, t0.elapsed())).is_err() {
+                if tx.send((i, r)).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        while let Ok((i, r, wall)) = rx.recv() {
+        while let Ok((i, r)) = rx.recv() {
             if callback_panic.is_none() {
-                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| on_done(i, &r, wall)))
-                {
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| on_done(i, &r))) {
                     callback_panic = Some(panic_message(&*payload));
                 }
             }
@@ -729,7 +725,7 @@ where
 }
 
 /// Fans `items` across `jobs` scoped worker threads and returns `f(item)`
-/// for each, **in input order**. `on_done(index, wall)` fires on the
+/// for each, **in input order**. `on_done(index, result)` fires on the
 /// calling thread as each item finishes (completion order).
 ///
 /// The engine underneath [`run_sweep`], exposed for sweeps whose cells are
@@ -745,7 +741,7 @@ pub fn par_map_with<T, R, F>(
     items: &[T],
     jobs: usize,
     f: F,
-    on_done: impl FnMut(usize, &R, WallDuration),
+    on_done: impl FnMut(usize, &R),
 ) -> Vec<R>
 where
     T: Sync,
@@ -766,7 +762,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with(items, jobs, f, |_, _, _| {})
+    par_map_with(items, jobs, f, |_, _| {})
 }
 
 /// Robustness knobs for a sweep: worker count, per-cell panic isolation
@@ -817,26 +813,15 @@ impl SweepOptions {
 ///
 /// Everything [`run_cell`] reports, plus [`BenchError::Panicked`].
 pub fn run_cell_opts(scenario: &Scenario, opts: &SweepOptions) -> Result<SimReport, BenchError> {
-    run_cell_profiled(scenario, opts).0
-}
-
-/// [`run_cell_opts`], additionally reporting how many attempts the cell
-/// consumed (1 for a clean first run; retries = attempts − 1). The sweep
-/// profiler records this into the checkpoint so resumed runs still know
-/// which cells were flaky.
-pub fn run_cell_profiled(
-    scenario: &Scenario,
-    opts: &SweepOptions,
-) -> (Result<SimReport, BenchError>, u32) {
     let attempts = opts.retries.saturating_add(1);
     let mut last_panic = String::new();
-    for attempt in 1..=attempts {
+    for _ in 0..attempts {
         match panic::catch_unwind(AssertUnwindSafe(|| run_cell(scenario, &opts.run))) {
-            Ok(result) => return (result, attempt),
+            Ok(result) => return result,
             Err(payload) => last_panic = panic_message(&*payload),
         }
     }
-    (Err(BenchError::Panicked { attempts, message: last_panic }), attempts)
+    Err(BenchError::Panicked { attempts, message: last_panic })
 }
 
 /// Runs every scenario on a pool of `jobs` worker threads, returning the
@@ -877,15 +862,9 @@ pub fn run_sweep_opts<'s>(
         scenarios,
         opts.jobs,
         |s| run_cell_opts(s, opts),
-        |i, r, cell_wall| {
+        |i, r| {
             done += 1;
-            on_progress(Progress {
-                done,
-                total,
-                scenario: &scenarios[i],
-                cell_wall,
-                ok: r.is_ok(),
-            });
+            on_progress(Progress { done, total, scenario: &scenarios[i], ok: r.is_ok() });
         },
     );
     match callback_panic {
@@ -1331,8 +1310,8 @@ mod tests {
         // panic on the caller, and the retry loop converts it.
         let s = panicking("RR");
         let opts = SweepOptions::new(1).retries(0).cell_deadline(WallDuration::from_secs(300));
-        match run_cell_profiled(&s, &opts) {
-            (Err(BenchError::Panicked { attempts: 1, message }), 1) => {
+        match run_cell_opts(&s, &opts) {
+            Err(BenchError::Panicked { attempts: 1, message }) => {
                 assert!(message.contains("capacity overflow"), "{message}");
             }
             other => panic!("expected Panicked after 1 attempt, got {other:?}"),

@@ -15,7 +15,6 @@ use crate::queue::{ActiveJob, ComputeQueue};
 use crate::scheduler::Admission;
 use crate::sim::SchedulerMode;
 use crate::state::{self, SimState};
-use crate::timeline::TimelineKind;
 
 /// CP frontend state: the queue-starved backlog and the single shared
 /// inspection engine's busy horizon.
@@ -35,7 +34,6 @@ impl CpFrontend {
 /// A job hit its arrival time: route it to the CP (bind or backlog) or to
 /// the host model, depending on which side owns scheduling.
 pub(crate) fn on_arrival(st: &mut SimState, fx: &mut Effects<'_>, idx: u32, now: Cycle) {
-    st.shared.mark(now, JobId(idx), TimelineKind::Arrived);
     st.shared
         .probes
         .emit_with(now, || ProbeEvent::JobArrived { job: JobId(idx) });
@@ -92,7 +90,6 @@ pub(crate) fn admit(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycl
     match decision {
         Admission::Accept => {
             let id = st.shared.queues[q].job().job.id;
-            st.shared.mark(now, id, TimelineKind::Admitted);
             st.shared
                 .probes
                 .emit_with(now, || ProbeEvent::CpDecision { job: id, queue: q, admitted: true });
@@ -104,7 +101,6 @@ pub(crate) fn admit(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycl
         Admission::Reject => {
             let a = st.shared.queues[q].active.take().expect("admitting an empty queue");
             st.shared.queue_of_job.remove(&a.job.id);
-            st.shared.mark(now, a.job.id, TimelineKind::Rejected);
             let id = a.job.id;
             st.shared
                 .probes

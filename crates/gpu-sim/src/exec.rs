@@ -30,7 +30,6 @@ use crate::probe::ProbeEvent;
 use crate::sim::SchedulerMode;
 use crate::slab::{Slab, SlabKey};
 use crate::state::{self, SimState};
-use crate::timeline::TimelineKind;
 use crate::wave::{KernelRun, WaveState, Wavefront, WorkgroupRun};
 
 /// One SIMD unit's next predicted segment completion. The sequence stamp
@@ -489,7 +488,6 @@ fn complete_kernel(st: &mut SimState, fx: &mut Effects<'_>, q: usize, run_key: S
         a.complete_stage(kernel_idx);
         (a.is_complete(), a.job.graph().on_critical_path(kernel_idx))
     };
-    st.shared.mark(now, job_id, TimelineKind::KernelEnd(kernel_idx));
     st.shared.probes.emit_with(now, || ProbeEvent::KernelCompleted {
         job: job_id,
         queue: q,
@@ -515,7 +513,6 @@ fn complete_job(st: &mut SimState, fx: &mut Effects<'_>, q: usize, job_id: JobId
     } else if matches!(st.shared.mode, SchedulerMode::Host(_)) {
         host::complete_real(st, fx, job_id, now);
     } else {
-        st.shared.mark(now, job_id, TimelineKind::Completed);
         st.shared.resolve(job_id, JobFate::Completed(now), now);
     }
     cp_frontend::pump(st, fx, now);

@@ -198,7 +198,6 @@ use crate::job::{JobFate, JobState};
 use crate::queue::{ActiveJob, ComputeQueue};
 use crate::sim::SchedulerMode;
 use crate::state::{self, SimState};
-use crate::timeline::TimelineKind;
 
 /// Synthetic job ids (host-launched individual kernels / batches) start here.
 pub(crate) const SYNTH_BASE: u32 = 1 << 30;
@@ -280,7 +279,6 @@ fn apply_cmd(st: &mut SimState, fx: &mut Effects<'_>, cmd: HostCmd, now: Cycle) 
                 return; // can only reject before any work ran
             }
             hj.rejected = true;
-            st.shared.mark(now, j, TimelineKind::Rejected);
             st.shared.resolve(j, JobFate::Rejected(now), now);
         }
         HostCmd::Launch { job, kernel_idx, extra, prio } => {

@@ -105,7 +105,6 @@ pub mod sim;
 pub mod simd;
 pub mod slab;
 mod state;
-pub mod timeline;
 pub mod wave;
 
 /// Commonly used items, re-exported.

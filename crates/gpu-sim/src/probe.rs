@@ -1,12 +1,20 @@
 //! Typed probe events and bundled observers for the GPU simulator.
 //!
 //! The simulation embeds a [`sim_core::probe::ProbeHub`] and fires a
-//! [`ProbeEvent`] at every interesting hardware moment: CP scheduling
-//! decisions, workgroup dispatch/retire, wavefront issue, memory accesses,
-//! fault injections, and a periodic [`MetricsSnapshot`] piggybacked on the
-//! existing counter-refresh tick. Probes never schedule simulator events or
-//! mutate simulator state, so an attached observer cannot perturb results —
-//! the bit-identity test in `sim.rs` pins that contract.
+//! [`ProbeEvent`] at every interesting hardware moment: job arrivals, CP
+//! scheduling decisions, kernel start/complete, workgroup dispatch/retire,
+//! wavefront issue, memory accesses, fault injections, each real job's
+//! fate ([`ProbeEvent::JobResolved`]), and a periodic [`MetricsSnapshot`]
+//! piggybacked on the existing counter-refresh tick. Probes never schedule
+//! simulator events or mutate simulator state, so an attached observer
+//! cannot perturb results — the bit-identity test in `sim.rs` pins that
+//! contract.
+//!
+//! A job's lifecycle is `JobArrived`, then `KernelStarted` /
+//! `KernelCompleted` per stage, then exactly one `JobResolved` carrying the
+//! same fate and instant as its [`crate::metrics::JobRecord`]; an observer
+//! over those events is all a per-job Gantt chart needs (see
+//! `examples/scheduling_story.rs`).
 //!
 //! Two ready-made observers live here:
 //!
@@ -26,7 +34,7 @@ use sim_core::probe::Observer;
 use sim_core::time::{Cycle, Duration};
 use sim_core::trace::TraceSeries;
 
-use crate::job::JobId;
+use crate::job::{JobFate, JobId};
 use crate::memory::AccessMix;
 use crate::slab::SlabKey;
 
@@ -82,6 +90,16 @@ pub enum ProbeEvent {
         /// `true` when the stage lies on the job's workgroup-weighted
         /// critical path (always `true` for chain jobs).
         critical: bool,
+    },
+    /// A real job's fate was sealed: completed, rejected (by the CP or the
+    /// host scheduler) or aborted (LAX-DROP). Fired exactly once per real
+    /// job, at the instant its fate carries; synthetic host launches never
+    /// fire it.
+    JobResolved {
+        /// The resolved job.
+        job: JobId,
+        /// Its fate, equal to the run report's record for this job.
+        fate: JobFate,
     },
     /// A workgroup was placed on compute unit `cu`.
     WgDispatched {

@@ -30,7 +30,6 @@ use crate::probe::ProbeEvent;
 use crate::queue::ComputeQueue;
 use crate::scheduler::{CpScheduler, RoundRobin};
 use crate::state::{Shared, SimState};
-use crate::timeline::Timeline;
 
 /// Which side owns scheduling decisions.
 pub enum SchedulerMode {
@@ -73,9 +72,6 @@ pub struct SimParams {
     /// Offline per-class isolated rates (WGs/us) for profile-driven
     /// schedulers, typically measured by [`run_isolated`].
     pub offline_rates: Vec<(KernelClassId, f64)>,
-    /// Record a per-job [`Timeline`] (arrivals, admissions, kernel spans),
-    /// retrievable with [`Simulation::take_timeline`] after the run.
-    pub record_timeline: bool,
     /// Deterministic fault schedule. [`FaultPlan::none`] (the default)
     /// schedules no events and is bit-identical to a build without faults.
     pub faults: FaultPlan,
@@ -95,7 +91,6 @@ impl Default for SimParams {
             profiling_period: Duration::from_us(100),
             horizon: None,
             offline_rates: Vec::new(),
-            record_timeline: false,
             faults: FaultPlan::none(),
             event_budget: None,
             max_backlog: None,
@@ -199,13 +194,6 @@ impl SimBuilder {
     /// schedulers (typically from [`run_isolated`]).
     pub fn offline_rates(mut self, rates: Vec<(KernelClassId, f64)>) -> Self {
         self.params.offline_rates = rates;
-        self
-    }
-
-    /// Records a per-job [`Timeline`], retrievable with
-    /// [`Simulation::take_timeline`] after the run.
-    pub fn record_timeline(mut self, record: bool) -> Self {
-        self.params.record_timeline = record;
         self
     }
 
@@ -330,7 +318,6 @@ impl SimBuilder {
             records,
             resolved: 0,
             queue_of_job: std::collections::HashMap::new(),
-            timeline: params.record_timeline.then(Timeline::new),
             probes: ProbeHub::new(),
             total_wgs: 0,
             last_resolution: Cycle::ZERO,
@@ -412,12 +399,6 @@ impl Simulation {
     pub fn try_run(&mut self) -> Result<SimReport, SimError> {
         engine::run(&mut self.engine, &mut self.st)?;
         Ok(self.report())
-    }
-
-    /// Takes the recorded timeline (if [`SimParams::record_timeline`] was
-    /// set), leaving `None` behind. Call after [`Simulation::run`].
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.st.shared.timeline.take()
     }
 
     /// Attaches a probe observer to the running (or not-yet-run) simulation.

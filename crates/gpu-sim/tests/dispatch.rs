@@ -2,10 +2,11 @@
 //! priority ordering, blocking, inspection latency, backlog handling and
 //! partial workgroup dispatch.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use gpu_sim::scheduler::{Admission, CpContext, CpScheduler};
+use sim_core::probe::Observer;
 
 fn kernel(class: u16, issue: u64, threads: u32) -> Arc<KernelDesc> {
     Arc::new(KernelDesc::new(
@@ -235,34 +236,46 @@ fn round_robin_interleaves_equal_priority_queues() {
     );
 }
 
+/// Job 0's lifecycle as a probe observer sees it.
+#[derive(Default)]
+struct Lifecycle(Vec<(Cycle, String)>);
+
+impl Observer<ProbeEvent> for Lifecycle {
+    fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
+        let step = match event {
+            ProbeEvent::JobArrived { job: JobId(0) } => "arrived".to_string(),
+            ProbeEvent::CpDecision { job: JobId(0), admitted, .. } => {
+                if *admitted { "admitted" } else { "rejected" }.to_string()
+            }
+            ProbeEvent::KernelStarted { job: JobId(0), kernel, .. } => format!("start {kernel}"),
+            ProbeEvent::KernelCompleted { job: JobId(0), kernel, .. } => format!("end {kernel}"),
+            ProbeEvent::JobResolved { job: JobId(0), fate } => format!("{fate:?}"),
+            _ => return,
+        };
+        self.0.push((at, step));
+    }
+}
+
 #[test]
-fn timeline_records_the_job_lifecycle() {
-    use gpu_sim::timeline::TimelineKind;
+fn probe_observer_sees_the_job_lifecycle() {
     let jobs = vec![job(0, vec![kernel(0, 1_500, 64), kernel(1, 1_500, 64)], 100_000, 3)];
-    let params = SimParams { record_timeline: true, ..SimParams::default() };
-    let mut sim =
-        Simulation::new(params, jobs, SchedulerMode::Cp(Box::new(RoundRobin::new()))).unwrap();
-    sim.run();
-    let tl = sim.take_timeline().expect("timeline recorded");
-    let kinds: Vec<TimelineKind> = tl.job_events(JobId(0)).map(|e| e.kind).collect();
+    let lifecycle = Arc::new(Mutex::new(Lifecycle::default()));
+    let mut sim = Simulation::builder()
+        .jobs(jobs)
+        .observe(Box::new(lifecycle.clone()))
+        .build()
+        .unwrap();
+    let report = sim.run();
+    let done = report.records[0].fate.completed_at().expect("completed");
+    let seen = lifecycle.lock().unwrap().0.clone();
+    let steps: Vec<&str> = seen.iter().map(|(_, s)| s.as_str()).collect();
+    let resolved = format!("{:?}", JobFate::Completed(done));
     assert_eq!(
-        kinds,
-        vec![
-            TimelineKind::Arrived,
-            TimelineKind::Admitted,
-            TimelineKind::KernelStart(0),
-            TimelineKind::KernelEnd(0),
-            TimelineKind::KernelStart(1),
-            TimelineKind::KernelEnd(1),
-            TimelineKind::Completed,
-        ]
+        steps,
+        vec!["arrived", "admitted", "start 0", "end 0", "start 1", "end 1", resolved.as_str()]
     );
-    let (start, end) = tl.execution_span(JobId(0)).unwrap();
-    assert!(start >= Cycle::ZERO + Duration::from_us(3));
-    assert!(end > start);
-    // A second take returns None.
-    assert!(sim.take_timeline().is_none());
-    // The Gantt renders without panicking.
-    let g = tl.render_gantt(8, Duration::from_cycles(500));
-    assert!(g.contains("job    0"));
+    let arrival = Cycle::ZERO + Duration::from_us(3);
+    assert_eq!(seen[0].0, arrival);
+    assert!(seen[2].0 >= arrival, "the first kernel starts after arrival");
+    assert_eq!(seen[6].0, done, "resolution fires at the completion instant");
 }

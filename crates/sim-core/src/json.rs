@@ -7,8 +7,8 @@
 //! [`validate`] is a small recursive-descent syntax checker used by tests and
 //! `tools/tier1.sh` to prove emitted trace files parse without shelling out
 //! to an external JSON tool, and [`parse`] materializes a document into a
-//! [`Value`] tree (used e.g. to merge `results/BENCH_cluster.json` across
-//! the cluster and chaos sweeps without clobbering each other's cells).
+//! [`Value`] tree (used e.g. by `benchdiff` to read the benchmark's result
+//! lines and `BENCHMARK.json`, and by the scenario-file loader).
 
 /// Append `s` to `out` with JSON string escaping applied (no surrounding
 /// quotes). Escapes `"`, `\`, and all control characters below U+0020.

@@ -4,14 +4,20 @@
 //! waiting its turn and misses; LAX sees it has (near) zero laxity and runs
 //! it the moment a slot opens.
 //!
+//! The Gantt chart under each run is drawn by a small probe observer over
+//! `JobArrived`, `KernelStarted` and `JobResolved`: every job lifecycle
+//! question is answered from the simulator's one probe bus.
+//!
 //! ```text
 //! cargo run --release --example scheduling_story
 //! ```
 
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use lax::lax::{InitPriority, Lax, LaxConfig};
+use sim_core::probe::Observer;
 
 /// A tiny one-CU machine with exactly two wavefront slots, so at most two
 /// kernels execute concurrently - the situation Figure 3 illustrates.
@@ -87,10 +93,79 @@ fn story_jobs() -> Vec<JobDesc> {
     jobs
 }
 
+/// One job's arrival, first kernel start and fate.
+struct Lifecycle {
+    job: JobId,
+    arrived: Cycle,
+    started: Option<Cycle>,
+    fate: JobFate,
+}
+
+/// Probe observer collecting every job's [`Lifecycle`], in arrival order.
+#[derive(Default)]
+struct Lifecycles {
+    jobs: Vec<Lifecycle>,
+    /// The last lifecycle event seen.
+    horizon: Cycle,
+}
+
+impl Observer<ProbeEvent> for Lifecycles {
+    fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
+        match *event {
+            ProbeEvent::JobArrived { job } => {
+                self.jobs.push(Lifecycle { job, arrived: at, started: None, fate: JobFate::Unfinished });
+            }
+            ProbeEvent::KernelStarted { job, .. } => {
+                if let Some(l) = self.jobs.iter_mut().find(|l| l.job == job) {
+                    l.started.get_or_insert(at);
+                }
+            }
+            ProbeEvent::JobResolved { job, fate } => {
+                if let Some(l) = self.jobs.iter_mut().find(|l| l.job == job) {
+                    l.fate = fate;
+                }
+            }
+            _ => return,
+        }
+        self.horizon = at;
+    }
+}
+
+impl Lifecycles {
+    /// A text Gantt chart, `per_char` simulated time per column: `.`
+    /// waiting (arrived, not yet executing), `=` executing (first kernel
+    /// start to completion), `X` rejected or aborted.
+    fn gantt(&self, per_char: Duration) -> String {
+        let cols = (self.horizon.as_cycles() / per_char.as_cycles() + 1).min(500) as usize;
+        let col = |t: Cycle| ((t.as_cycles() / per_char.as_cycles()) as usize).min(cols - 1);
+        let mut out = String::new();
+        let _ = writeln!(out, "gantt: one column = {per_char} ('.' waiting, '=' running, 'X' rejected)");
+        for l in &self.jobs {
+            let mut lane = vec![' '; cols];
+            let dropped = match l.fate {
+                JobFate::Rejected(t) | JobFate::Aborted(t) => Some(t),
+                _ => None,
+            };
+            let span = l.started.zip(l.fate.completed_at());
+            let wait_end = span.map(|(s, _)| s).or(dropped).unwrap_or(self.horizon);
+            lane[col(l.arrived)..=col(wait_end)].fill('.');
+            if let Some((s, e)) = span {
+                lane[col(s)..=col(e)].fill('=');
+            }
+            if let Some(t) = dropped {
+                lane[col(t)] = 'X';
+            }
+            let _ = writeln!(out, "job {:>4} |{}|", l.job.0, lane.iter().collect::<String>());
+        }
+        out
+    }
+}
+
 fn run(name: &str, mode: SchedulerMode) {
+    let lifecycles = Arc::new(Mutex::new(Lifecycles::default()));
     let mut sim = Simulation::builder()
         .config(tiny_gpu())
-        .record_timeline(true)
+        .observe(Box::new(lifecycles.clone()))
         .jobs(story_jobs())
         .scheduler(mode)
         .build()
@@ -115,9 +190,7 @@ fn run(name: &str, mode: SchedulerMode) {
         );
     }
     println!("  story jobs on time: {met}/5");
-    if let Some(tl) = sim.take_timeline() {
-        print!("{}", tl.render_gantt(8, Duration::from_us(5)));
-    }
+    print!("{}", lifecycles.lock().expect("observer lock").gantt(Duration::from_us(5)));
     println!();
 }
 

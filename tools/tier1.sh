@@ -17,6 +17,16 @@ echo "== tier1: quickstart example smoke run =="
 # run the doorstep one end-to-end so a broken public API fails the gate.
 cargo run --release --example quickstart > /dev/null
 
+echo "== tier1: scheduling_story example (Figure 3, Gantt from the probe bus) =="
+# The one caller of a job-lifecycle probe observer: run it and pin the
+# story's outcome (RR misses the long job, LAX meets every deadline).
+STORY="$(cargo run --release --example scheduling_story)"
+[ "$(echo "$STORY" | grep -c 'story jobs on time')" = 2 ]
+echo "$STORY" | grep 'story jobs on time' | sed -n 1p | grep -q '4/5$'
+echo "$STORY" | grep 'story jobs on time' | sed -n 2p | grep -q '5/5$'
+echo "$STORY" | grep -q '^gantt: one column'
+echo "   RR keeps 4/5 story jobs on time, LAX 5/5"
+
 echo "== tier1: cargo test -q (workspace) =="
 cargo test --workspace -q
 
