@@ -24,14 +24,16 @@
 //!   merged across devices in device-index order, so a million-job run
 //!   reports SLO attainment without holding a million samples.
 //! * The arrival stream is generated as it is routed, a bounded chunk of
-//!   jobs at a time through one reused buffer, so a fault-free cell or one
-//!   with an injected plan ([`ClusterBuilder::fleet_faults`]) holds
-//!   per-device state, not per-job state, at any job count. A cell seeded
-//!   from its own `:fI` intensity still generates its whole stream before
-//!   routing: [`FleetFaultPlan::seeded`] spreads its windows over the
-//!   realized span, which is the last arrival. The detailed tier also
-//!   keeps every surviving booking for its phase-2 simulations, and an
-//!   observed run buffers its outcome events to sort them.
+//!   jobs at a time through one reused buffer, so every cell holds its
+//!   arrival stream in constant memory at any job count. A cell seeded
+//!   from its own `:fI` intensity streams too: [`FleetFaultPlan::seeded`]
+//!   spreads its windows over the realized span, up to the last arrival,
+//!   which a draw-only replay of the stream's random draws finds before
+//!   routing starts. What still grows is real in-flight state: under
+//!   faults, the bookings held past their device's next crash and the
+//!   pending retries; in the detailed tier, every surviving booking kept
+//!   for its phase-2 simulations; and in an observed run, the outcome
+//!   events buffered to sort them.
 //! * Finished cells persist through [`crate::checkpoint::FleetCheckpoint`]
 //!   (summary + sketch), the same crash-safe store the sweep binaries use,
 //!   so an interrupted grid resumes byte-identically.
@@ -72,7 +74,6 @@
 //! computed on every run — observed or not — and conserves exactly against
 //! the report's totals; attaching observers never changes any report byte.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -85,7 +86,7 @@ use sim_core::rng::{Fnv1a, SimRng};
 use sim_core::stats::StreamingQuantiles;
 use sim_core::table::Table;
 use workloads::dag::{fanout_graph, ipa_graph, sample_fanout_width, IPA_WIDTH};
-use workloads::rnn::{build_chain, sample_seq_len, Hidden, RnnCell};
+use workloads::rnn::{build_chain, sample_seq_len, Hidden, RnnCell, SEQ_RANGE};
 use workloads::spec::{cell_seed, milli_to_intensity, ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 
@@ -371,30 +372,105 @@ const CHUNK: usize = 4096;
 /// job would hand observers a duplicate id.
 const MAX_JOBS: u64 = 1 << 32;
 
-/// The cluster arrival stream as a resumable generator: `n_jobs` open-loop
-/// arrivals at `devices ×` the benchmark's Table 4 rate, each with a
-/// calibrated service estimate. Seeded by [`ClusterScenario::cell_seed`]
-/// only — the routing policy never perturbs the stream.
-///
-/// It generates `chunk` jobs at a time into one reused buffer and yields
-/// them in arrival order. The RNG, clock, job index and service memo carry
-/// over between refills, so the chunk size never changes a job. The first
-/// chunk is generated on construction, so a stream built with
-/// `chunk >= n_jobs` holds the whole stream in `buf` before it is read.
-struct JobStream<'a> {
-    suite: &'a BenchmarkSuite,
+/// The random draws of the cluster arrival stream: `devices ×` the
+/// benchmark's Table 4 rate, seeded by [`ClusterScenario::cell_seed`] only —
+/// the routing policy never perturbs the stream. [`JobStream`] and
+/// [`last_arrival`] both advance it through [`Arrivals::draw`], the one
+/// place a job's draws are made, so the replay cannot drift from the
+/// stream.
+struct Arrivals {
     bench: Benchmark,
     rng: SimRng,
     /// Fleet-wide arrival rate, jobs per second.
     rate: f64,
-    /// Arrival instant of the last job generated.
+    /// Arrival instant of the last job drawn.
     now: Cycle,
-    /// Index (and id) of the next job to generate.
+    /// Index (and id) of the next job to draw.
     next: usize,
+}
+
+impl Arrivals {
+    fn new(scenario: &ClusterScenario) -> Self {
+        Arrivals {
+            bench: scenario.bench,
+            rng: SimRng::seed_from(scenario.cell_seed()),
+            rate: scenario.bench.rate_jobs_per_sec(scenario.rate) * scenario.devices as f64,
+            now: Cycle::ZERO,
+            next: 0,
+        }
+    }
+
+    /// Draws the next job: its inter-arrival gap first (advancing `now`),
+    /// then its spec. Returns the spec; the job's index is `next - 1`.
+    fn draw(&mut self) -> ChainSpec {
+        self.now += self.rng.exp_interarrival(self.rate);
+        let rng = &mut self.rng;
+        let spec = match self.bench {
+            Benchmark::Lstm => rnn_spec(RnnCell::Lstm, Hidden::H128, rng),
+            Benchmark::Gru => rnn_spec(RnnCell::Gru, Hidden::H128, rng),
+            Benchmark::Van => rnn_spec(RnnCell::Vanilla, Hidden::H256, rng),
+            Benchmark::Hybrid => {
+                if self.next.is_multiple_of(2) {
+                    rnn_spec(RnnCell::Lstm, Hidden::H128, rng)
+                } else {
+                    rnn_spec(RnnCell::Gru, Hidden::H256, rng)
+                }
+            }
+            Benchmark::FanOut => ChainSpec::Dag { width: sample_fanout_width(rng) as u32 },
+            Benchmark::Ipa => ChainSpec::Dag { width: IPA_WIDTH as u32 },
+            _ => ChainSpec::Single,
+        };
+        self.next += 1;
+        spec
+    }
+}
+
+/// The last arrival instant of the cell's stream ([`Cycle::ZERO`] for an
+/// empty one), found by a draw-only replay: it makes the stream's draws
+/// and keeps nothing else, so it holds no job and looks up no service
+/// time.
+fn last_arrival(scenario: &ClusterScenario) -> Cycle {
+    let mut arrivals = Arrivals::new(scenario);
+    for _ in 0..scenario.n_jobs {
+        arrivals.draw();
+    }
+    arrivals.now
+}
+
+/// Slots per RNN variant in a [`JobStream`]'s service table: one per
+/// sequence length [`sample_seq_len`] can draw.
+const RNN_SLOTS: usize = SEQ_RANGE.1 as usize + 1;
+
+/// A spec's slot in a [`JobStream`]'s service table. A stream draws from
+/// one benchmark, so its specs are all of one kind, and slots need only be
+/// distinct within a kind: the single kernel, the RNN (variant, sequence
+/// length) or the DAG width.
+fn service_slot(spec: ChainSpec) -> usize {
+    match spec {
+        ChainSpec::Single => 0,
+        ChainSpec::Rnn { cell, hidden, seq_len } => {
+            usize::from(variant_key(cell, hidden)) * RNN_SLOTS + seq_len as usize
+        }
+        ChainSpec::Dag { width } => width as usize,
+    }
+}
+
+/// The cluster arrival stream as a resumable generator: `n_jobs`
+/// [`Arrivals`], each with a calibrated service estimate.
+///
+/// It generates `chunk` jobs at a time into one reused buffer and yields
+/// them in arrival order. The draws and the service table carry over
+/// between refills, so the chunk size never changes a job. The first
+/// chunk is generated on construction, so a stream built with
+/// `chunk >= n_jobs` holds the whole stream in `buf` before it is read.
+struct JobStream<'a> {
+    suite: &'a BenchmarkSuite,
+    arrivals: Arrivals,
     n_jobs: usize,
     chunk: usize,
-    /// (variant, seq_len) -> service; at most a few dozen distinct chains.
-    costs: BTreeMap<(u8, u32), Duration>,
+    /// Service time by [`service_slot`], filled on a spec's first use; at
+    /// most a few hundred slots.
+    service: Vec<Option<Duration>>,
     /// The current chunk, and the position of the next job to yield in it.
     buf: Vec<ClusterJob>,
     pos: usize,
@@ -404,14 +480,10 @@ impl<'a> JobStream<'a> {
     fn new(scenario: &ClusterScenario, suite: &'a BenchmarkSuite, chunk: usize) -> Self {
         let mut stream = JobStream {
             suite,
-            bench: scenario.bench,
-            rng: SimRng::seed_from(scenario.cell_seed()),
-            rate: scenario.bench.rate_jobs_per_sec(scenario.rate) * scenario.devices as f64,
-            now: Cycle::ZERO,
-            next: 0,
+            arrivals: Arrivals::new(scenario),
             n_jobs: scenario.n_jobs,
             chunk,
-            costs: BTreeMap::new(),
+            service: Vec::new(),
             buf: Vec::new(),
             pos: 0,
         };
@@ -424,38 +496,21 @@ impl<'a> JobStream<'a> {
     fn refill(&mut self) {
         self.buf.clear();
         self.pos = 0;
-        let end = self.n_jobs.min(self.next.saturating_add(self.chunk));
-        self.buf.reserve_exact(end - self.next);
-        let (suite, bench) = (self.suite, self.bench);
-        for i in self.next..end {
-            self.now += self.rng.exp_interarrival(self.rate);
-            let rng = &mut self.rng;
-            let spec = match bench {
-                Benchmark::Lstm => rnn_spec(RnnCell::Lstm, Hidden::H128, rng),
-                Benchmark::Gru => rnn_spec(RnnCell::Gru, Hidden::H128, rng),
-                Benchmark::Van => rnn_spec(RnnCell::Vanilla, Hidden::H256, rng),
-                Benchmark::Hybrid => {
-                    if i % 2 == 0 {
-                        rnn_spec(RnnCell::Lstm, Hidden::H128, rng)
-                    } else {
-                        rnn_spec(RnnCell::Gru, Hidden::H256, rng)
-                    }
-                }
-                Benchmark::FanOut => ChainSpec::Dag { width: sample_fanout_width(rng) as u32 },
-                Benchmark::Ipa => ChainSpec::Dag { width: IPA_WIDTH as u32 },
-                _ => ChainSpec::Single,
-            };
-            let key = match spec {
-                ChainSpec::Single => (u8::MAX, 0),
-                ChainSpec::Rnn { cell, hidden, seq_len } => (variant_key(cell, hidden), seq_len),
-                ChainSpec::Dag { width } => (u8::MAX - 1, width),
-            };
+        let end = self.n_jobs.min(self.arrivals.next.saturating_add(self.chunk));
+        self.buf.reserve_exact(end - self.arrivals.next);
+        let (suite, bench) = (self.suite, self.arrivals.bench);
+        while self.arrivals.next < end {
+            let id = u32::try_from(self.arrivals.next)
+                .expect("ClusterBuilder::run bounds n_jobs by MAX_JOBS");
+            let spec = self.arrivals.draw();
+            let slot = service_slot(spec);
+            if slot >= self.service.len() {
+                self.service.resize(slot + 1, None);
+            }
             let service_est =
-                *self.costs.entry(key).or_insert_with(|| chain_service(suite, spec, bench));
-            let id = u32::try_from(i).expect("ClusterBuilder::run bounds n_jobs by MAX_JOBS");
-            self.buf.push(ClusterJob { id, arrival: self.now, service_est, spec });
+                *self.service[slot].get_or_insert_with(|| chain_service(suite, spec, bench));
+            self.buf.push(ClusterJob { id, arrival: self.arrivals.now, service_est, spec });
         }
-        self.next = end;
     }
 }
 
@@ -642,11 +697,10 @@ impl ClusterBuilder {
     /// bit-identical to one that never mentions faults.
     ///
     /// The engine generates the arrival stream as it routes it, a bounded
-    /// chunk of jobs at a time, so a fault-free cell or one with a plan
-    /// from [`ClusterBuilder::fleet_faults`] holds per-device state, not
-    /// per-job state, at any job count. A cell seeded from its own `:fI`
-    /// intensity is the exception: its plan spans the realized arrival
-    /// stream, so it generates the whole stream before the first arrival.
+    /// chunk of jobs at a time, so no cell holds its whole arrival stream,
+    /// at any job count. A cell seeded from its own `:fI` intensity spans
+    /// its plan over the realized stream: a draw-only replay finds the
+    /// last arrival first, at the cost of drawing every job twice.
     ///
     /// # Errors
     ///
@@ -674,22 +728,14 @@ impl ClusterBuilder {
             let value = self.scenario.n_jobs.to_string();
             return Err(BenchError::FleetKnob { knob: "n_jobs", value });
         }
-        let suite = BenchmarkSuite::calibrated();
-        // Fault windows span the arrival stream, so a plan seeded from the
-        // cell's own intensity needs the whole stream generated as one chunk
-        // first; every other cell streams in bounded chunks.
-        let seeded = self.fleet_faults.is_none() && self.scenario.fault_milli > 0;
-        let chunk = if seeded { self.scenario.n_jobs } else { chunk };
-        let jobs = JobStream::new(&self.scenario, suite, chunk);
         let plan = match &self.fleet_faults {
             Some(p) => p.clone(),
-            None if seeded => {
-                // The span is a pure function of the cell (arrivals are
+            None if self.scenario.fault_milli > 0 => {
+                // Fault windows span the arrival stream, up to its last
+                // arrival, which a draw-only replay finds without holding a
+                // job. The span is a pure function of the cell (arrivals are
                 // policy-blind), so the plan is too.
-                let span = jobs
-                    .buf
-                    .last()
-                    .map_or(Duration::ZERO, |j| j.arrival.saturating_since(Cycle::ZERO));
+                let span = last_arrival(&self.scenario).saturating_since(Cycle::ZERO);
                 FleetFaultPlan::seeded(
                     self.scenario.fault_seed(),
                     self.scenario.fault_intensity(),
@@ -700,6 +746,8 @@ impl ClusterBuilder {
             None => FleetFaultPlan::none(),
         };
         plan.validate(self.scenario.devices as u32)?;
+        let suite = BenchmarkSuite::calibrated();
+        let jobs = JobStream::new(&self.scenario, suite, chunk);
         self.run_engine(policy, jobs, suite, &plan)
     }
 
@@ -1725,16 +1773,33 @@ mod tests {
     /// concatenated, are the whole stream job for job, at every length
     /// around the chunk size. An odd chunk size too, because HYBRID
     /// alternates variants by job index: a refill that restarted the index
-    /// would show only there.
+    /// would show only there. The draw-only replay ends at the whole
+    /// stream's last arrival, and the service table hands every job the
+    /// service time its spec computes afresh, for every kind of spec.
     #[test]
     fn chunked_stream_concatenates_to_the_whole_stream() {
         let suite = BenchmarkSuite::calibrated();
-        for bench in [Benchmark::Hybrid, Benchmark::FanOut, Benchmark::Ipv6] {
+        let benches = [
+            Benchmark::Hybrid,
+            Benchmark::Lstm,
+            Benchmark::Gru,
+            Benchmark::Van,
+            Benchmark::FanOut,
+            Benchmark::Ipa,
+            Benchmark::Ipv6,
+        ];
+        for bench in benches {
             for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
                 let s = ClusterScenario::new("RR", bench, ArrivalRate::High, 4, n, 7);
                 let whole = whole_stream(&s);
                 assert_eq!(whole.len(), n);
                 assert!(whole.iter().enumerate().all(|(i, j)| j.id as usize == i));
+                let last = whole.last().map_or(Cycle::ZERO, |j| j.arrival);
+                assert_eq!(last_arrival(&s), last, "{s}: the replay must end at the last arrival");
+                for job in &whole {
+                    let fresh = chain_service(suite, job.spec, bench);
+                    assert_eq!(job.service_est, fresh, "{s}: job {} {:?}", job.id, job.spec);
+                }
                 for chunk in [CHUNK, 7] {
                     let mut stream = JobStream::new(&s, suite, chunk);
                     let mut chunked = Vec::new();
@@ -1761,14 +1826,16 @@ mod tests {
         }
     }
 
-    /// A cell seeded from its own intensity generates its whole stream as
-    /// one chunk; the same plan injected into the fault-free cell streams
-    /// in chunks. Both must produce the same report (but for the scenario
-    /// it names) and the same observed event stream, at both tiers.
+    /// A cell seeded from its own intensity streams like any other: at a
+    /// small odd chunk, at [`CHUNK`] and as one whole chunk, it produces the
+    /// same report (but for the scenario it names) and the same observed
+    /// event stream as the fault-free cell with the same plan injected, at
+    /// both tiers.
     #[test]
-    fn seeded_whole_stream_matches_the_chunked_injected_plan() {
+    fn seeded_cells_stream_like_the_injected_plan_at_any_chunk() {
         // The detailed tier runs a full simulation per device, too slow for
-        // thousands of jobs in a test, so its cell streams in small chunks.
+        // thousands of jobs in a test, so its injected-plan cell streams in
+        // small chunks.
         let cells = [
             (Fidelity::Fast, Benchmark::Hybrid, ArrivalRate::High, 4, 3 * CHUNK + 7, CHUNK),
             (Fidelity::Detailed, Benchmark::Ipv6, ArrivalRate::Low, 2, 3 * 8 + 3, 8),
@@ -1786,22 +1853,28 @@ mod tests {
                         devices as u32,
                     );
                     assert_ne!(plan, FleetFaultPlan::none(), "{faulted}: the plan must fault");
-                    let run = |builder: ClusterBuilder| {
+                    let run = |builder: ClusterBuilder, chunk: usize| {
                         let log = Arc::new(Mutex::new(EventLog::default()));
                         let builder = builder.fidelity(fidelity).observe(log.clone());
                         let report = builder.run_chunked(chunk).unwrap();
                         let events = std::mem::take(&mut log.lock().unwrap().0);
                         (report, events)
                     };
-                    let (seeded, seeded_events) = run(ClusterBuilder::new(faulted.clone()));
-                    let (chunked, chunked_events) =
-                        run(ClusterBuilder::new(s.clone()).fleet_faults(plan));
-                    assert_eq!(
-                        ClusterReport { scenario: s.clone(), ..seeded },
-                        chunked,
-                        "{faulted}: chunking must not change the report"
-                    );
-                    assert!(seeded_events == chunked_events, "{faulted}: event streams differ");
+                    let (injected, injected_events) =
+                        run(ClusterBuilder::new(s.clone()).fleet_faults(plan), chunk);
+                    for seeded_chunk in [7, CHUNK, n] {
+                        let (seeded, seeded_events) =
+                            run(ClusterBuilder::new(faulted.clone()), seeded_chunk);
+                        assert_eq!(
+                            ClusterReport { scenario: s.clone(), ..seeded },
+                            injected,
+                            "{faulted}/{seeded_chunk}: the seeded cell must match the injected plan"
+                        );
+                        assert!(
+                            seeded_events == injected_events,
+                            "{faulted}/{seeded_chunk}: event streams differ"
+                        );
+                    }
                 }
             }
         }

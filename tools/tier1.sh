@@ -181,23 +181,44 @@ cmp "$TMP/grid/cluster.txt" results/cluster.txt
 cmp "$TMP/grid/chaos.txt" results/chaos.txt
 echo "   regenerated cluster.txt and chaos.txt match the committed artifacts"
 
+echo "== tier1: EXPERIMENTS.md is what its builder makes of results/ =="
+# EXPERIMENTS.md embeds the committed results/*.txt tables through its
+# template. Rebuild it, compare against the saved copy, and put the copy
+# back either way, so a stale artifact fails here instead of silently
+# rewriting the document on the next rebuild.
+cp EXPERIMENTS.md "$TMP/EXPERIMENTS.md"
+python3 tools/build_experiments_md.py > /dev/null
+EXP_STATUS=0
+cmp EXPERIMENTS.md "$TMP/EXPERIMENTS.md" || EXP_STATUS=$?
+cp "$TMP/EXPERIMENTS.md" EXPERIMENTS.md
+if [ "$EXP_STATUS" != 0 ]; then
+    echo "tools/build_experiments_md.py would change EXPERIMENTS.md" >&2
+    exit 1
+fi
+echo "   EXPERIMENTS.md matches its template and results/"
+
 echo "== tier1: fleet memory does not grow with job count =="
-# A fault-free fleet cell streams its arrivals through a bounded buffer, so
-# four times the jobs must peak at about the same resident set. Each cell
-# runs as its own child; its peak comes from the kernel's ru_maxrss.
+# Every fleet cell streams its arrivals through a bounded buffer, so four
+# times the jobs must peak at about the same resident set: a fault-free
+# cell, and a cell seeded from its own fault intensity, whose plan's span a
+# draw-only replay of the stream finds. The faulty cell is LL, not RR: an
+# overloaded RR cell holds every booking that would outlive its device's
+# next crash, real in-flight state that grows with its queue depth. Each
+# cell runs as its own child; its peak comes from the kernel's ru_maxrss.
 python3 - "$CLUSTER_BIN" "$TMP" <<'EOF'
 import os, subprocess, sys
 cluster, tmp = sys.argv[1], sys.argv[2]
-peaks = []
-for n in (1000000, 4000000):
-    cell = f"RR:HYBRID:high:d16:j{n}:s1"
-    child = subprocess.Popen([cluster, cell, "--out", f"{tmp}/mem/{n}.txt"],
-                             stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, (cell, status)
-    peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
-    print(f"   {cell}: peak RSS {peaks[-1]:.1f} MB")
-assert peaks[1] <= peaks[0] + 16, f"4M-job cell peaks {peaks[1] - peaks[0]:.1f} MB above 1M"
+for family in ("RR:HYBRID:high:d16:j{}:s1", "LL:HYBRID:high:d16:j{}:s1:f1"):
+    peaks = []
+    for n in (1000000, 4000000):
+        cell = family.format(n)
+        child = subprocess.Popen([cluster, cell, "--out", f"{tmp}/mem/{n}.txt"],
+                                 stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, (cell, status)
+        peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+        print(f"   {cell}: peak RSS {peaks[-1]:.1f} MB")
+    assert peaks[1] <= peaks[0] + 16, f"{cell}: {peaks[1] - peaks[0]:.1f} MB above 1M jobs"
 EOF
 echo "   fleet peak RSS is flat from 1M to 4M jobs"
 
