@@ -33,7 +33,7 @@ use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{chaos_table, ClusterBuilder, ClusterScenario};
-use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::sweep::{self, run_grid, take_flag, take_value, write_output};
 use sim_core::time::Duration;
 use workloads::spec::{intensity_to_milli, ArrivalRate, Benchmark};
 
@@ -134,16 +134,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
-    let mut reports = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        let key = scenario.to_string();
-        if let Some(report) = checkpoint.as_ref().and_then(|c| c.get(&key)) {
-            eprintln!("[chaos] {key}: restored from checkpoint");
-            reports.push(report.clone());
-            continue;
-        }
-        let cell_t0 = std::time::Instant::now();
-        let mut builder = ClusterBuilder::new(scenario.clone())
+    let run = |s: &ClusterScenario| {
+        let mut builder = ClusterBuilder::new(s.clone())
             .fidelity(fidelity)
             .workers(jobs)
             .shed_degraded(shed);
@@ -162,19 +154,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         if let Some(us) = backoff_us {
             builder = builder.retry_backoff(Duration::from_us(us));
         }
-        let report = builder.run()?;
-        eprintln!(
-            "[chaos] {key}: attain {:.4}, lost {}, retried {} in {:?}",
-            report.attainment(),
-            report.lost,
-            report.retried,
-            cell_t0.elapsed()
-        );
-        if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.record(&key, report.clone())?;
-        }
-        reports.push(report);
-    }
+        builder.run()
+    };
+    // One cell at a time: a detailed cell spreads its devices over `jobs`.
+    let reports = run_grid(&scenarios, 1, checkpoint.as_mut(), run, |s, r| match r {
+        Ok(r) => eprintln!(
+            "[chaos] {s}: attain {:.4}, lost {}, retried {}",
+            r.attainment(),
+            r.lost,
+            r.retried
+        ),
+        Err(e) => eprintln!("[chaos] {s}: {e}"),
+    })?;
 
     let mut text = String::new();
     text.push_str("# Fleet robustness: SLO attainment under injected failure domains\n");

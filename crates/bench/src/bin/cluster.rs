@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
 use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
-use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::sweep::{self, run_grid, take_flag, take_value, write_output};
 use workloads::spec::{ArrivalRate, Benchmark};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -126,16 +126,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         scenarios.iter().map(|s| s.n_jobs as u64).sum::<u64>()
     );
     let t0 = std::time::Instant::now();
-    let mut reports = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        let key = scenario.to_string();
-        if let Some(report) = checkpoint.as_ref().and_then(|c| c.get(&key)) {
-            eprintln!("[cluster] {key}: restored from checkpoint");
-            reports.push(report.clone());
-            continue;
-        }
-        let cell_t0 = std::time::Instant::now();
-        let mut builder = ClusterBuilder::new(scenario.clone()).fidelity(fidelity).workers(jobs);
+    let run = |s: &ClusterScenario| {
+        let mut builder = ClusterBuilder::new(s.clone()).fidelity(fidelity).workers(jobs);
         if let Some(s) = &scheduler {
             builder = builder.device_scheduler(s);
         }
@@ -145,18 +137,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         if let Some(j) = jitter {
             builder = builder.jitter(j);
         }
-        let report = builder.run()?;
-        eprintln!(
-            "[cluster] {key}: attain {:.4}, p999 {:.1}us in {:?}",
-            report.attainment(),
-            report.latency_us.p999(),
-            cell_t0.elapsed()
-        );
-        if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.record(&key, report.clone())?;
-        }
-        reports.push(report);
-    }
+        builder.run()
+    };
+    // One cell at a time: a detailed cell spreads its devices over `jobs`.
+    let reports = run_grid(&scenarios, 1, checkpoint.as_mut(), run, |s, r| match r {
+        Ok(r) => eprintln!(
+            "[cluster] {s}: attain {:.4}, p999 {:.1}us",
+            r.attainment(),
+            r.latency_us.p999()
+        ),
+        Err(e) => eprintln!("[cluster] {s}: {e}"),
+    })?;
 
     let mut text = String::new();
     text.push_str("# Cluster SLO attainment: routing/admission policies over a device fleet\n");

@@ -840,9 +840,12 @@ impl ClusterBuilder {
             }
         }
         let mut ei = 0usize;
-        let mut retries: std::collections::BinaryHeap<std::cmp::Reverse<RetryEntry>> =
-            std::collections::BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut retries = RetryQueue {
+            heap: std::collections::BinaryHeap::new(),
+            seq: 0,
+            budget: self.retry_budget,
+            backoff: self.retry_backoff,
+        };
         let mut rejected = 0u64;
         let mut shed = 0u64;
         let mut lost = 0u64;
@@ -850,12 +853,13 @@ impl ClusterBuilder {
         let mut misses = MissBreakdown::default();
         let mut outcome_events: Vec<OutcomeEvent> = Vec::new();
 
-        // One job's loss becoming final at the retry layer (budget out, or
-        // no surviving device can make the deadline).
-        macro_rules! lose_exhausted {
-            ($at:expr, $id:expr) => {{
+        // One job's loss becoming final: its retry budget is out
+        // (`CrashLoss` on the crashed device, `RetryExhausted` at the front
+        // door), or no surviving device can make its deadline.
+        macro_rules! lose {
+            ($at:expr, $id:expr, $device:expr, $cause:expr) => {{
                 lost += 1;
-                misses.add(MissCause::RetryExhausted);
+                misses.add($cause);
                 if collect {
                     outcome_events.push(OutcomeEvent {
                         at: $at,
@@ -863,8 +867,8 @@ impl ClusterBuilder {
                         kind: 1,
                         event: ProbeEvent::JobMissed {
                             job: JobId($id),
-                            device: None,
-                            cause: MissCause::RetryExhausted,
+                            device: $device,
+                            cause: $cause,
                         },
                     });
                 }
@@ -890,28 +894,8 @@ impl ClusterBuilder {
                                 dev.events += u64::from(lost_here);
                             }
                             for job in held {
-                                if requeue_or_lose(
-                                    job,
-                                    t,
-                                    self.retry_budget,
-                                    self.retry_backoff,
-                                    &mut retries,
-                                    &mut seq,
-                                    &mut lost,
-                                ) {
-                                    misses.add(MissCause::CrashLoss);
-                                    if collect {
-                                        outcome_events.push(OutcomeEvent {
-                                            at: t,
-                                            job: job.id,
-                                            kind: 1,
-                                            event: ProbeEvent::JobMissed {
-                                                job: JobId(job.id),
-                                                device: Some(d as u16),
-                                                cause: MissCause::CrashLoss,
-                                            },
-                                        });
-                                    }
+                                if !retries.requeue(job, t) {
+                                    lose!(t, job.id, Some(d as u16), MissCause::CrashLoss);
                                 }
                             }
                             hub.emit_with(t, || ProbeEvent::DeviceDown {
@@ -983,22 +967,15 @@ impl ClusterBuilder {
                     None => {
                         // Still nothing in rotation; back off again until
                         // the budget runs out.
-                        if job.attempt < self.retry_budget {
-                            seq += 1;
-                            retries.push(std::cmp::Reverse(RetryEntry {
-                                at: at + backoff_for(self.retry_backoff, job.attempt),
-                                seq,
-                                job: RetryJob { attempt: job.attempt + 1, ..job },
-                            }));
-                        } else {
-                            lose_exhausted!(at, job.id);
+                        if !retries.requeue(job, at) {
+                            lose!(at, job.id, None, MissCause::RetryExhausted);
                         }
                     }
                     Some(lax) if lax < 0.0 => {
                         // The laxity gate: no survivor can make the
                         // remaining deadline, so re-placing would only
                         // burn capacity on a guaranteed miss.
-                        lose_exhausted!(at, job.id);
+                        lose!(at, job.id, None, MissCause::RetryExhausted);
                     }
                     Some(_) => match router.route(&req) {
                         RouteDecision::Route { device, .. } => {
@@ -1013,7 +990,7 @@ impl ClusterBuilder {
                         // best_laxity was non-negative, so LL admits and
                         // some device is Up; defensive completeness.
                         RouteDecision::Reject { .. } | RouteDecision::NoDevice => {
-                            lose_exhausted!(at, job.id);
+                            lose!(at, job.id, None, MissCause::RetryExhausted);
                         }
                     },
                 }
@@ -1027,7 +1004,7 @@ impl ClusterBuilder {
             ($ev_due:expr, $re_due:expr) => {{
                 loop {
                     let next_ev = fleet_events.get(ei).map(|e| e.0);
-                    let next_re = retries.peek().map(|r| r.0.at);
+                    let next_re = retries.heap.peek().map(|r| r.0.at);
                     let ev_ok = next_ev.is_some_and($ev_due);
                     let re_ok = next_re.is_some_and($re_due);
                     if ev_ok && (!re_ok || next_ev <= next_re) {
@@ -1035,7 +1012,7 @@ impl ClusterBuilder {
                         ei += 1;
                         apply_fleet_event!(t, action);
                     } else if re_ok {
-                        let std::cmp::Reverse(entry) = retries.pop().expect("peeked");
+                        let std::cmp::Reverse(entry) = retries.heap.pop().expect("peeked");
                         fire_retry!(entry);
                     } else {
                         break;
@@ -1100,15 +1077,8 @@ impl ClusterBuilder {
                 RouteDecision::NoDevice => {
                     // Whole fleet out of rotation: hold the job and retry
                     // once capacity returns, budget permitting.
-                    if self.retry_budget > 0 {
-                        seq += 1;
-                        retries.push(std::cmp::Reverse(RetryEntry {
-                            at: t_arr + backoff_for(self.retry_backoff, 0),
-                            seq,
-                            job: RetryJob { attempt: 1, ..placement },
-                        }));
-                    } else {
-                        lose_exhausted!(t_arr, job.id);
+                    if !retries.requeue(placement, t_arr) {
+                        lose!(t_arr, job.id, None, MissCause::RetryExhausted);
                     }
                 }
             }
@@ -1327,28 +1297,30 @@ fn backoff_for(base: Duration, attempt: u32) -> Duration {
     Duration::from_cycles(base.as_cycles().saturating_mul(1u64 << attempt.min(20)))
 }
 
-/// Requeues a crash-lost booking if its retry budget allows, else counts
-/// it lost. Returns `true` when the loss became final (the caller
-/// attributes it as a crash loss).
-fn requeue_or_lose(
-    job: RetryJob,
-    now: Cycle,
+/// The pending retries, plus the budget and backoff that decide whether a
+/// job may rejoin them.
+struct RetryQueue {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<RetryEntry>>,
+    /// Sequence number of the last scheduled retry.
+    seq: u64,
     budget: u32,
     backoff: Duration,
-    retries: &mut std::collections::BinaryHeap<std::cmp::Reverse<RetryEntry>>,
-    seq: &mut u64,
-    lost: &mut u64,
-) -> bool {
-    if job.attempt < budget {
-        *seq += 1;
-        retries.push(std::cmp::Reverse(RetryEntry {
-            at: now + backoff_for(backoff, job.attempt),
-            seq: *seq,
+}
+
+impl RetryQueue {
+    /// Schedules `job`'s next attempt at `now` plus its backoff if its
+    /// retry budget allows. Returns `false` when the budget is spent: the
+    /// loss is final, and the caller attributes its cause.
+    fn requeue(&mut self, job: RetryJob, now: Cycle) -> bool {
+        if job.attempt >= self.budget {
+            return false;
+        }
+        self.seq += 1;
+        self.heap.push(std::cmp::Reverse(RetryEntry {
+            at: now + backoff_for(self.backoff, job.attempt),
+            seq: self.seq,
             job: RetryJob { attempt: job.attempt + 1, ..job },
         }));
-        false
-    } else {
-        *lost += 1;
         true
     }
 }
@@ -2134,6 +2106,7 @@ mod tests {
     #[test]
     fn out_of_range_fleet_knobs_are_typed_errors() {
         let base = || ClusterBuilder::new(scen("LL")).workers(2);
+        let bounds = [("slots", "at least 1"), ("jitter", "in [0, 1)"), ("n_jobs", "at most 2^32")];
         for (builder, name) in [
             (base().slots(0), "slots"),
             (base().jitter(1.5), "jitter"),
@@ -2150,7 +2123,12 @@ mod tests {
                     matches!(&err, BenchError::FleetKnob { knob, .. } if *knob == name),
                     "{name}: {err:?}"
                 );
-                assert!(err.to_string().contains(name), "{err}");
+                let msg = err.to_string();
+                assert!(msg.contains(name), "{msg}");
+                // Each message states its own knob's bound and no other's.
+                for (knob, bound) in bounds {
+                    assert_eq!(msg.contains(bound), knob == name, "{name}: {msg}");
+                }
             }
         }
         // The edges of the valid ranges still run.

@@ -19,7 +19,7 @@ use workloads::table1;
 
 use crate::checkpoint::Checkpoint;
 use crate::runner::ResultsDb;
-use crate::sweep::{par_map, par_map_with, run_cell_opts, BenchError, Scenario, SweepOptions};
+use crate::sweep::{par_map, run_cell, run_grid, BenchError, RunOptions, Scenario};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
 /// column itself.
@@ -378,45 +378,6 @@ impl FaultSweep {
     }
 }
 
-/// Runs a checkpointed grid of cells, each keyed by its string form, and
-/// returns one report per cell, in order. Cells already recorded in
-/// `checkpoint` are restored; the rest fan out over `workers` threads and
-/// are recorded the moment each lands, so a kill loses at most the cells
-/// still running.
-///
-/// # Errors
-///
-/// The first failing cell, after all runnable cells finished (and were
-/// checkpointed).
-fn run_checkpointed(
-    cells: &[Scenario],
-    workers: usize,
-    mut checkpoint: Option<&mut Checkpoint>,
-) -> Result<Vec<SimReport>, BenchError> {
-    let keys: Vec<String> = cells.iter().map(Scenario::to_string).collect();
-    let mut reports: Vec<Option<SimReport>> = keys
-        .iter()
-        .map(|key| checkpoint.as_ref().and_then(|ck| ck.get(key)).cloned())
-        .collect();
-    let missing: Vec<usize> = (0..cells.len()).filter(|&i| reports[i].is_none()).collect();
-    let results = par_map_with(
-        &missing,
-        workers,
-        |&idx| run_cell_opts(&cells[idx], &SweepOptions::new(1)),
-        |i, r: &Result<SimReport, BenchError>| {
-            if let (Ok(report), Some(ck)) = (r, checkpoint.as_deref_mut()) {
-                if let Err(e) = ck.record(&keys[missing[i]], report.clone()) {
-                    eprintln!("warning: checkpoint write failed: {e}");
-                }
-            }
-        },
-    );
-    for (&idx, result) in missing.iter().zip(results) {
-        reports[idx] = Some(result?);
-    }
-    Ok(reports.into_iter().flatten().collect())
-}
-
 /// Renders the fault-robustness study: deadline-met counts and
 /// degradation ratios (vs each scheduler's own intensity-0 column) under
 /// seeded fault plans, plus per-scheduler geomean degradation curves.
@@ -437,7 +398,8 @@ pub fn faults(
     workers: usize,
     checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint)?;
+    let run = |s: &Scenario| run_cell(s, &RunOptions::default());
+    let reports = run_grid(&sweep.cells(), workers, checkpoint, run, |_, _| {})?;
     let met = |sched: usize, bench: usize, inten: usize| -> usize {
         let idx = (sched * sweep.benches.len() + bench) * sweep.fault_milli.len() + inten;
         reports[idx].deadlines_met()
@@ -565,7 +527,8 @@ pub fn dag(
     workers: usize,
     checkpoint: Option<&mut Checkpoint>,
 ) -> Result<String, BenchError> {
-    let reports = run_checkpointed(&sweep.cells(), workers, checkpoint)?;
+    let run = |s: &Scenario| run_cell(s, &RunOptions::default());
+    let reports = run_grid(&sweep.cells(), workers, checkpoint, run, |_, _| {})?;
     let cell = |sched: usize, bench: usize, rate: usize| -> &SimReport {
         let idx = (sched * sweep.benches.len() + bench) * sweep.rates.len() + rate;
         &reports[idx]

@@ -8,7 +8,7 @@ use gpu_sim::prelude::*;
 use workloads::spec::{ArrivalRate, Benchmark};
 
 use crate::checkpoint::Checkpoint;
-use crate::sweep::{self, BenchError, Scenario, SweepOptions};
+use crate::sweep::{self, BenchError, RunOptions, Scenario};
 
 /// Jobs per benchmark run (paper Section 5.3).
 pub const JOBS_PER_RUN: usize = 128;
@@ -16,9 +16,10 @@ pub const JOBS_PER_RUN: usize = 128;
 /// Default RNG seed for the published experiment set.
 pub const DEFAULT_SEED: u64 = 20210301;
 
-/// Memoized experiment results keyed by [`Scenario`]. `get`/`met` run
-/// missing cells inline; [`ResultsDb::warm`] fans a whole grid across
+/// Memoized experiment results keyed by [`Scenario`]. `get`/`met` run a
+/// missing cell on its own; [`ResultsDb::warm`] fans a whole grid across
 /// worker threads first, so the figure renderers afterwards only hit cache.
+/// Both run through [`sweep::run_grid`].
 #[derive(Debug, Default)]
 pub struct ResultsDb {
     cache: BTreeMap<Scenario, SimReport>,
@@ -72,18 +73,6 @@ impl ResultsDb {
         self.checkpoint.as_ref()
     }
 
-    /// Persists one finished cell to the checkpoint file, if one is
-    /// attached. Write failures are reported but never fail the sweep:
-    /// checkpointing is an accelerator for `--resume`, not a correctness
-    /// dependency.
-    fn persist(checkpoint: &mut Option<Checkpoint>, scenario: &Scenario, report: &SimReport) {
-        if let Some(ck) = checkpoint.as_mut() {
-            if let Err(e) = ck.record(&scenario.to_string(), report.clone()) {
-                eprintln!("warning: checkpoint write failed: {e}");
-            }
-        }
-    }
-
     /// The [`Scenario`] this database associates with a cell.
     pub fn scenario(&self, scheduler: &str, bench: Benchmark, rate: ArrivalRate) -> Scenario {
         Scenario::new(scheduler, bench, rate, self.n_jobs, self.seed)
@@ -118,79 +107,42 @@ impl ResultsDb {
                 }
             }
         }
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let verbose = self.verbose;
-        let opts = SweepOptions::new(jobs);
-        let total = missing.len();
-        let mut done = 0;
-        // Drive par_map_with directly (rather than run_sweep) so the
-        // completion callback sees each report and can checkpoint it the
-        // moment it lands — a kill -9 one cell before the end loses one
-        // cell, not the sweep.
-        let checkpoint = &mut self.checkpoint;
-        let results = sweep::par_map_with(
-            &missing,
-            jobs,
-            |s| sweep::run_cell_opts(s, &opts),
-            |i, r: &Result<SimReport, BenchError>| {
-                done += 1;
-                if let Ok(report) = r {
-                    Self::persist(checkpoint, &missing[i], report);
-                }
-                if verbose {
-                    eprintln!(
-                        "[sweep {:>3}/{}] {:<28} {}",
-                        done,
-                        total,
-                        missing[i].to_string(),
-                        if r.is_ok() { "ok" } else { "FAILED" },
-                    );
-                }
-            },
-        );
-        let mut first_err = None;
-        for (scenario, result) in missing.into_iter().zip(results) {
-            match result {
-                Ok(report) => {
-                    self.cache.insert(scenario, report);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.run_missing(&missing, jobs)
     }
 
-    /// Returns (running inline if necessary) the report for a cell.
+    /// Returns (running it if necessary) the report for a cell.
     ///
     /// # Errors
     ///
     /// Returns [`BenchError`] if the cell cannot run (unknown scheduler
-    /// name, invalid generated jobs).
+    /// name, invalid generated jobs, a panic on both attempts).
     pub fn get(&mut self, scheduler: &str, bench: Benchmark, rate: ArrivalRate) -> Result<&SimReport, BenchError> {
         let key = self.scenario(scheduler, bench, rate);
         if !self.cache.contains_key(&key) {
-            let report = sweep::run_cell(&key, &sweep::RunOptions::default())?;
-            Self::persist(&mut self.checkpoint, &key, &report);
-            if self.verbose {
-                eprintln!(
-                    "[run] {:<9} {:<7} {:<6} met {:>3}/{}",
-                    scheduler,
-                    bench.name(),
-                    rate.name(),
-                    report.deadlines_met(),
-                    self.n_jobs,
-                );
-            }
-            self.cache.insert(key.clone(), report);
+            self.run_missing(std::slice::from_ref(&key), 1)?;
         }
         Ok(&self.cache[&key])
+    }
+
+    /// Runs uncached cells through [`sweep::run_grid`] on `jobs` worker
+    /// threads, caching each report (and recording it in the checkpoint,
+    /// when one is attached) the moment it lands, so a kill -9 one cell
+    /// before the end loses one cell, not the sweep.
+    fn run_missing(&mut self, cells: &[Scenario], jobs: usize) -> Result<(), BenchError> {
+        let (cache, verbose, total) = (&mut self.cache, self.verbose, cells.len());
+        let mut done = 0;
+        let run = |s: &Scenario| sweep::run_cell(s, &RunOptions::default());
+        sweep::run_grid(cells, jobs, self.checkpoint.as_mut(), run, |s, r| {
+            done += 1;
+            if let Ok(report) = r {
+                cache.insert(s.clone(), report.clone());
+            }
+            if verbose {
+                let status = if r.is_ok() { "ok" } else { "FAILED" };
+                eprintln!("[sweep {done:>3}/{total}] {:<28} {status}", s.to_string());
+            }
+        })?;
+        Ok(())
     }
 
     /// Deadline-met count for a cell.
@@ -252,7 +204,7 @@ mod tests {
     #[test]
     fn run_cell_produces_resolved_jobs() {
         let s = Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::Low, 8, 1);
-        let r = sweep::run_cell(&s, &sweep::RunOptions::default()).unwrap();
+        let r = sweep::run_cell(&s, &RunOptions::default()).unwrap();
         assert_eq!(r.records.len(), 8);
         assert_eq!(r.completed() + r.rejected(), 8);
     }
@@ -328,7 +280,7 @@ mod tests {
         let mut ck = Checkpoint::open(&path);
         let report = sweep::run_cell(
             &Scenario::new("RR", Benchmark::Ipv6, ArrivalRate::Low, 2, 1),
-            &sweep::RunOptions::default(),
+            &RunOptions::default(),
         )
         .unwrap();
         // A fault-sweep key, and one in the fault sweep's older `:f0` form.

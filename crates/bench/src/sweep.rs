@@ -11,19 +11,22 @@
 //!   with [`crate::cluster::ClusterScenario`]:
 //!   `NAME:BENCH:RATE[:dD]:jN:sSEED[:fI]`, where only fleet cells carry
 //!   `dD` and `:fI` appears only for a non-zero intensity.
-//! * [`run_cell`] — run one cell under [`RunOptions`] (probe observers,
-//!   wall-clock deadline), returning typed [`BenchError`]s instead of
-//!   panics. What a cell simulates lives in the [`Scenario`]; how it is
-//!   executed lives in the options.
-//! * [`run_sweep`] / [`run_sweep_opts`] — a work queue over
-//!   `std::thread::scope`: `N` workers pull cells from an atomic cursor,
-//!   results flow back over a channel, and a progress callback fires on
-//!   the caller's thread per finished cell. [`SweepOptions`] adds per-cell
-//!   panic isolation with bounded retry and an optional wall-clock
-//!   deadline, so one broken cell degrades to a typed error instead of
+//! * [`run_cell`] — run one cell under [`RunOptions`] (probe observers),
+//!   returning typed [`BenchError`]s instead of panics. What a cell
+//!   simulates lives in the [`Scenario`]; how it is observed lives in the
+//!   options.
+//! * [`run_grid`] — the one run path of every checkpointed grid, device
+//!   ([`Scenario`]) or fleet ([`crate::cluster::ClusterScenario`]) cells
+//!   alike: restore the cells a [`Store`] already holds, fan the rest out
+//!   over worker threads, isolate each cell's panics (two attempts, then
+//!   [`BenchError::Panicked`]) and record each report the moment it
+//!   lands, so one broken cell degrades to a typed error instead of
 //!   killing a multi-hour grid.
-//! * [`par_map`] — the same fan-out for arbitrary cell types (the ablation
-//!   binary sweeps `LaxConfig` variants that have no registry name).
+//! * [`par_map`] / [`par_map_with`] — the fan-out beneath [`run_grid`], a
+//!   work queue over `std::thread::scope`: `N` workers pull items from an
+//!   atomic cursor and results flow back over a channel. Sweeps whose
+//!   cells are not checkpointed use it directly (the ablation binary
+//!   sweeps `LaxConfig` variants that have no registry name).
 //!
 //! # Determinism
 //!
@@ -53,7 +56,6 @@ use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration as WallDuration;
 
 use gpu_sim::prelude::*;
 use schedulers::registry::{self, UnknownScheduler};
@@ -63,6 +65,8 @@ use workloads::spec::{
     cell_seed, intensity_to_milli, milli_to_intensity, ArrivalRate, Benchmark, ParseSpecError,
 };
 use workloads::suite::BenchmarkSuite;
+
+use crate::checkpoint::{Codec, Store};
 
 /// One experiment cell: a scheduler on a benchmark at an arrival rate, with
 /// a job count, a base RNG seed and a fault intensity. Self-describing and
@@ -289,32 +293,23 @@ pub enum BenchError {
     /// The simulation rejected the configuration or generated jobs, or hit
     /// a runtime fault (stall watchdog, event budget, queue overflow).
     Sim(SimError),
-    /// The cell's worker panicked on every attempt; the sweep isolated the
-    /// panic instead of unwinding through the pool.
+    /// The cell panicked on every attempt; [`run_grid`] isolated the panic
+    /// instead of unwinding through the pool.
     Panicked {
         /// How many times the cell was attempted before giving up.
         attempts: u32,
         /// The final panic payload, stringified.
         message: String,
     },
-    /// The cell exceeded its per-cell wall-clock deadline
-    /// ([`SweepOptions::cell_deadline`]).
-    DeadlineExceeded {
-        /// The configured limit.
-        limit: WallDuration,
-    },
-    /// The caller's progress callback panicked mid-sweep; the workers were
-    /// drained cleanly and the payload is reported here instead of
-    /// poisoning the result channel.
-    Callback(String),
     /// A filesystem operation (checkpoint write, results file) failed.
     Io(String),
     /// The cluster scenario's fleet fault plan is ill-formed for the fleet.
     FleetFault(FleetFaultError),
-    /// A cluster knob is out of range: `slots` must be at least 1 and
-    /// `jitter` must lie in `[0, 1)`.
+    /// A cluster knob is out of range: `slots` must be at least 1,
+    /// `jitter` must lie in `[0, 1)` and `n_jobs` must be at most 2³² (job
+    /// ids are `u32`).
     FleetKnob {
-        /// Which knob (`slots` or `jitter`).
+        /// Which knob (`slots`, `jitter` or `n_jobs`).
         knob: &'static str,
         /// The rejected value, as given.
         value: String,
@@ -333,16 +328,17 @@ impl fmt::Display for BenchError {
             BenchError::Panicked { attempts, message } => {
                 write!(f, "cell panicked on all {attempts} attempt(s): {message}")
             }
-            BenchError::DeadlineExceeded { limit } => {
-                write!(f, "cell exceeded its {limit:?} wall-clock deadline")
-            }
-            BenchError::Callback(msg) => write!(f, "progress callback panicked: {msg}"),
             BenchError::Io(msg) => write!(f, "I/O error: {msg}"),
             BenchError::FleetFault(e) => write!(f, "invalid fleet fault plan: {e}"),
-            BenchError::FleetKnob { knob, value } => write!(
-                f,
-                "invalid fleet {knob} {value} (slots must be at least 1, jitter in [0, 1))"
-            ),
+            BenchError::FleetKnob { knob, value } => {
+                let bound = match *knob {
+                    "slots" => "at least 1",
+                    "jitter" => "in [0, 1)",
+                    "n_jobs" => "at most 2^32",
+                    _ => "in range",
+                };
+                write!(f, "invalid fleet {knob} {value} (must be {bound})")
+            }
             BenchError::Scenario(e) => write!(f, "{e}"),
         }
     }
@@ -394,18 +390,17 @@ impl From<workloads::scenario::ScenarioFileError> for BenchError {
 /// A shareable handle to a probe-bus observer, as accepted by
 /// [`RunOptions::observe`].
 ///
-/// The `Arc<Mutex<..>>` shape is what lets [`RunOptions`] be `Clone` (a
-/// deadline-bounded cell re-runs on a helper thread with the same options)
-/// while the caller keeps its own handle to read the observer back after the
-/// run. Any concrete `Arc<Mutex<MetricsSampler>>`-style handle coerces to
-/// this type at the call site.
+/// The `Arc<Mutex<..>>` shape lets the caller keep its own handle to read
+/// the observer back after the run. Any concrete
+/// `Arc<Mutex<MetricsSampler>>`-style handle coerces to this type at the
+/// call site.
 pub type SharedObserver = Arc<Mutex<dyn Observer<ProbeEvent> + Send>>;
 
 /// Everything that can vary about *how* one cell is executed, as opposed to
-/// *what* it simulates (the [`Scenario`], fault intensity included):
-/// attached observers and an optional wall-clock deadline.
+/// *what* it simulates (the [`Scenario`], fault intensity included): the
+/// observers attached to its probe bus.
 ///
-/// The default value runs the cell unobserved and unbounded.
+/// The default value runs the cell unobserved.
 ///
 /// # Examples
 ///
@@ -425,20 +420,11 @@ pub struct RunOptions {
     /// events), so observed and unobserved runs of the same cell are
     /// bit-identical; `observers_do_not_perturb_cell_reports` locks this in.
     pub observers: Vec<SharedObserver>,
-    /// Per-cell wall-clock limit; `None` (default) runs the cell inline on
-    /// the calling thread with no watcher overhead. When set, the cell runs
-    /// on a helper thread so the caller can give up at the limit with
-    /// [`BenchError::DeadlineExceeded`]; the abandoned helper finishes (or
-    /// panics) detached and its result is discarded.
-    pub deadline: Option<WallDuration>,
 }
 
 impl fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("observers", &self.observers.len())
-            .field("deadline", &self.deadline)
-            .finish()
+        f.debug_struct("RunOptions").field("observers", &self.observers.len()).finish()
     }
 }
 
@@ -450,17 +436,12 @@ impl RunOptions {
         self.observers.push(observer);
         self
     }
-
-    /// Sets the per-cell wall-clock deadline.
-    pub fn deadline(mut self, limit: WallDuration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
 }
 
 /// Runs one experiment cell under the given [`RunOptions`] — the sole cell
-/// entrypoint (observers and deadlines are options, not separate
-/// functions).
+/// entrypoint (observers are an option, not a separate function). Grids
+/// run their cells through [`run_grid`], which adds panic isolation and
+/// checkpointing.
 ///
 /// The fault plan is drawn at the cell's intensity from
 /// [`Scenario::cell_seed`] — which excludes the scheduler name — so every
@@ -471,39 +452,10 @@ impl RunOptions {
 /// # Errors
 ///
 /// Returns [`BenchError::UnknownScheduler`] for scheduler names outside the
-/// registry, [`BenchError::Sim`] if the generated jobs cannot run or the
-/// run hits a runtime fault (stall watchdog, event budget), and
-/// [`BenchError::DeadlineExceeded`] past `opts.deadline` — no panics on
+/// registry and [`BenchError::Sim`] if the generated jobs cannot run or the
+/// run hits a runtime fault (stall watchdog, event budget) — no panics on
 /// user input.
 pub fn run_cell(scenario: &Scenario, opts: &RunOptions) -> Result<SimReport, BenchError> {
-    match opts.deadline {
-        None => run_cell_inline(scenario, opts),
-        Some(limit) => {
-            // Run on a helper thread so this thread can enforce the
-            // deadline. On timeout the helper is abandoned (it keeps running
-            // detached until its cell finishes; the send to the dropped
-            // channel then fails silently). A panicking cell is re-raised
-            // here so the caller sees the same unwind as the inline path.
-            let (tx, rx) = mpsc::channel();
-            let cell = scenario.clone();
-            let inner = opts.clone();
-            std::thread::spawn(move || {
-                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_cell_inline(&cell, &inner)
-                }));
-                let _ = tx.send(outcome);
-            });
-            match rx.recv_timeout(limit) {
-                Ok(Ok(result)) => result,
-                Ok(Err(payload)) => panic::resume_unwind(payload),
-                Err(_) => Err(BenchError::DeadlineExceeded { limit }),
-            }
-        }
-    }
-}
-
-/// The deadline-free cell body: generate jobs, then [`run_jobs`].
-fn run_cell_inline(scenario: &Scenario, opts: &RunOptions) -> Result<SimReport, BenchError> {
     let suite = BenchmarkSuite::calibrated();
     let seed = scenario.cell_seed();
     let jobs = suite.generate_jobs(scenario.bench, scenario.rate, scenario.n_jobs, seed);
@@ -637,20 +589,6 @@ pub fn write_output(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
     fs::write(path, contents)
 }
 
-/// Progress of a sweep, reported once per finished cell (on the calling
-/// thread, in completion order).
-#[derive(Debug, Clone, Copy)]
-pub struct Progress<'a> {
-    /// Cells finished so far (including this one).
-    pub done: usize,
-    /// Total cells in the sweep.
-    pub total: usize,
-    /// The cell that just finished.
-    pub scenario: &'a Scenario,
-    /// Whether the cell produced a report (vs a [`BenchError`]).
-    pub ok: bool,
-}
-
 /// Renders a caught panic payload for error reports: the `&str`/`String`
 /// message when there is one, a placeholder otherwise.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -663,24 +601,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The fan-out engine underneath [`par_map_with`] and [`run_sweep_opts`]:
-/// returns the per-item results **in input order** plus the first panic the
-/// `on_done` callback raised, if any.
+/// Fans `items` across `jobs` scoped worker threads and returns `f(item)`
+/// for each, **in input order**. `on_done(index, result)` fires on the
+/// calling thread as each item finishes (completion order).
 ///
-/// A panicking callback must not poison the sweep: workers block on an
-/// unbounded channel send only when the receiver has hung up, so if the
-/// drain loop unwound mid-sweep the scope join would deadlock-free but the
-/// results would be lost and the panic would tear through caller frames
-/// that hold checkpoints half-written. Instead the callback runs under
-/// `catch_unwind`; on a panic the drain keeps consuming (workers finish
-/// their cells and exit cleanly) but stops invoking the callback, and the
-/// payload is handed back for the caller to surface as a typed error.
-fn par_map_catching<T, R, F>(
+/// The one fan-out beneath [`par_map`] and [`run_grid`], exposed for
+/// sweeps whose cells are not checkpointed.
+///
+/// # Panics
+///
+/// A panic in `f` propagates. If `on_done` panics it is not called again,
+/// but the drain keeps consuming: every in-flight item still completes and
+/// the workers exit cleanly before the panic resumes on the calling
+/// thread, so it never tears through a half-drained pool.
+pub fn par_map_with<T, R, F>(
     items: &[T],
     jobs: usize,
     f: F,
     mut on_done: impl FnMut(usize, &R),
-) -> (Vec<R>, Option<String>)
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -690,7 +629,7 @@ where
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut callback_panic: Option<String> = None;
+    let mut callback_panic = None;
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             let tx = tx.clone();
@@ -710,49 +649,15 @@ where
         drop(tx);
         while let Ok((i, r)) = rx.recv() {
             if callback_panic.is_none() {
-                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| on_done(i, &r))) {
-                    callback_panic = Some(panic_message(&*payload));
-                }
+                callback_panic = panic::catch_unwind(AssertUnwindSafe(|| on_done(i, &r))).err();
             }
             results[i] = Some(r);
         }
     });
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every index was sent exactly once"))
-        .collect();
-    (results, callback_panic)
-}
-
-/// Fans `items` across `jobs` scoped worker threads and returns `f(item)`
-/// for each, **in input order**. `on_done(index, result)` fires on the
-/// calling thread as each item finishes (completion order).
-///
-/// The engine underneath [`run_sweep`], exposed for sweeps whose cells are
-/// not [`Scenario`]s (e.g. the ablation binary's `LaxConfig` variants).
-///
-/// # Panics
-///
-/// If `on_done` panics, every in-flight cell still completes and the
-/// workers exit cleanly before the panic resumes on the calling thread
-/// ([`run_sweep`] converts the same situation into
-/// [`BenchError::Callback`] instead).
-pub fn par_map_with<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    f: F,
-    on_done: impl FnMut(usize, &R),
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, callback_panic) = par_map_catching(items, jobs, f, on_done);
-    if let Some(msg) = callback_panic {
-        panic!("par_map_with progress callback panicked: {msg}");
+    if let Some(payload) = callback_panic {
+        panic::resume_unwind(payload);
     }
-    results
+    results.into_iter().map(|r| r.expect("every index was sent exactly once")).collect()
 }
 
 /// [`par_map_with`] without the completion callback.
@@ -765,118 +670,85 @@ where
     par_map_with(items, jobs, f, |_, _| {})
 }
 
-/// Robustness knobs for a sweep: worker count, per-cell panic isolation
-/// with bounded retry, and an optional per-cell wall-clock deadline.
+/// How many times [`run_grid`] runs a panicking cell before reporting
+/// [`BenchError::Panicked`]. The simulator is deterministic, so a panic
+/// usually recurs; the second attempt guards against environmental
+/// failures (allocation pressure on a loaded machine) and bounds how long
+/// a genuinely broken cell is hammered.
+const ATTEMPTS: u32 = 2;
+
+/// Runs a grid of cells, each keyed by its `Display` form, and returns one
+/// record per cell **in input order**: the one run path of every
+/// checkpointed grid (`all`, `faults`, `dag`, `cluster`, `chaos`).
 ///
-/// The defaults reproduce the plain [`run_sweep`] behaviour (isolate
-/// panics, one retry, default [`RunOptions`]), so figure binaries opt in
-/// only to what they need.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Worker-thread count (see [`default_jobs`]).
-    pub jobs: usize,
-    /// Extra attempts after a cell panics. The simulator is deterministic,
-    /// so a panic usually recurs — the retry guards against environmental
-    /// failures (allocation pressure on a loaded machine) and bounds how
-    /// long a genuinely broken cell is hammered.
-    pub retries: u32,
-    /// Per-cell execution options, passed through to [`run_cell`].
-    pub run: RunOptions,
-}
-
-impl SweepOptions {
-    /// Options for a plain sweep on `jobs` workers.
-    pub fn new(jobs: usize) -> Self {
-        SweepOptions { jobs, retries: 1, run: RunOptions::default() }
-    }
-
-    /// Sets the number of extra attempts after a panic.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-cell wall-clock deadline ([`RunOptions::deadline`]).
-    pub fn cell_deadline(mut self, limit: WallDuration) -> Self {
-        self.run.deadline = Some(limit);
-        self
-    }
-}
-
-/// Runs one cell under [`SweepOptions`]: catch panics, retry a bounded
-/// number of times, and (when configured) give up at the wall-clock
-/// deadline. The per-cell building block of [`run_sweep_opts`], public so
-/// checkpointed grids that fan out themselves (the fault and DAG sweeps)
-/// get the same isolation.
+/// * A cell already in `store` is returned without running.
+/// * The missing cells fan out over `workers` threads. Each runs `run`
+///   under panic isolation: a cell that panics on both of its two attempts
+///   becomes [`BenchError::Panicked`].
+/// * Each report is recorded in `store` the moment it lands, so a kill
+///   loses at most the cells still running. A failed write prints a
+///   warning and the grid carries on: the checkpoint makes `--resume`
+///   cheaper, it is not a correctness dependency.
+/// * `on_done(cell, result)` then fires on the calling thread, once per
+///   run cell, in completion order.
+///
+/// Reports never depend on `workers`, because each cell seeds itself.
 ///
 /// # Errors
 ///
-/// Everything [`run_cell`] reports, plus [`BenchError::Panicked`].
-pub fn run_cell_opts(scenario: &Scenario, opts: &SweepOptions) -> Result<SimReport, BenchError> {
-    let attempts = opts.retries.saturating_add(1);
-    let mut last_panic = String::new();
-    for _ in 0..attempts {
-        match panic::catch_unwind(AssertUnwindSafe(|| run_cell(scenario, &opts.run))) {
-            Ok(result) => return result,
-            Err(payload) => last_panic = panic_message(&*payload),
+/// The first failing cell in input order, returned only after every
+/// runnable cell has finished and been recorded.
+///
+/// # Panics
+///
+/// A panic in `on_done` resumes on the caller once the workers have
+/// drained, as in [`par_map_with`].
+pub fn run_grid<K, C>(
+    cells: &[K],
+    workers: usize,
+    mut store: Option<&mut Store<C>>,
+    run: impl Fn(&K) -> Result<C::Record, BenchError> + Sync,
+    mut on_done: impl FnMut(&K, &Result<C::Record, BenchError>),
+) -> Result<Vec<C::Record>, BenchError>
+where
+    K: fmt::Display + Sync,
+    C: Codec,
+    C::Record: Clone + Send,
+{
+    let keys: Vec<String> = cells.iter().map(K::to_string).collect();
+    let mut records: Vec<Option<C::Record>> =
+        keys.iter().map(|key| store.as_ref().and_then(|s| s.get(key)).cloned()).collect();
+    let missing: Vec<usize> = (0..cells.len()).filter(|&i| records[i].is_none()).collect();
+    let isolated = |&i: &usize| {
+        let mut message = String::new();
+        for _ in 0..ATTEMPTS {
+            match panic::catch_unwind(AssertUnwindSafe(|| run(&cells[i]))) {
+                Ok(result) => return result,
+                Err(payload) => message = panic_message(&*payload),
+            }
         }
+        Err(BenchError::Panicked { attempts: ATTEMPTS, message })
+    };
+    let results = par_map_with(&missing, workers, isolated, |j, result| {
+        let i = missing[j];
+        if let (Ok(record), Some(store)) = (result, store.as_deref_mut()) {
+            if let Err(e) = store.record(&keys[i], record.clone()) {
+                eprintln!("warning: checkpoint write failed: {e}");
+            }
+        }
+        on_done(&cells[i], result);
+    });
+    for (i, result) in missing.into_iter().zip(results) {
+        records[i] = Some(result?);
     }
-    Err(BenchError::Panicked { attempts, message: last_panic })
-}
-
-/// Runs every scenario on a pool of `jobs` worker threads, returning the
-/// per-cell results **in input order**. `on_progress` fires on the calling
-/// thread once per finished cell.
-///
-/// Cell failures — unknown scheduler, invalid jobs, runtime faults, even a
-/// panicking cell — are reported per cell, never aborting the rest of the
-/// grid.
-///
-/// # Errors
-///
-/// The outer `Err` is reserved for a panicking `on_progress` callback
-/// ([`BenchError::Callback`]): the workers are drained cleanly first, then
-/// the panic is surfaced as a value instead of unwinding mid-sweep.
-pub fn run_sweep<'s>(
-    scenarios: &'s [Scenario],
-    jobs: usize,
-    on_progress: impl FnMut(Progress<'s>),
-) -> Result<Vec<Result<SimReport, BenchError>>, BenchError> {
-    run_sweep_opts(scenarios, &SweepOptions::new(jobs), on_progress)
-}
-
-/// [`run_sweep`] with explicit [`SweepOptions`] (retry budget, per-cell
-/// deadline).
-///
-/// # Errors
-///
-/// Same contract as [`run_sweep`].
-pub fn run_sweep_opts<'s>(
-    scenarios: &'s [Scenario],
-    opts: &SweepOptions,
-    mut on_progress: impl FnMut(Progress<'s>),
-) -> Result<Vec<Result<SimReport, BenchError>>, BenchError> {
-    let total = scenarios.len();
-    let mut done = 0;
-    let (results, callback_panic) = par_map_catching(
-        scenarios,
-        opts.jobs,
-        |s| run_cell_opts(s, opts),
-        |i, r| {
-            done += 1;
-            on_progress(Progress { done, total, scenario: &scenarios[i], ok: r.is_ok() });
-        },
-    );
-    match callback_panic {
-        Some(msg) => Err(BenchError::Callback(msg)),
-        None => Ok(results),
-    }
+    Ok(records.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterScenario;
+    use crate::checkpoint::{Checkpoint, FleetCodec, SweepCodec};
+    use crate::cluster::{ClusterBuilder, ClusterScenario};
     use sim_core::rng::SimRng;
 
     fn tiny(scheduler: &str) -> Scenario {
@@ -1076,19 +948,30 @@ mod tests {
         assert!(err.to_string().contains("WARP-SPEED"));
     }
 
+    /// [`run_cell`] with default options, the `run` of every device grid.
+    fn plain(s: &Scenario) -> Result<SimReport, BenchError> {
+        run_cell(s, &RunOptions::default())
+    }
+
+    /// A device grid without a checkpoint.
+    fn grid(
+        cells: &[Scenario],
+        workers: usize,
+        on_done: impl FnMut(&Scenario, &Result<SimReport, BenchError>),
+    ) -> Result<Vec<SimReport>, BenchError> {
+        run_grid(cells, workers, None::<&mut Checkpoint>, plain, on_done)
+    }
+
     #[test]
     fn sweep_reports_bad_cells_without_aborting_good_ones() {
         let scenarios = vec![tiny("RR"), tiny("NOPE"), tiny("EDF")];
-        let mut seen = 0;
-        let results = run_sweep(&scenarios, 2, |p| {
-            seen += 1;
-            assert_eq!(p.total, 3);
-        })
-        .unwrap();
-        assert_eq!(seen, 3);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(BenchError::UnknownScheduler(_))));
-        assert!(results[2].is_ok());
+        let mut landed = Vec::new();
+        let err = grid(&scenarios, 2, |s, r| landed.push((s.scheduler.clone(), r.is_ok())))
+            .unwrap_err();
+        assert!(matches!(err, BenchError::UnknownScheduler(_)), "{err}");
+        landed.sort();
+        let expected = [("EDF", true), ("NOPE", false), ("RR", true)];
+        assert_eq!(landed, expected.map(|(s, ok)| (s.to_string(), ok)));
     }
 
     #[test]
@@ -1101,13 +984,76 @@ mod tests {
                     .map(|r| Scenario::new(s, Benchmark::Ipv6, r, 6, 7))
             })
             .collect();
-        let serial = run_sweep(&scenarios, 1, |_| {}).unwrap();
-        let parallel = run_sweep(&scenarios, 8, |_| {}).unwrap();
+        let serial = grid(&scenarios, 1, |_, _| {}).unwrap();
+        let parallel = grid(&scenarios, 8, |_, _| {}).unwrap();
+        assert_eq!(serial.len(), scenarios.len());
         for ((s, a), b) in scenarios.iter().zip(&serial).zip(&parallel) {
-            let a = a.as_ref().expect("serial cell ran");
-            let b = b.as_ref().expect("parallel cell ran");
             assert_eq!(a, b, "{s} must be bit-identical across thread counts");
+            assert_eq!(*a, plain(s).unwrap(), "{s}: results come back in input order");
         }
+    }
+
+    /// The [`run_grid`] contract for one codec: a cell already in the
+    /// store never runs, a bad cell stops no good one, every good cell is
+    /// recorded before the first error comes back, and the records at 1
+    /// and 8 workers are equal and in input order.
+    fn grid_contract<K, C>(
+        cells: &[K],
+        bad: K,
+        run: impl Fn(&K) -> Result<C::Record, BenchError> + Sync,
+        is_bad: fn(&BenchError) -> bool,
+    ) where
+        K: fmt::Display + Sync + Clone,
+        C: Codec,
+        C::Record: Clone + Send + PartialEq + fmt::Debug,
+    {
+        let path = std::env::temp_dir().join(format!("lax-grid-contract-{}", std::process::id()));
+        let _ = fs::remove_file(&path);
+        let mut store = Store::<C>::open(&path);
+        let restored = cells[0].to_string();
+        store.record(&restored, run(&cells[0]).unwrap()).unwrap();
+        // The bad cell sits right after the restored one, so on one worker
+        // it is the first cell to run and every good cell follows it.
+        let mut with_bad = cells.to_vec();
+        with_bad.insert(1, bad);
+        let ran = Mutex::new(Vec::new());
+        let counted = |k: &K| {
+            ran.lock().unwrap().push(k.to_string());
+            run(k)
+        };
+        let mut landed = 0;
+        let err = run_grid(&with_bad, 1, Some(&mut store), counted, |_, _| landed += 1)
+            .unwrap_err();
+        assert!(is_bad(&err), "{err}");
+        let ran = ran.into_inner().unwrap();
+        assert!(!ran.contains(&restored), "the restored cell ran: {ran:?}");
+        assert_eq!((ran.len(), landed), (cells.len(), cells.len()), "every missing cell ran once");
+        assert_eq!(store.len(), cells.len(), "every good cell was recorded");
+        assert_eq!(Store::<C>::open(&path).len(), cells.len(), "and written to the file");
+
+        let serial = run_grid(cells, 1, None::<&mut Store<C>>, &run, |_, _| {}).unwrap();
+        let parallel = run_grid(cells, 8, None::<&mut Store<C>>, &run, |_, _| {}).unwrap();
+        assert_eq!(serial, parallel, "records must not depend on the worker count");
+        for (cell, record) in cells.iter().zip(&serial) {
+            assert_eq!(store.get(&cell.to_string()), Some(record), "{cell} out of order");
+        }
+        store.discard_file().unwrap();
+    }
+
+    #[test]
+    fn run_grid_contract_holds_for_both_codecs() {
+        let devices = [tiny("RR"), tiny("EDF"), tiny("LAX"), tiny("SJF")];
+        grid_contract::<_, SweepCodec>(&devices, tiny("NOPE"), plain, |e| {
+            matches!(e, BenchError::UnknownScheduler(_))
+        });
+        let fleet = |policy| ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7);
+        let fleets = [fleet("LL"), fleet("RR").with_fault_milli(1500), fleet("P2C"), fleet("LOW")];
+        grid_contract::<_, FleetCodec>(
+            &fleets,
+            fleet("NOPE"),
+            |s| ClusterBuilder::new(s.clone()).run(),
+            |e| matches!(e, BenchError::UnknownPolicy(_)),
+        );
     }
 
     #[test]
@@ -1187,61 +1133,41 @@ mod tests {
 
     #[test]
     fn panicking_cell_becomes_a_typed_error_after_bounded_retries() {
-        // The sweep must isolate the panic.
-        let scenarios = vec![panicking("RR"), panicking("EDF")];
-        let opts = SweepOptions::new(2).retries(2);
-        let results = run_sweep_opts(&scenarios, &opts, |_| {}).unwrap();
-        for r in &results {
-            match r {
-                Err(BenchError::Panicked { attempts, message }) => {
-                    assert_eq!(*attempts, 3, "1 try + 2 retries");
-                    assert!(message.contains("capacity overflow"), "{message}");
-                }
-                other => panic!("expected Panicked, got {other:?}"),
+        // The grid must isolate the panic and keep running the other cells.
+        let scenarios = vec![panicking("RR"), tiny("EDF"), panicking("LAX")];
+        let mut panicked = 0;
+        let err = grid(&scenarios, 2, |s, r| match r {
+            Err(BenchError::Panicked { attempts, message }) => {
+                assert_eq!(*attempts, 2, "{s}: 1 try + 1 retry");
+                assert!(message.contains("capacity overflow"), "{message}");
+                panicked += 1;
             }
-        }
+            other => assert!(other.is_ok() && s.scheduler == "EDF", "{s}: {other:?}"),
+        })
+        .unwrap_err();
+        assert!(matches!(err, BenchError::Panicked { attempts: 2, .. }), "{err}");
+        assert_eq!(panicked, 2);
     }
 
     #[test]
     fn callback_panic_is_drained_and_surfaced_not_propagated() {
         let scenarios = vec![tiny("RR"), tiny("EDF"), tiny("LAX"), tiny("SJF")];
+        let ran = AtomicUsize::new(0);
         let mut calls = 0;
-        let err = run_sweep(&scenarios, 2, |_| {
-            calls += 1;
-            panic!("boom in progress bar");
-        })
-        .unwrap_err();
-        match err {
-            BenchError::Callback(msg) => assert!(msg.contains("boom"), "{msg}"),
-            other => panic!("expected Callback, got {other:?}"),
-        }
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+            let counted = |s: &Scenario| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                plain(s)
+            };
+            let _ = run_grid(&scenarios, 2, None::<&mut Checkpoint>, counted, |_, _| {
+                calls += 1;
+                panic!("boom in progress bar");
+            });
+        }))
+        .expect_err("the callback's panic resumes on the caller");
+        assert!(panic_message(&*payload).contains("boom"));
         assert_eq!(calls, 1, "callback must not be re-entered after panicking");
-    }
-
-    #[test]
-    fn cell_deadline_times_out_as_a_typed_error() {
-        let scenarios = vec![tiny("RR")];
-        let opts = SweepOptions::new(1).cell_deadline(WallDuration::ZERO);
-        let results = run_sweep_opts(&scenarios, &opts, |_| {}).unwrap();
-        match &results[0] {
-            Err(BenchError::DeadlineExceeded { limit }) => {
-                assert_eq!(*limit, WallDuration::ZERO);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn generous_cell_deadline_still_returns_the_report() {
-        let scenarios = vec![tiny("RR")];
-        let opts = SweepOptions::new(1).cell_deadline(WallDuration::from_secs(300));
-        let deadline = run_sweep_opts(&scenarios, &opts, |_| {}).unwrap();
-        let plain = run_sweep(&scenarios, 1, |_| {}).unwrap();
-        assert_eq!(
-            deadline[0].as_ref().unwrap(),
-            plain[0].as_ref().unwrap(),
-            "the helper-thread path must not perturb results"
-        );
+        assert_eq!(ran.into_inner(), scenarios.len(), "the workers drained every cell");
     }
 
     #[test]
@@ -1301,20 +1227,5 @@ mod tests {
         assert_eq!(storm.cell_seed(), s.cell_seed(), "job traces pair across intensities");
         let clean = run_cell(&s, &RunOptions::default()).unwrap();
         assert_ne!(a, clean, "an intensity-1.0 storm must perturb the run");
-    }
-
-    #[test]
-    fn deadline_and_panic_compose_into_the_panicked_error() {
-        // A cell that panics *before* its generous deadline must surface as
-        // Panicked, not DeadlineExceeded: the helper thread re-raises the
-        // panic on the caller, and the retry loop converts it.
-        let s = panicking("RR");
-        let opts = SweepOptions::new(1).retries(0).cell_deadline(WallDuration::from_secs(300));
-        match run_cell_opts(&s, &opts) {
-            Err(BenchError::Panicked { attempts: 1, message }) => {
-                assert!(message.contains("capacity overflow"), "{message}");
-            }
-            other => panic!("expected Panicked after 1 attempt, got {other:?}"),
-        }
     }
 }

@@ -30,6 +30,12 @@ echo "   RR keeps 4/5 story jobs on time, LAX 5/5"
 echo "== tier1: cargo test -q (workspace) =="
 cargo test --workspace -q
 
+echo "== tier1: benchmark package tests =="
+# The benchmark is its own package (the perf gate), so the workspace build
+# never compiles it, yet it links the lax_bench API: build and test it here
+# so an API edit cannot break it unseen.
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== tier1: cargo clippy -D warnings (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
