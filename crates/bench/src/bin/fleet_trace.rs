@@ -4,14 +4,16 @@
 //!
 //! ```text
 //! cargo run --release -p lax-bench --bin fleet-trace -- \
-//!     [SCENARIO] [--out PATH] [--csv PATH] [--series-json PATH] \
-//!     [--window-us N] [--fidelity fast|detailed] [--scheduler NAME] \
-//!     [--slots N] [--jitter F] [--retry-budget N] [--backoff-us N] \
-//!     [--shed] [--jobs N]
+//!     [CELL] [--out PATH] [--csv PATH] [--series-json PATH] [--window-us N] \
+//!     [--fidelity fast|detailed] [--scheduler NAME] [--slots N] [--jitter F] \
+//!     [--retry-budget N] [--backoff-us N] [--shed] [--jobs N]
 //! ```
 //!
-//! `SCENARIO` is a cluster-scenario string with an optional fault-intensity
-//! suffix (`POLICY:BENCH:RATE:dD:jN:sSEED[:fI]`); the default is a small
+//! `CELL` is a cluster cell string with an optional fault-intensity suffix
+//! (`POLICY:BENCH:RATE:dD:jN:sSEED[:fI]`); the run knobs (`--fidelity`
+//! through `--shed`) are [`lax_bench::cluster::knobs_from_cli`]'s, shared
+//! with `cluster` and `chaos`. `--window-us` sets the telemetry window
+//! width (default 100 µs; at least 1). The default cell is a small
 //! faulty fleet (`LL:HYBRID:high:d4:j2000:s7:f1`) so the trace shows
 //! crash/drain health spans out of the box. The trace (`--out`, default
 //! `results/fleet_trace.json`) loads in `ui.perfetto.dev` or
@@ -29,10 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::{FleetSampler, FleetTraceWriter};
-use lax_bench::cluster::{ClusterBuilder, ClusterScenario};
-use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::cluster::{cells_from_cli, knobs_from_cli};
+use lax_bench::sweep::{self, take_value, write_output};
 use sim_core::json;
-use sim_core::time::Duration;
+use sim_core::time::{Duration, CYCLES_PER_US};
 
 /// Validates a JSON artifact and writes it, creating parent directories.
 fn write_json(path: &Path, doc: &str) -> Result<(), Box<dyn Error>> {
@@ -43,7 +45,6 @@ fn write_json(path: &Path, doc: &str) -> Result<(), Box<dyn Error>> {
 
 fn main() -> Result<(), Box<dyn Error>> {
     let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let shed = take_flag(&mut rest, "--shed");
     let out = PathBuf::from(
         take_value(&mut rest, "--out").unwrap_or_else(|| "results/fleet_trace.json".to_string()),
     );
@@ -51,29 +52,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     let series = take_value(&mut rest, "--series-json").map(PathBuf::from);
     let window_us =
         take_value(&mut rest, "--window-us").map(|v| v.parse::<u64>()).transpose()?;
-    let fidelity = take_value(&mut rest, "--fidelity")
-        .map(|v| v.parse())
-        .transpose()?
-        .unwrap_or_default();
-    let scheduler = take_value(&mut rest, "--scheduler");
-    let slots = take_value(&mut rest, "--slots").map(|v| v.parse::<usize>()).transpose()?;
-    let jitter = take_value(&mut rest, "--jitter").map(|v| v.parse::<f64>()).transpose()?;
-    let retry_budget =
-        take_value(&mut rest, "--retry-budget").map(|v| v.parse::<u32>()).transpose()?;
-    let backoff_us =
-        take_value(&mut rest, "--backoff-us").map(|v| v.parse::<u64>()).transpose()?;
-    let mut scenario: Option<ClusterScenario> = None;
-    for arg in &rest {
-        if arg.starts_with('-') {
-            return Err(format!("unknown argument `{arg}`").into());
-        }
-        if scenario.is_some() {
-            return Err("fleet-trace takes at most one scenario".into());
-        }
-        scenario = Some(arg.parse()?);
+    let max_us = u64::MAX / CYCLES_PER_US;
+    if let Some(us) = window_us.filter(|us| !(1..=max_us).contains(us)) {
+        return Err(format!("--window-us {us}: want 1 to {max_us}").into());
     }
-    let scenario =
-        scenario.unwrap_or_else(|| "LL:HYBRID:high:d4:j2000:s7:f1".parse().expect("default"));
+    let knobs = knobs_from_cli(&mut rest)?;
+    let scenario = match cells_from_cli(&rest)?.as_slice() {
+        [] => "LL:HYBRID:high:d4:j2000:s7:f1".parse().expect("default"),
+        [cell] => cell.clone(),
+        _ => return Err("fleet-trace takes at most one cell".into()),
+    };
 
     let mut sampler = FleetSampler::new().with_devices(scenario.devices as u16);
     if let Some(us) = window_us {
@@ -82,33 +70,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     let sampler = Arc::new(Mutex::new(sampler));
     let tracer = Arc::new(Mutex::new(FleetTraceWriter::new()));
 
-    let key = scenario.to_string();
-    eprintln!("[fleet-trace] {key}: {fidelity} fidelity on {jobs} worker thread(s)");
+    let builder =
+        knobs(scenario).workers(jobs).observe(sampler.clone()).observe(tracer.clone());
+    eprintln!("[fleet-trace] {builder} on {jobs} worker thread(s)");
     let t0 = std::time::Instant::now();
-    let mut builder = ClusterBuilder::new(scenario)
-        .fidelity(fidelity)
-        .workers(jobs)
-        .shed_degraded(shed)
-        .observe(sampler.clone())
-        .observe(tracer.clone());
-    if let Some(s) = &scheduler {
-        builder = builder.device_scheduler(s);
-    }
-    if let Some(s) = slots {
-        builder = builder.slots(s);
-    }
-    if let Some(j) = jitter {
-        builder = builder.jitter(j);
-    }
-    if let Some(b) = retry_budget {
-        builder = builder.retry_budget(b);
-    }
-    if let Some(us) = backoff_us {
-        builder = builder.retry_backoff(Duration::from_us(us));
-    }
     let report = builder.run()?;
     eprintln!(
-        "[fleet-trace] {key}: attain {:.4}, p999 {:.1}us, misses [{}] in {:?}",
+        "[fleet-trace] {builder}: attain {:.4}, p999 {:.1}us, misses [{}] in {:?}",
         report.attainment(),
         report.latency_us.p999(),
         report.misses,

@@ -25,7 +25,10 @@
 //!
 //! Cells are keyed by strings (a cell's string form, e.g.
 //! `LAX:IPV6:high:j128:s42:f0.5` for a faulted cell) rather than parsed
-//! structs, so one sweep format serves `all`, `faults` and `dag`.
+//! structs, so one sweep format serves `all`, `faults` and `dag`. A fleet
+//! key follows the cell with each non-default run knob
+//! (`LL:HYBRID:high:d4:j2000:s7:f1 --retry-budget 0`), so a grid resumed
+//! under other knobs re-runs its cells instead of restoring another run's.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -344,8 +347,9 @@ fn parse_fate(s: &str) -> Option<JobFate> {
 /// The fleet record: a [`ClusterReport`] as its summary scalars plus the
 /// latency sketch's raw buckets, so a resumed grid reproduces its output
 /// byte-identically without storing a million per-job records. The key is
-/// the scenario's string form and parses back into
-/// [`ClusterReport::scenario`].
+/// the run's [`ClusterBuilder`](crate::cluster::ClusterBuilder) string: the
+/// scenario's string form, which parses back into
+/// [`ClusterReport::scenario`], then any non-default knob flags.
 #[derive(Debug)]
 pub struct FleetCodec;
 
@@ -393,7 +397,7 @@ impl Codec for FleetCodec {
         let [fidelity, summary, misses, devices, sketch, buckets] = body else {
             return None;
         };
-        let scenario: ClusterScenario = key.parse().ok()?;
+        let scenario: ClusterScenario = key.split(' ').next()?.parse().ok()?;
         let fidelity = fidelity.strip_prefix("fidelity ")?.parse().ok()?;
         let mut s = summary.strip_prefix("summary ")?.split(' ');
         let mut next = || s.next()?.parse::<u64>().ok();

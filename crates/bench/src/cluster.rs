@@ -90,8 +90,10 @@ use workloads::rnn::{build_chain, sample_seq_len, Hidden, RnnCell, SEQ_RANGE};
 use workloads::spec::{cell_seed, milli_to_intensity, ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 
+use crate::runner::DEFAULT_SEED;
 use crate::sweep::{
-    default_jobs, par_map, BenchError, CellFields, ParseScenarioError, SharedObserver,
+    default_jobs, par_map, take_flag, take_value, BenchError, CellFields, ParseScenarioError,
+    SharedObserver,
 };
 
 /// One cluster experiment cell: a routing policy placing an open-loop
@@ -574,6 +576,42 @@ impl fmt::Debug for ClusterBuilder {
             .field("retry_backoff", &self.retry_backoff)
             .field("shed_degraded", &self.shed_degraded)
             .finish()
+    }
+}
+
+/// The run's checkpoint key: the cell string, then the flag of each knob
+/// [`knobs_from_cli`] sets that differs from its default, as
+/// `LL:HYBRID:high:d4:j2000:s7:f1 --retry-budget 0 --shed`. A default run's
+/// key is the bare cell string, and a resumed grid restores only a report
+/// made under the same knobs. Workers and observers never change a report,
+/// so they are not part of the key; neither is a plan injected with
+/// [`ClusterBuilder::fleet_faults`], which no grid sets.
+impl fmt::Display for ClusterBuilder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let d = ClusterBuilder::new(self.scenario.clone());
+        write!(f, "{}", self.scenario)?;
+        if self.fidelity != d.fidelity {
+            write!(f, " --fidelity {}", self.fidelity)?;
+        }
+        if self.device_scheduler != d.device_scheduler {
+            write!(f, " --scheduler {}", self.device_scheduler)?;
+        }
+        if self.slots != d.slots {
+            write!(f, " --slots {}", self.slots)?;
+        }
+        if self.jitter.to_bits() != d.jitter.to_bits() {
+            write!(f, " --jitter {}", self.jitter)?;
+        }
+        if self.retry_budget != d.retry_budget {
+            write!(f, " --retry-budget {}", self.retry_budget)?;
+        }
+        if self.retry_backoff != d.retry_backoff {
+            write!(f, " --backoff-us {}", self.retry_backoff.as_us_f64())?;
+        }
+        if self.shed_degraded {
+            f.write_str(" --shed")?;
+        }
+        Ok(())
     }
 }
 
@@ -1236,6 +1274,89 @@ impl ClusterBuilder {
     }
 }
 
+/// Takes the fleet run knobs out of a binary's arguments: `--fidelity
+/// fast|detailed`, `--scheduler NAME`, `--slots N`, `--jitter F`,
+/// `--retry-budget N`, `--backoff-us N` and `--shed`. Returns the builder
+/// of any cell under those knobs; a knob not given keeps its
+/// [`ClusterBuilder::new`] default.
+///
+/// # Errors
+///
+/// A knob value that does not parse, naming its flag.
+pub fn knobs_from_cli(
+    args: &mut Vec<String>,
+) -> Result<impl Fn(ClusterScenario) -> ClusterBuilder, String> {
+    fn knob<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        let parse = |v: String| v.parse().map_err(|e| format!("{flag} {v}: {e}"));
+        take_value(args, flag).map(parse).transpose()
+    }
+    let fidelity: Option<Fidelity> = knob(args, "--fidelity")?;
+    let scheduler = take_value(args, "--scheduler");
+    let slots = knob(args, "--slots")?;
+    let jitter = knob(args, "--jitter")?;
+    let retry_budget = knob(args, "--retry-budget")?;
+    let backoff_us: Option<u64> = knob(args, "--backoff-us")?;
+    if let Some(us) = backoff_us.filter(|&us| us > u64::MAX / CYCLES_PER_US) {
+        return Err(format!("--backoff-us {us}: at most {}", u64::MAX / CYCLES_PER_US));
+    }
+    let shed = take_flag(args, "--shed");
+    Ok(move |scenario| {
+        let mut b = ClusterBuilder::new(scenario);
+        b.fidelity = fidelity.unwrap_or(b.fidelity);
+        b.device_scheduler = scheduler.clone().unwrap_or(b.device_scheduler);
+        b.slots = slots.unwrap_or(b.slots);
+        b.jitter = jitter.unwrap_or(b.jitter);
+        b.retry_budget = retry_budget.unwrap_or(b.retry_budget);
+        b.retry_backoff = backoff_us.map_or(b.retry_backoff, Duration::from_us);
+        b.shed_degraded = shed;
+        b
+    })
+}
+
+/// Parses a fleet binary's positional arguments, left once its flags are
+/// taken, as cell strings.
+///
+/// # Errors
+///
+/// An argument that is a leftover flag or not a valid cell string.
+pub fn cells_from_cli(args: &[String]) -> Result<Vec<ClusterScenario>, String> {
+    args.iter()
+        .map(|arg| {
+            if arg.starts_with('-') {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+            arg.parse().map_err(|e: ParseScenarioError| e.to_string())
+        })
+        .collect()
+}
+
+/// The cells of a committed fleet grid: every routing policy serving
+/// HYBRID at [`DEFAULT_SEED`] on `devices` devices and `n_jobs` jobs, for each
+/// fault intensity (milli-units, outermost), then each rate, then each
+/// policy (innermost). Rows group by fault level, so an attainment cliff
+/// reads top to bottom.
+pub fn hybrid_grid(
+    fault_millis: &[u32],
+    rates: &[ArrivalRate],
+    devices: usize,
+    n_jobs: usize,
+) -> Vec<ClusterScenario> {
+    let mut cells = Vec::new();
+    for &milli in fault_millis {
+        for &rate in rates {
+            for policy in routing::names() {
+                let (bench, seed) = (Benchmark::Hybrid, DEFAULT_SEED);
+                let cell = ClusterScenario::new(policy, bench, rate, devices, n_jobs, seed);
+                cells.push(cell.with_fault_milli(milli));
+            }
+        }
+    }
+    cells
+}
+
 /// One expanded fleet-fault transition targeting a single device.
 #[derive(Debug, Clone, Copy)]
 enum DevAction {
@@ -1728,9 +1849,12 @@ pub fn chaos_table(reports: &[ClusterReport]) -> Table {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     use super::*;
+    use crate::checkpoint::{Codec, FleetCheckpoint, FleetCodec};
+    use crate::sweep::run_grid;
 
     fn scen(policy: &str) -> ClusterScenario {
         ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7)
@@ -1868,6 +1992,75 @@ mod tests {
     #[should_panic(expected = "contains ':'")]
     fn cluster_scenario_rejects_colon_in_policy() {
         let _ = ClusterScenario::new("LL:EVIL", Benchmark::Ipv6, ArrivalRate::High, 1, 1, 1);
+    }
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|f| f.to_string()).collect()
+    }
+
+    /// A builder's string is its checkpoint key: the bare cell under the
+    /// default knobs, and a key of its own under each knob flag, whose
+    /// first field still restores the cell through the fleet codec.
+    #[test]
+    fn checkpoint_key_names_each_non_default_knob() {
+        let cell = scen("LL").with_fault_milli(1000);
+        let defaults = knobs_from_cli(&mut Vec::new()).unwrap();
+        assert_eq!(defaults(cell.clone()).to_string(), cell.to_string());
+        let mut body = String::new();
+        FleetCodec::render(&mut body, &defaults(cell.clone()).run().unwrap());
+        let body: Vec<&str> = body.lines().collect();
+        let mut keys = vec![cell.to_string()];
+        for flags in [
+            &["--fidelity", "detailed"][..],
+            &["--scheduler", "RR"],
+            &["--slots", "3"],
+            &["--jitter", "0.1"],
+            &["--retry-budget", "0"],
+            &["--backoff-us", "250"],
+            &["--shed"],
+        ] {
+            let mut rest = args(flags);
+            let key = knobs_from_cli(&mut rest).unwrap()(cell.clone()).to_string();
+            assert!(rest.is_empty(), "{flags:?} must be taken out of the arguments");
+            assert_eq!(key, format!("{cell} {}", flags.join(" ")));
+            assert!(!keys.contains(&key), "{key} repeats a key");
+            assert_eq!(FleetCodec::parse(&key, &body).unwrap().scenario, cell, "{key}");
+            keys.push(key);
+        }
+        for (flags, named) in [
+            (&["--slots", "x"][..], "--slots x"),
+            (&["--fidelity", "exact"], "--fidelity exact"),
+            (&["--backoff-us", "18446744073709551615"], "--backoff-us"),
+        ] {
+            let err = knobs_from_cli(&mut args(flags)).err().unwrap();
+            assert!(err.starts_with(named), "{err}");
+        }
+    }
+
+    /// A store holding a cell's report made at retry budget 0 does not
+    /// answer for the default-budget run of that cell: the grid runs it
+    /// afresh and returns the fresh report.
+    #[test]
+    fn resume_under_other_knobs_reruns_the_cell() {
+        let cell = scen("LL").with_fault_milli(1000);
+        let budget0 = ClusterBuilder::new(cell.clone()).retry_budget(0);
+        let stale = budget0.run().unwrap();
+        let path = std::env::temp_dir().join(format!("lax-knob-key-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut store = FleetCheckpoint::open(&path);
+        store.record(&budget0.to_string(), stale.clone()).unwrap();
+        let runs = AtomicUsize::new(0);
+        let counted = |b: &ClusterBuilder| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            b.run()
+        };
+        let fresh = ClusterBuilder::new(cell);
+        let cells = std::slice::from_ref(&fresh);
+        let reports = run_grid(cells, 1, Some(&mut store), counted, |_, _| {}).unwrap();
+        assert_eq!(runs.into_inner(), 1, "the default-budget cell must run");
+        assert_eq!(reports, [fresh.run().unwrap()]);
+        assert_ne!(reports[0], stale, "the budget must change this cell's report");
+        store.discard_file().unwrap();
     }
 
     #[test]

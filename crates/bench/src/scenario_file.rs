@@ -12,9 +12,9 @@
 //! * No `fleet` key, inline DAG → the same scheduler × rate grid; the
 //!   file generates each cell's jobs, and the rest of the cell is the body
 //!   [`run_cell`] runs after job generation.
-//! * With `fleet` → one [`ClusterScenario`] per scheduler × rate (the
-//!   file's routing policy and device count), run by [`ClusterBuilder`]
-//!   with the scheduler in the device-scheduler slot.
+//! * With `fleet` → one [`ClusterScenario`] per rate (the file's routing
+//!   policy and device count), run by [`ClusterBuilder`] at the fast tier,
+//!   where devices have no scheduler, so the file names one.
 //!
 //! # Determinism
 //!
@@ -46,9 +46,9 @@ pub enum FileCells {
     /// An inline DAG on one device: scheduler × rate, with jobs from the
     /// file's own workload and rate table.
     Inline(Vec<(String, ArrivalRate)>),
-    /// A fleet: each device scheduler with the ordinary cluster cell it
-    /// serves in.
-    Fleet(Vec<(String, ClusterScenario)>),
+    /// A fleet: one ordinary cluster cell per rate (a fleet file names one
+    /// scheduler, which its fast-tier devices do not use).
+    Fleet(Vec<ClusterScenario>),
 }
 
 /// Expands a scenario file into its cells.
@@ -56,7 +56,8 @@ pub enum FileCells {
 /// # Errors
 ///
 /// [`BenchError::Scenario`] when a file with a `fleet` key names an inline
-/// DAG (the cluster's symbolic fast tier needs a named benchmark).
+/// DAG (the cluster's symbolic fast tier needs a named benchmark) or more
+/// than one scheduler (its cells would run identically).
 pub fn file_cells(file: &ScenarioFile) -> Result<FileCells, BenchError> {
     let grid = file
         .schedulers
@@ -71,11 +72,18 @@ pub fn file_cells(file: &ScenarioFile) -> Result<FileCells, BenchError> {
             .collect(),
         ),
         (WorkloadSpec::Inline(_), None) => FileCells::Inline(grid.collect()),
+        (WorkloadSpec::Named(_), Some(_)) if file.schedulers.len() > 1 => {
+            return Err(ScenarioFileError::Value {
+                key: "schedulers".into(),
+                why: "a fleet file names one: its fast-tier devices have no scheduler".into(),
+            }
+            .into())
+        }
         (WorkloadSpec::Named(bench), Some(fleet)) => FileCells::Fleet(
-            grid.map(|(s, rate)| {
+            grid.map(|(_, rate)| {
                 let (policy, devices, n_jobs) = (&fleet.policy, fleet.devices, file.n_jobs);
                 let cell = ClusterScenario::new(policy, *bench, rate, devices, n_jobs, file.seed);
-                (s, cell.with_fault_milli(file.fault_milli))
+                cell.with_fault_milli(file.fault_milli)
             })
             .collect(),
         ),
@@ -120,10 +128,8 @@ pub fn run_scenario_file(file: &ScenarioFile, workers: usize) -> Result<String, 
     let (rows, results) = match file_cells(file)? {
         FileCells::Fleet(cells) => {
             let mut reports = Vec::with_capacity(cells.len());
-            for (scheduler, cell) in cells {
-                reports.push(
-                    ClusterBuilder::new(cell).device_scheduler(&scheduler).workers(workers).run()?,
-                );
+            for cell in cells {
+                reports.push(ClusterBuilder::new(cell).workers(workers).run()?);
             }
             text.push_str(&cluster_table(&reports).render());
             return Ok(text);
@@ -239,17 +245,16 @@ mod tests {
 
         // With a fleet key the same file expands into cluster cells.
         file.fleet = Some(FleetSpec { devices: 2, policy: "LL".into() });
+        file.schedulers = vec!["LAX".into()];
         file.n_jobs = 200;
         let direct = ClusterScenario::new("LL", Benchmark::Ipv6, ArrivalRate::Low, 2, 200, 3)
             .with_fault_milli(1500);
         let FileCells::Fleet(cells) = file_cells(&file).unwrap() else {
             panic!("a fleet file expands into cluster cells");
         };
-        assert_eq!(cells[1], ("LAX".to_string(), direct.clone()));
-        let via_file =
-            ClusterBuilder::new(cells[1].1.clone()).device_scheduler("LAX").run().unwrap();
-        let via_cluster = ClusterBuilder::new(direct).device_scheduler("LAX").run().unwrap();
-        assert_eq!(via_file, via_cluster);
+        assert_eq!(cells, std::slice::from_ref(&direct));
+        let via_file = ClusterBuilder::new(cells[0].clone()).run().unwrap();
+        assert_eq!(via_file, ClusterBuilder::new(direct).run().unwrap());
     }
 
     #[test]
@@ -295,17 +300,27 @@ mod tests {
 
     #[test]
     fn fleet_with_inline_workload_is_a_typed_error() {
-        let mut file = small_named();
-        file.fleet = Some(FleetSpec { devices: 2, policy: "LL".into() });
-        file.workload = WorkloadSpec::Inline(workloads::scenario::DagSpec {
+        let inline = WorkloadSpec::Inline(workloads::scenario::DagSpec {
             deadline_us: 100.0,
             rate_jobs_per_sec: [1000.0, 500.0, 100.0],
             stages: vec![workloads::scenario::StageSpec { kernel: "stem".into(), deadline_us: None }],
             edges: vec![],
         });
-        match file_cells(&file).unwrap_err() {
-            BenchError::Scenario(ScenarioFileError::Value { key, .. }) => assert_eq!(key, "fleet"),
-            other => panic!("expected a typed scenario error, got {other:?}"),
+        // A fleet file fails typed on an inline DAG, and on a second
+        // scheduler, whose cells would repeat the first's.
+        for (workload, schedulers, bad_key) in [
+            (inline, vec!["LAX".to_string()], "fleet"),
+            (WorkloadSpec::Named(Benchmark::Ipv6), vec!["LAX".into(), "RR".into()], "schedulers"),
+        ] {
+            let mut file = small_named();
+            file.fleet = Some(FleetSpec { devices: 2, policy: "LL".into() });
+            (file.workload, file.schedulers) = (workload, schedulers);
+            match file_cells(&file).unwrap_err() {
+                BenchError::Scenario(ScenarioFileError::Value { key, .. }) => {
+                    assert_eq!(key, bad_key)
+                }
+                other => panic!("expected a typed scenario error, got {other:?}"),
+            }
         }
     }
 

@@ -1047,11 +1047,12 @@ mod tests {
             matches!(e, BenchError::UnknownScheduler(_))
         });
         let fleet = |policy| ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7);
-        let fleets = [fleet("LL"), fleet("RR").with_fault_milli(1500), fleet("P2C"), fleet("LOW")];
+        let fleets = [fleet("LL"), fleet("RR").with_fault_milli(1500), fleet("P2C"), fleet("LOW")]
+            .map(ClusterBuilder::new);
         grid_contract::<_, FleetCodec>(
             &fleets,
-            fleet("NOPE"),
-            |s| ClusterBuilder::new(s.clone()).run(),
+            ClusterBuilder::new(fleet("NOPE")),
+            ClusterBuilder::run,
             |e| matches!(e, BenchError::UnknownPolicy(_)),
         );
     }

@@ -17,7 +17,7 @@
 //!   "name": "ipa-fleet",
 //!   "seed": 20210301,
 //!   "jobs": 2000,
-//!   "schedulers": ["RR", "LAX"],
+//!   "schedulers": ["LAX"],
 //!   "rates": ["high"],
 //!   "workload": "IPA",
 //!   "fault_intensity": 1.0,
@@ -241,7 +241,8 @@ pub struct ScenarioFile {
     pub seed: u64,
     /// Jobs per cell.
     pub n_jobs: usize,
-    /// Device schedulers to sweep (single-device cells only).
+    /// Device schedulers to sweep. A fleet file names one: its fast-tier
+    /// devices have no scheduler, so more would only repeat its cells.
     pub schedulers: Vec<String>,
     /// Arrival-rate levels to sweep.
     pub rates: Vec<ArrivalRate>,

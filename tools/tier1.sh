@@ -171,17 +171,27 @@ fi
 cmp "$TMP/ch1.txt" "$TMP/chbad.txt"
 echo "   corrupt checkpoint blocks are dropped and rerun; artifacts match the clean runs"
 
+echo "== tier1: a resume under other knobs re-runs the cell =="
+# A fleet checkpoint key names the cell and every non-default knob. Leave a
+# checkpoint behind at retry budget 0 (the bad cell fails the run after the
+# good one is recorded), then resume the good cell at the default budget:
+# it must re-run, not restore the budget-0 report.
+GOOD=LL:HYBRID:high:d4:j2000:s20210301:f1
+if "$CHAOS_BIN" --retry-budget 0 --ckpt "$TMP/knobs.ckpt" --out "$TMP/knobs0.txt" \
+    "$GOOD" NOPE:HYBRID:high:d4:j2000:s20210301 2> /dev/null; then
+    echo "a grid with an unknown policy unexpectedly succeeded" >&2
+    exit 1
+fi
+"$CHAOS_BIN" --resume --ckpt "$TMP/knobs.ckpt" --out "$TMP/knobs_resumed.txt" "$GOOD"
+"$CHAOS_BIN" --out "$TMP/knobs_clean.txt" "$GOOD"
+cmp "$TMP/knobs_resumed.txt" "$TMP/knobs_clean.txt"
+echo "   the resumed default-knob cell equals a clean run"
+
 echo "== tier1: committed fleet grids regenerate byte-identically =="
-# results/cluster.txt and results/chaos.txt are behavioural contracts: the
-# full grids (12 cluster cells of 1M jobs each, 36 chaos cells) must come
-# out byte for byte as committed.
-CLUSTER_GRID=()
-for rate in high medium low; do
-    for policy in RR LOW P2C LL; do
-        CLUSTER_GRID+=("$policy:HYBRID:$rate:d16:j1000000:s20210301")
-    done
-done
-"$CLUSTER_BIN" "${CLUSTER_GRID[@]}" --out "$TMP/grid/cluster.txt"
+# results/cluster.txt and results/chaos.txt are behavioural contracts: each
+# binary's default grid (12 cluster cells of 1M jobs each, 36 chaos cells)
+# must come out byte for byte as committed.
+"$CLUSTER_BIN" --out "$TMP/grid/cluster.txt"
 cmp "$TMP/grid/cluster.txt" results/cluster.txt
 "$CHAOS_BIN" --out "$TMP/grid/chaos.txt"
 cmp "$TMP/grid/chaos.txt" results/chaos.txt
@@ -308,6 +318,16 @@ for row in rows:
     if row["attain"]:
         assert 0.0 <= float(row["attain"]) <= 1.0, row
 EOF
+# A zero telemetry window is a typed error, not a panic.
+if "$FLEET_TRACE_BIN" --window-us 0 --out "$TMP/w0.json" 2> "$TMP/w0.err"; then
+    echo "fleet-trace accepted --window-us 0" >&2
+    exit 1
+fi
+if grep -q "panicked" "$TMP/w0.err"; then
+    echo "fleet-trace panicked on --window-us 0" >&2
+    exit 1
+fi
+grep -q -- "--window-us" "$TMP/w0.err"
 echo "   fleet trace and telemetry series parse; attainment is a probability"
 
 echo "== tier1: OK =="
