@@ -8,17 +8,20 @@
 //! * initial-priority policy (the paper's footnote 2).
 //!
 //! ```text
-//! cargo run --release -p lax-bench --bin ablation [n_jobs] [--jobs N]
+//! cargo run --release -p lax-bench --bin ablation -- [N_JOBS] [--jobs N]
 //! ```
 //!
-//! `LaxConfig` variants have no registry name, so the cells here run
-//! through the generic [`sweep::par_map`] fan-out rather than
-//! `Scenario`-keyed sweeps; `--jobs N` / `LAX_BENCH_JOBS` still picks the
-//! worker count and output stays bit-identical for any choice.
+//! `N_JOBS` is the job count per cell (default 128); the report is printed
+//! and written to `results/ablation.txt`. `LaxConfig` variants have no
+//! registry name, so the cells here run through the generic
+//! [`sweep::par_map`] fan-out rather than `Scenario`-keyed sweeps;
+//! `--jobs N` / `LAX_BENCH_JOBS` still picks the worker count and output
+//! stays bit-identical for any choice.
 
 use gpu_sim::prelude::*;
 use lax::ext::LaxDrop;
 use lax::lax::{InitPriority, Lax, LaxConfig};
+use lax_bench::cli::{Cli, CliError};
 use lax_bench::sweep;
 use sim_core::table::Table;
 use workloads::spec::{ArrivalRate, Benchmark};
@@ -78,9 +81,16 @@ fn table_for(variants: &[(String, Variant)], n: usize, workers: usize) -> Table 
     t
 }
 
-fn main() {
-    let (workers, rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let n: usize = rest.first().and_then(|a| a.parse().ok()).unwrap_or(128);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut cli = Cli::from_env();
+    let workers = cli.jobs()?;
+    let got = cli.positionals()?;
+    let n: usize = match got.as_slice() {
+        [] => Some(128),
+        [n] => n.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| CliError::BadPositionals { got, want: "one job count per cell".into() })?;
     let mut report = String::new();
     report.push_str(&format!(
         "LAX ablations, high arrival rate, {n} jobs per cell (deadline-met counts)\n\n"
@@ -124,7 +134,6 @@ fn main() {
         .collect();
     report.push_str(&table_for(&periods, n, workers).render());
     println!("{report}");
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write("results/ablation.txt", &report);
-    }
+    sweep::write_output(std::path::Path::new("results/ablation.txt"), &report)?;
+    Ok(())
 }

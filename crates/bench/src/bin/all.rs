@@ -1,11 +1,13 @@
-//! Regenerates the paper's complete evaluation and writes each artifact to
+//! Regenerates the paper's evaluation and writes each artifact to
 //! `results/<name>.txt`.
 //!
 //! ```text
-//! cargo run --release -p lax-bench --bin all [max_batch] [--jobs N] [--resume]
+//! cargo run --release -p lax-bench --bin all -- [ARTIFACT ...] [--jobs N] [--resume]
 //! ```
 //!
-//! `max_batch` bounds Figure 4's batch sweep (default 128; 0 skips it).
+//! `ARTIFACT`s name what to regenerate: `table1`, `fig1`, `fig4`,
+//! `fig6`–`fig10` and `table5`; none named means all nine. They are
+//! written in one fixed order whatever order they are named in.
 //! `--jobs N` (or `LAX_BENCH_JOBS`) sets the sweep worker count; the
 //! default is every available core. Output is bit-identical for any worker
 //! count.
@@ -17,51 +19,30 @@
 //! stale checkpoint is discarded and the evaluation starts from scratch.
 //! The checkpoint is removed again once the run completes.
 use std::error::Error;
-use std::fs;
+use std::path::PathBuf;
 
-use lax_bench::sweep;
-use lax_bench::Checkpoint;
+use lax_bench::cli::Cli;
+use lax_bench::figures::{artifact, select_artifacts};
+use lax_bench::sweep::write_output;
+use lax_bench::{Checkpoint, ResultsDb};
 
 /// Where interrupted runs park their finished cells.
 const CHECKPOINT: &str = "results/all.ckpt";
 
-fn save(dir: &str, name: &str, content: &str) -> Result<(), Box<dyn Error>> {
-    let path = format!("{dir}/{name}.txt");
-    fs::write(&path, content)?;
-    eprintln!("[all] wrote {path}");
-    Ok(())
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
-    let (jobs, rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let resume = rest.iter().any(|a| a == "--resume");
-    let max_batch: usize = rest
-        .iter()
-        .filter(|a| *a != "--resume")
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(128);
-    let dir = "results";
-    fs::create_dir_all(dir)?;
+    let mut cli = Cli::from_env();
+    let jobs = cli.jobs()?;
+    let resume = cli.flag("--resume")?;
+    let artifacts = select_artifacts(&cli.positionals()?)?;
     eprintln!("[all] sweeping on {jobs} worker thread(s)");
     let t0 = std::time::Instant::now();
 
-    save(dir, "table1", &lax_bench::figures::table1())?;
-    save(dir, "fig1", &lax_bench::figures::fig1())?;
-
     let checkpoint = Checkpoint::for_run(CHECKPOINT, resume, "all");
-    let mut db = lax_bench::ResultsDb::new().verbose().with_checkpoints(checkpoint);
-    save(dir, "fig7", &lax_bench::figures::fig7(&mut db, jobs)?)?;
-    save(dir, "fig8", &lax_bench::figures::fig8(&mut db, jobs)?)?;
-    save(dir, "fig9", &lax_bench::figures::fig9(&mut db, jobs)?)?;
-    save(dir, "table5", &lax_bench::figures::table5(&mut db, jobs)?)?;
-    save(dir, "fig6", &lax_bench::figures::fig6(&mut db, jobs)?)?;
-    save(
-        dir,
-        "fig10",
-        &lax_bench::figures::fig10(64, 128, lax_bench::runner::DEFAULT_SEED, jobs),
-    )?;
-    if max_batch > 0 {
-        save(dir, "fig4", &lax_bench::figures::fig4(max_batch, jobs))?;
+    let mut db = ResultsDb::new().verbose().with_checkpoints(checkpoint);
+    for name in artifacts {
+        let path = PathBuf::from(format!("results/{name}.txt"));
+        write_output(&path, artifact(name, &mut db, jobs)?)?;
+        eprintln!("[all] wrote {}", path.display());
     }
     if let Some(ck) = db.checkpoint() {
         ck.discard_file()?;

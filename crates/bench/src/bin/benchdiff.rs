@@ -10,20 +10,17 @@
 //! the change's median, the pairs the change won and a verdict (gain,
 //! regression, unresolved, no regression); see [`lax_bench::benchdiff`].
 //! Exits 1 on a regression or a larger failed-operation share on the
-//! change side, 2 on unreadable or malformed input, 0 otherwise.
+//! change side, 2 on a command line other than two paths or on unreadable
+//! or malformed input, 0 otherwise.
 
 use std::fs;
 use std::process::ExitCode;
 
 use lax_bench::benchdiff::{compare, rules, Report, BENCHMARK_JSON};
+use lax_bench::cli::{Cli, CliError};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [parent, change] = args.as_slice() else {
-        eprintln!("usage: benchdiff PARENT.jsonl CHANGE.jsonl");
-        return ExitCode::from(2);
-    };
-    match diff(parent, change) {
+    match Cli::from_env().positionals().map_err(|e| e.to_string()).and_then(|got| diff(&got)) {
         Ok(report) => {
             print!("{}", report.render());
             ExitCode::from(report.exit_code())
@@ -35,7 +32,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn diff(parent: &str, change: &str) -> Result<Report, String> {
+fn diff(args: &[String]) -> Result<Report, String> {
+    let [parent, change] = args else {
+        let want = "PARENT.jsonl CHANGE.jsonl".into();
+        return Err(CliError::BadPositionals { got: args.to_vec(), want }.to_string());
+    };
     let read =
         |path: &str| fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let rules = rules(BENCHMARK_JSON).map_err(|e| e.to_string())?;

@@ -30,20 +30,20 @@ use std::error::Error;
 use std::path::PathBuf;
 
 use lax_bench::checkpoint::FleetCheckpoint;
+use lax_bench::cli::Cli;
 use lax_bench::cluster::{
     cells_from_cli, cluster_table, hybrid_grid, knobs_from_cli, ClusterBuilder,
 };
 use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
-use lax_bench::sweep::{self, run_grid, take_flag, take_value, write_output};
+use lax_bench::sweep::{run_grid, write_output};
 use workloads::spec::ArrivalRate;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let out = PathBuf::from(
-        take_value(&mut rest, "--out").unwrap_or_else(|| "results/cluster.txt".to_string()),
-    );
-    if let Some(path) = take_value(&mut rest, "--scenario-file").map(PathBuf::from) {
-        if let Some(unknown) = rest.first() {
+    let mut cli = Cli::from_env();
+    let jobs = cli.jobs()?;
+    let out = PathBuf::from(cli.value("--out")?.unwrap_or_else(|| "results/cluster.txt".into()));
+    if let Some(path) = cli.value("--scenario-file")?.map(PathBuf::from) {
+        if let Some(unknown) = cli.positionals()?.first() {
             return Err(format!("unknown argument `{unknown}` with --scenario-file").into());
         }
         let file = read_scenario_file(&path)?;
@@ -56,11 +56,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         return write_scenario_report("cluster", &file, &out, jobs);
     }
-    let smoke = take_flag(&mut rest, "--smoke");
-    let resume = take_flag(&mut rest, "--resume");
-    let ckpt_path = take_value(&mut rest, "--ckpt").map(PathBuf::from);
-    let knobs = knobs_from_cli(&mut rest)?;
-    let mut cells = cells_from_cli(&rest)?;
+    let smoke = cli.flag("--smoke")?;
+    let resume = cli.flag("--resume")?;
+    let ckpt_path = cli.value("--ckpt")?.map(PathBuf::from);
+    let knobs = knobs_from_cli(&mut cli)?;
+    let mut cells = cells_from_cli(&cli.positionals()?)?;
     if cells.is_empty() {
         cells = if smoke {
             hybrid_grid(&[0], &[ArrivalRate::High], 4, 4000)

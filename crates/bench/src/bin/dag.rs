@@ -26,27 +26,24 @@
 use std::error::Error;
 use std::path::PathBuf;
 
+use lax_bench::cli::Cli;
 use lax_bench::figures::{dag, DagSweep};
 use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
-use lax_bench::sweep::{self, take_flag, take_value, write_output};
+use lax_bench::sweep::write_output;
 use lax_bench::Checkpoint;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let smoke = take_flag(&mut rest, "--smoke");
-    let resume = take_flag(&mut rest, "--resume");
-    let check = take_flag(&mut rest, "--check");
-    let scenario_file = take_value(&mut rest, "--scenario-file").map(PathBuf::from);
-    let out = PathBuf::from(
-        take_value(&mut rest, "--out").unwrap_or_else(|| "results/dag.txt".to_string()),
-    );
-    let ckpt = PathBuf::from(
-        take_value(&mut rest, "--ckpt").unwrap_or_else(|| "results/dag.ckpt".to_string()),
-    );
-    if let Some(unknown) = rest.first() {
+    let mut cli = Cli::from_env();
+    let jobs = cli.jobs()?;
+    let smoke = cli.flag("--smoke")?;
+    let resume = cli.flag("--resume")?;
+    let check = cli.flag("--check")?;
+    let scenario_file = cli.value("--scenario-file")?.map(PathBuf::from);
+    let out = PathBuf::from(cli.value("--out")?.unwrap_or_else(|| "results/dag.txt".into()));
+    let ckpt = PathBuf::from(cli.value("--ckpt")?.unwrap_or_else(|| "results/dag.ckpt".into()));
+    if let Some(unknown) = cli.positionals()?.first() {
         return Err(format!("unknown argument `{unknown}`").into());
     }
-
     if let Some(path) = scenario_file {
         let file = read_scenario_file(&path)?;
         if check {

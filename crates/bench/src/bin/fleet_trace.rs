@@ -31,8 +31,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::{FleetSampler, FleetTraceWriter};
-use lax_bench::cluster::{cells_from_cli, knobs_from_cli};
-use lax_bench::sweep::{self, take_value, write_output};
+use lax_bench::cli::{Cli, CliError};
+use lax_bench::cluster::{knobs_from_cli, ClusterScenario};
+use lax_bench::sweep::write_output;
 use sim_core::json;
 use sim_core::time::{Duration, CYCLES_PER_US};
 
@@ -44,23 +45,23 @@ fn write_json(path: &Path, doc: &str) -> Result<(), Box<dyn Error>> {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let (jobs, mut rest) = sweep::jobs_from_cli(std::env::args().skip(1));
-    let out = PathBuf::from(
-        take_value(&mut rest, "--out").unwrap_or_else(|| "results/fleet_trace.json".to_string()),
-    );
-    let csv = take_value(&mut rest, "--csv").map(PathBuf::from);
-    let series = take_value(&mut rest, "--series-json").map(PathBuf::from);
-    let window_us =
-        take_value(&mut rest, "--window-us").map(|v| v.parse::<u64>()).transpose()?;
+    let mut cli = Cli::from_env();
+    let jobs = cli.jobs()?;
+    let out =
+        PathBuf::from(cli.value("--out")?.unwrap_or_else(|| "results/fleet_trace.json".into()));
+    let csv = cli.value("--csv")?.map(PathBuf::from);
+    let series = cli.value("--series-json")?.map(PathBuf::from);
+    let window_us: Option<u64> = cli.parse("--window-us")?;
     let max_us = u64::MAX / CYCLES_PER_US;
     if let Some(us) = window_us.filter(|us| !(1..=max_us).contains(us)) {
         return Err(format!("--window-us {us}: want 1 to {max_us}").into());
     }
-    let knobs = knobs_from_cli(&mut rest)?;
-    let scenario = match cells_from_cli(&rest)?.as_slice() {
-        [] => "LL:HYBRID:high:d4:j2000:s7:f1".parse().expect("default"),
-        [cell] => cell.clone(),
-        _ => return Err("fleet-trace takes at most one cell".into()),
+    let knobs = knobs_from_cli(&mut cli)?;
+    let got = cli.positionals()?;
+    let scenario: ClusterScenario = match got.as_slice() {
+        [] => "LL:HYBRID:high:d4:j2000:s7:f1".parse()?,
+        [cell] => cell.parse()?,
+        _ => return Err(CliError::BadPositionals { got, want: "at most one cell".into() }.into()),
     };
 
     let mut sampler = FleetSampler::new().with_devices(scenario.devices as u16);

@@ -15,11 +15,12 @@
 //!
 //!   perfsmoke [CELL] [--floor EVENTS_PER_SEC]
 
-use std::process::ExitCode;
+use std::error::Error;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use gpu_sim::probe::ProbeEvent;
+use lax_bench::cli::{Cli, CliError};
 use lax_bench::sweep::{run_cell, RunOptions, Scenario};
 use sim_core::probe::Observer;
 use sim_core::time::Cycle;
@@ -32,56 +33,33 @@ impl Observer<ProbeEvent> for NullObserver {
     fn on_event(&mut self, _at: Cycle, _event: &ProbeEvent) {}
 }
 
-fn main() -> ExitCode {
-    let mut cell = "CP-ML:HYBRID:medium:j16:s20210301".to_string();
-    let mut floor: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--floor" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(f) => floor = Some(f),
-                None => {
-                    eprintln!("--floor needs a numeric events/sec argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => cell = a,
-        }
-    }
-    let scenario: Scenario = match cell.parse() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad cell {cell:?}: {e}");
-            return ExitCode::FAILURE;
-        }
+fn main() -> Result<(), Box<dyn Error>> {
+    let mut cli = Cli::from_env();
+    let floor: Option<f64> = cli.parse("--floor")?;
+    let got = cli.positionals()?;
+    let cell = match got.as_slice() {
+        [] => "CP-ML:HYBRID:medium:j16:s20210301".to_string(),
+        [cell] => cell.clone(),
+        _ => return Err(CliError::BadPositionals { got, want: "at most one cell".into() }.into()),
     };
+    let scenario: Scenario = cell.parse()?;
 
     let t0 = Instant::now();
-    let fast = match run_cell(&scenario, &RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fast-path run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let fast = run_cell(&scenario, &RunOptions::default())
+        .map_err(|e| format!("fast-path run failed: {e}"))?;
     let wall = t0.elapsed().as_secs_f64();
 
     let observer = Arc::new(Mutex::new(NullObserver));
-    let reference = match run_cell(&scenario, &RunOptions::default().observe(observer)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("reference-path run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let reference = run_cell(&scenario, &RunOptions::default().observe(observer))
+        .map_err(|e| format!("reference-path run failed: {e}"))?;
 
     let fast_s = format!("{fast:?}");
     let reference_s = format!("{reference:?}");
     if fast_s != reference_s {
-        eprintln!("BIT-IDENTITY VIOLATION on {cell}: batched and reference reports differ");
         eprintln!("batched:   {fast_s}");
         eprintln!("reference: {reference_s}");
-        return ExitCode::FAILURE;
+        let msg = format!("BIT-IDENTITY VIOLATION on {cell}: batched and reference reports differ");
+        return Err(msg.into());
     }
 
     let eps = fast.events as f64 / wall;
@@ -90,11 +68,8 @@ fn main() -> ExitCode {
         fast.events,
         eps / 1e6,
     );
-    if let Some(f) = floor {
-        if eps < f {
-            eprintln!("throughput {eps:.0} events/sec below floor {f:.0}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(f) = floor.filter(|&f| eps < f) {
+        return Err(format!("throughput {eps:.0} events/sec below floor {f:.0}").into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

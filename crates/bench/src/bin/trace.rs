@@ -8,7 +8,8 @@
 //!     [--watch JOB]
 //! ```
 //!
-//! `SCENARIO` is the usual cell string, e.g. `LAX:IPV6:high:j128:s20210301`;
+//! `SCENARIO`, the one positional argument, is the usual cell string,
+//! e.g. `LAX:IPV6:high:j128:s20210301`;
 //! a `:fI` suffix (`LAX:IPV6:high:j128:s20210301:f1`) runs it under a
 //! seeded fault storm of intensity `I`. The run is bit-identical to the
 //! same cell executed without observers (the probe layer never schedules
@@ -28,79 +29,42 @@
 
 use std::error::Error;
 use std::fs;
-use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
+use lax_bench::cli::{Cli, CliError};
 use lax_bench::sweep::{run_cell, RunOptions, Scenario};
 use sim_core::json;
 
-struct Args {
-    scenario: Scenario,
-    out: String,
-    csv: String,
-    series_json: Option<String>,
-    watch: Option<u32>,
-}
+fn main() -> Result<(), Box<dyn Error>> {
+    let mut cli = Cli::from_env();
+    let out = cli.value("--out")?.unwrap_or_else(|| "trace.json".into());
+    let csv = cli.value("--csv")?.unwrap_or_else(|| "metrics.csv".into());
+    let series_json = cli.value("--series-json")?;
+    let watch: Option<u32> = cli.parse("--watch")?;
+    let got = cli.positionals()?;
+    let [cell] = got.as_slice() else {
+        let want = "one SCENARIO, e.g. LAX:IPV6:high:j128:s20210301 (append :f1 for faults)";
+        return Err(CliError::BadPositionals { got, want: want.into() }.into());
+    };
+    let scenario: Scenario = cell.parse()?;
 
-fn usage() -> String {
-    "usage: trace SCENARIO [--out trace.json] [--csv metrics.csv] \
-     [--series-json FILE] [--watch JOB]\n\
-     SCENARIO example: LAX:IPV6:high:j128:s20210301 (append :f1 for faults)"
-        .to_string()
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut scenario = None;
-    let mut out = "trace.json".to_string();
-    let mut csv = "metrics.csv".to_string();
-    let mut series_json = None;
-    let mut watch = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} is missing its value"))
-        };
-        match arg.as_str() {
-            "--out" => out = value_of("--out")?,
-            "--csv" => csv = value_of("--csv")?,
-            "--series-json" => series_json = Some(value_of("--series-json")?),
-            "--watch" => {
-                watch = Some(
-                    value_of("--watch")?
-                        .parse()
-                        .map_err(|e| format!("bad --watch job id: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Err(usage()),
-            other if scenario.is_none() => {
-                scenario = Some(other.parse::<Scenario>().map_err(|e| e.to_string())?);
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{}", usage())),
-        }
-    }
-    let scenario = scenario.ok_or_else(usage)?;
-    Ok(Args { scenario, out, csv, series_json, watch })
-}
-
-fn run(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut sampler = MetricsSampler::new();
-    if let Some(job) = args.watch {
+    if let Some(job) = watch {
         sampler = sampler.watch_job(JobId(job));
     }
     let sampler = Arc::new(Mutex::new(sampler));
     let writer = Arc::new(Mutex::new(ChromeTraceWriter::new()));
     let opts = RunOptions::default().observe(sampler.clone()).observe(writer.clone());
-    let report = run_cell(&args.scenario, &opts)?;
+    let report = run_cell(&scenario, &opts)?;
 
     let writer = writer.lock().expect("trace writer lock");
     let trace = writer.finish();
     json::validate(&trace)
         .map_err(|e| format!("internal error: emitted trace is not valid JSON: {e}"))?;
-    fs::write(&args.out, &trace)?;
+    fs::write(&out, &trace)?;
     eprintln!(
-        "[trace] wrote {} ({} record(s){})",
-        args.out,
+        "[trace] wrote {out} ({} record(s){})",
         writer.len(),
         if writer.dropped() > 0 {
             format!(", {} dropped at capacity", writer.dropped())
@@ -110,14 +74,13 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
     );
 
     let sampler = sampler.lock().expect("sampler lock");
-    fs::write(&args.csv, sampler.to_csv())?;
+    fs::write(&csv, sampler.to_csv())?;
     eprintln!(
-        "[trace] wrote {} ({} snapshot(s), {} series)",
-        args.csv,
+        "[trace] wrote {csv} ({} snapshot(s), {} series)",
         sampler.times().len(),
         sampler.series().len()
     );
-    if let Some(path) = &args.series_json {
+    if let Some(path) = &series_json {
         let doc = sampler.to_json();
         json::validate(&doc)
             .map_err(|e| format!("internal error: emitted series JSON is invalid: {e}"))?;
@@ -127,7 +90,7 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
 
     eprintln!(
         "[trace] {}: {} jobs, {} met deadline, {} rejected, makespan {:.0} us, {} events",
-        args.scenario,
+        scenario,
         report.records.len(),
         report.deadlines_met(),
         report.rejected(),
@@ -135,22 +98,4 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
         report.events,
     );
     Ok(())
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

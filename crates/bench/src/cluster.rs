@@ -90,11 +90,9 @@ use workloads::rnn::{build_chain, sample_seq_len, Hidden, RnnCell, SEQ_RANGE};
 use workloads::spec::{cell_seed, milli_to_intensity, ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
 
+use crate::cli::{default_jobs, Cli, CliError};
 use crate::runner::DEFAULT_SEED;
-use crate::sweep::{
-    default_jobs, par_map, take_flag, take_value, BenchError, CellFields, ParseScenarioError,
-    SharedObserver,
-};
+use crate::sweep::{par_map, BenchError, CellFields, ParseScenarioError, SharedObserver};
 
 /// One cluster experiment cell: a routing policy placing an open-loop
 /// arrival stream across `devices` accelerators. Self-describing, totally
@@ -744,7 +742,8 @@ impl ClusterBuilder {
     ///
     /// [`BenchError::UnknownPolicy`] for routing policies outside the
     /// registry; [`BenchError::FleetKnob`] for zero slots, a jitter
-    /// outside `[0, 1)` or more than 2³² jobs (job ids are `u32`);
+    /// outside `[0, 1)`, more than 2³² jobs (job ids are `u32`) or more
+    /// than 65535 devices (device ids are `u16`);
     /// [`BenchError::FleetFault`] for an ill-formed fault plan;
     /// [`BenchError::UnknownScheduler`] / [`BenchError::Sim`] from
     /// detailed-tier devices.
@@ -765,6 +764,10 @@ impl ClusterBuilder {
         if self.scenario.n_jobs as u64 > MAX_JOBS {
             let value = self.scenario.n_jobs.to_string();
             return Err(BenchError::FleetKnob { knob: "n_jobs", value });
+        }
+        if self.scenario.devices > usize::from(u16::MAX) {
+            let value = self.scenario.devices.to_string();
+            return Err(BenchError::FleetKnob { knob: "devices", value });
         }
         let plan = match &self.fleet_faults {
             Some(p) => p.clone(),
@@ -1274,7 +1277,7 @@ impl ClusterBuilder {
     }
 }
 
-/// Takes the fleet run knobs out of a binary's arguments: `--fidelity
+/// Takes the fleet run knobs out of a binary's command line: `--fidelity
 /// fast|detailed`, `--scheduler NAME`, `--slots N`, `--jitter F`,
 /// `--retry-budget N`, `--backoff-us N` and `--shed`. Returns the builder
 /// of any cell under those knobs; a knob not given keeps its
@@ -1282,27 +1285,23 @@ impl ClusterBuilder {
 ///
 /// # Errors
 ///
-/// A knob value that does not parse, naming its flag.
+/// A knob flag that is repeated, lacks its value or whose value does not
+/// parse, naming the flag.
 pub fn knobs_from_cli(
-    args: &mut Vec<String>,
-) -> Result<impl Fn(ClusterScenario) -> ClusterBuilder, String> {
-    fn knob<T: FromStr>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String>
-    where
-        T::Err: fmt::Display,
-    {
-        let parse = |v: String| v.parse().map_err(|e| format!("{flag} {v}: {e}"));
-        take_value(args, flag).map(parse).transpose()
+    cli: &mut Cli,
+) -> Result<impl Fn(ClusterScenario) -> ClusterBuilder, CliError> {
+    let fidelity: Option<Fidelity> = cli.parse("--fidelity")?;
+    let scheduler = cli.value("--scheduler")?;
+    let slots = cli.parse("--slots")?;
+    let jitter = cli.parse("--jitter")?;
+    let retry_budget = cli.parse("--retry-budget")?;
+    let backoff_us: Option<u64> = cli.parse("--backoff-us")?;
+    let max_us = u64::MAX / CYCLES_PER_US;
+    if let Some(us) = backoff_us.filter(|&us| us > max_us) {
+        let (flag, value) = ("--backoff-us".into(), us.to_string());
+        return Err(CliError::BadValue { flag, value, reason: format!("at most {max_us}") });
     }
-    let fidelity: Option<Fidelity> = knob(args, "--fidelity")?;
-    let scheduler = take_value(args, "--scheduler");
-    let slots = knob(args, "--slots")?;
-    let jitter = knob(args, "--jitter")?;
-    let retry_budget = knob(args, "--retry-budget")?;
-    let backoff_us: Option<u64> = knob(args, "--backoff-us")?;
-    if let Some(us) = backoff_us.filter(|&us| us > u64::MAX / CYCLES_PER_US) {
-        return Err(format!("--backoff-us {us}: at most {}", u64::MAX / CYCLES_PER_US));
-    }
-    let shed = take_flag(args, "--shed");
+    let shed = cli.flag("--shed")?;
     Ok(move |scenario| {
         let mut b = ClusterBuilder::new(scenario);
         b.fidelity = fidelity.unwrap_or(b.fidelity);
@@ -1316,21 +1315,14 @@ pub fn knobs_from_cli(
     })
 }
 
-/// Parses a fleet binary's positional arguments, left once its flags are
-/// taken, as cell strings.
+/// Parses a fleet binary's positional arguments ([`Cli::positionals`]) as
+/// cell strings.
 ///
 /// # Errors
 ///
-/// An argument that is a leftover flag or not a valid cell string.
-pub fn cells_from_cli(args: &[String]) -> Result<Vec<ClusterScenario>, String> {
-    args.iter()
-        .map(|arg| {
-            if arg.starts_with('-') {
-                return Err(format!("unknown argument `{arg}`"));
-            }
-            arg.parse().map_err(|e: ParseScenarioError| e.to_string())
-        })
-        .collect()
+/// The first argument that is not a valid cell string.
+pub fn cells_from_cli(args: &[String]) -> Result<Vec<ClusterScenario>, ParseScenarioError> {
+    args.iter().map(|arg| arg.parse()).collect()
 }
 
 /// The cells of a committed fleet grid: every routing policy serving
@@ -1994,17 +1986,13 @@ mod tests {
         let _ = ClusterScenario::new("LL:EVIL", Benchmark::Ipv6, ArrivalRate::High, 1, 1, 1);
     }
 
-    fn args(flags: &[&str]) -> Vec<String> {
-        flags.iter().map(|f| f.to_string()).collect()
-    }
-
     /// A builder's string is its checkpoint key: the bare cell under the
     /// default knobs, and a key of its own under each knob flag, whose
     /// first field still restores the cell through the fleet codec.
     #[test]
     fn checkpoint_key_names_each_non_default_knob() {
         let cell = scen("LL").with_fault_milli(1000);
-        let defaults = knobs_from_cli(&mut Vec::new()).unwrap();
+        let defaults = knobs_from_cli(&mut Cli::new(Vec::<String>::new())).unwrap();
         assert_eq!(defaults(cell.clone()).to_string(), cell.to_string());
         let mut body = String::new();
         FleetCodec::render(&mut body, &defaults(cell.clone()).run().unwrap());
@@ -2019,21 +2007,21 @@ mod tests {
             &["--backoff-us", "250"],
             &["--shed"],
         ] {
-            let mut rest = args(flags);
-            let key = knobs_from_cli(&mut rest).unwrap()(cell.clone()).to_string();
-            assert!(rest.is_empty(), "{flags:?} must be taken out of the arguments");
+            let mut cli = Cli::new(flags.iter().copied());
+            let key = knobs_from_cli(&mut cli).unwrap()(cell.clone()).to_string();
+            assert_eq!(cli.positionals(), Ok(vec![]), "{flags:?} must be taken out of the line");
             assert_eq!(key, format!("{cell} {}", flags.join(" ")));
             assert!(!keys.contains(&key), "{key} repeats a key");
             assert_eq!(FleetCodec::parse(&key, &body).unwrap().scenario, cell, "{key}");
             keys.push(key);
         }
         for (flags, named) in [
-            (&["--slots", "x"][..], "--slots x"),
-            (&["--fidelity", "exact"], "--fidelity exact"),
-            (&["--backoff-us", "18446744073709551615"], "--backoff-us"),
+            (&["--slots", "x"][..], "bad value `x` for `--slots`"),
+            (&["--fidelity", "exact"], "bad value `exact` for `--fidelity`"),
+            (&["--backoff-us", "18446744073709551615"], "for `--backoff-us`: at most"),
         ] {
-            let err = knobs_from_cli(&mut args(flags)).err().unwrap();
-            assert!(err.starts_with(named), "{err}");
+            let err = knobs_from_cli(&mut Cli::new(flags.iter().copied())).err().unwrap();
+            assert!(err.to_string().contains(named), "{err}");
         }
     }
 
@@ -2299,7 +2287,12 @@ mod tests {
     #[test]
     fn out_of_range_fleet_knobs_are_typed_errors() {
         let base = || ClusterBuilder::new(scen("LL")).workers(2);
-        let bounds = [("slots", "at least 1"), ("jitter", "in [0, 1)"), ("n_jobs", "at most 2^32")];
+        let bounds = [
+            ("slots", "at least 1"),
+            ("jitter", "in [0, 1)"),
+            ("n_jobs", "at most 2^32"),
+            ("devices", "at most 65535"),
+        ];
         for (builder, name) in [
             (base().slots(0), "slots"),
             (base().jitter(1.5), "jitter"),
@@ -2309,6 +2302,7 @@ mod tests {
                 ClusterBuilder::new(ClusterScenario { n_jobs: (1 << 32) + 1, ..scen("LL") }),
                 "n_jobs",
             ),
+            (ClusterBuilder::new(ClusterScenario { devices: 1 << 16, ..scen("LL") }), "devices"),
         ] {
             for fidelity in [Fidelity::Fast, Fidelity::Detailed] {
                 let err = builder.clone().fidelity(fidelity).run().unwrap_err();

@@ -18,7 +18,8 @@ use workloads::suite::BenchmarkSuite;
 use workloads::table1;
 
 use crate::checkpoint::Checkpoint;
-use crate::runner::ResultsDb;
+use crate::cli::CliError;
+use crate::runner::{ResultsDb, DEFAULT_SEED};
 use crate::sweep::{par_map, run_cell, run_grid, BenchError, RunOptions, Scenario};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
@@ -34,6 +35,48 @@ pub const FIG8_SCHEDS: &[&str] = &["LAX-SW", "LAX-CPU", "LAX"];
 /// All Table 5 schedulers, in the paper's column order.
 pub const TABLE5_SCHEDS: &[&str] =
     &["RR", "MLFQ", "BAT", "BAY", "PRO", "LJF", "SJF", "SRF", "PREMA", "EDF", "LAX"];
+
+/// The artifacts `bin/all` regenerates, each written to
+/// `results/NAME.txt`, in the order it writes them.
+pub const ARTIFACTS: [&str; 9] =
+    ["table1", "fig1", "fig7", "fig8", "fig9", "table5", "fig6", "fig10", "fig4"];
+
+/// The artifacts `all` was asked for, in [`ARTIFACTS`] order whatever
+/// order they are named in; no names means all of them.
+///
+/// # Errors
+///
+/// [`CliError::BadPositionals`] naming each name outside [`ARTIFACTS`].
+pub fn select_artifacts(names: &[String]) -> Result<Vec<&'static str>, CliError> {
+    let got: Vec<String> =
+        names.iter().filter(|n| !ARTIFACTS.contains(&n.as_str())).cloned().collect();
+    if !got.is_empty() {
+        let want = format!("artifact names among {}", ARTIFACTS.join(" "));
+        return Err(CliError::BadPositionals { got, want });
+    }
+    Ok(ARTIFACTS.into_iter().filter(|a| names.is_empty() || names.iter().any(|n| n == a)).collect())
+}
+
+/// Renders the artifact `name`, one of [`ARTIFACTS`] (any other panics),
+/// its grid cells cached in `db` and run on `workers` threads.
+///
+/// # Errors
+///
+/// Returns [`BenchError`] if any grid cell cannot run.
+pub fn artifact(name: &str, db: &mut ResultsDb, workers: usize) -> Result<String, BenchError> {
+    Ok(match name {
+        "table1" => table1(),
+        "fig1" => fig1(),
+        "fig4" => fig4(workers),
+        "fig6" => fig6(db, workers)?,
+        "fig7" => fig7(db, workers)?,
+        "fig8" => fig8(db, workers)?,
+        "fig9" => fig9(db, workers)?,
+        "fig10" => fig10(64, 128, DEFAULT_SEED, workers),
+        "table5" => table5(db, workers)?,
+        _ => panic!("`{name}` is not one of {ARTIFACTS:?}"),
+    })
+}
 
 /// Renders Table 1 (kernel characterization, measured vs paper).
 pub fn table1() -> String {
@@ -61,14 +104,11 @@ pub fn fig1() -> String {
 }
 
 /// Renders Figure 4: mean response time versus batch size, normalized to
-/// batch size 1, per benchmark. `max_batch` bounds the sweep (paper: 128);
+/// batch size 1, per benchmark, for the paper's batch sizes up to 128;
 /// benchmark rows run concurrently on `workers` threads.
-pub fn fig4(max_batch: usize, workers: usize) -> String {
+pub fn fig4(workers: usize) -> String {
     let suite = BenchmarkSuite::calibrated();
-    let sizes: Vec<usize> = [1usize, 8, 32, 128]
-        .into_iter()
-        .filter(|&b| b <= max_batch)
-        .collect();
+    let sizes = [1usize, 8, 32, 128];
     let mut header = vec!["benchmark".to_string()];
     header.extend(sizes.iter().map(|b| format!("B={b}")));
     let mut t = Table::new(header);

@@ -3,7 +3,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md's experiment index). The binaries in
 //! `src/bin/` are thin wrappers over [`runner`] and [`figures`]; `bin/all`
-//! reproduces the whole evaluation and emits EXPERIMENTS.md-ready text.
+//! reproduces the whole evaluation, or the artifacts named on its command
+//! line, and emits EXPERIMENTS.md-ready text. Every binary reads its
+//! command line through one [`cli::Cli`], so a misspelt flag or a flag
+//! without its value is a typed error that names it, never a warning.
 //!
 //! Grids execute through one runner, [`sweep::run_grid`]: every cell is an
 //! independent deterministic simulation, fanned across
@@ -22,6 +25,7 @@
 
 pub mod benchdiff;
 pub mod checkpoint;
+pub mod cli;
 pub mod cluster;
 pub mod figures;
 pub mod runner;

@@ -42,11 +42,11 @@
 //!
 //! # Worker count
 //!
-//! Binaries take `--jobs N`, falling back to the `LAX_BENCH_JOBS`
-//! environment variable, falling back to
-//! [`std::thread::available_parallelism`] (see [`default_jobs`]). The rest
-//! of their command lines go through [`take_value`] / [`take_flag`], and
-//! their artifacts through [`write_output`].
+//! Binaries take `--jobs N` through [`crate::cli::Cli::jobs`], falling
+//! back to the `LAX_BENCH_JOBS` environment variable, falling back to
+//! [`std::thread::available_parallelism`]. The rest of their command
+//! lines go through [`crate::cli::Cli`] too, and their artifacts through
+//! [`write_output`].
 
 use std::fmt;
 use std::fs;
@@ -306,10 +306,10 @@ pub enum BenchError {
     /// The cluster scenario's fleet fault plan is ill-formed for the fleet.
     FleetFault(FleetFaultError),
     /// A cluster knob is out of range: `slots` must be at least 1,
-    /// `jitter` must lie in `[0, 1)` and `n_jobs` must be at most 2³² (job
-    /// ids are `u32`).
+    /// `jitter` must lie in `[0, 1)`, `n_jobs` must be at most 2³² (job
+    /// ids are `u32`) and `devices` at most 65535 (device ids are `u16`).
     FleetKnob {
-        /// Which knob (`slots`, `jitter` or `n_jobs`).
+        /// Which knob (`slots`, `jitter`, `n_jobs` or `devices`).
         knob: &'static str,
         /// The rejected value, as given.
         value: String,
@@ -335,6 +335,7 @@ impl fmt::Display for BenchError {
                     "slots" => "at least 1",
                     "jitter" => "in [0, 1)",
                     "n_jobs" => "at most 2^32",
+                    "devices" => "at most 65535",
                     _ => "in range",
                 };
                 write!(f, "invalid fleet {knob} {value} (must be {bound})")
@@ -495,86 +496,6 @@ pub(crate) fn run_jobs(
     }
     let mut sim = builder.build()?;
     sim.try_run().map_err(BenchError::Sim)
-}
-
-/// Worker-thread count used when a binary gets no `--jobs` flag: the
-/// `LAX_BENCH_JOBS` environment variable if set and positive, otherwise
-/// [`std::thread::available_parallelism`].
-pub fn default_jobs() -> usize {
-    std::env::var("LAX_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Splits a `--jobs N` (or `--jobs=N`) flag out of CLI arguments, returning
-/// the worker count and the remaining positional arguments in order. With
-/// no flag the count falls back to [`default_jobs`]; a malformed or
-/// non-positive count is reported on stderr and also falls back.
-///
-/// # Examples
-///
-/// ```
-/// let (jobs, rest) = lax_bench::sweep::jobs_from_cli(
-///     ["64", "--jobs", "4"].iter().map(|s| s.to_string()),
-/// );
-/// assert_eq!(jobs, 4);
-/// assert_eq!(rest, vec!["64".to_string()]);
-/// ```
-pub fn jobs_from_cli(args: impl Iterator<Item = String>) -> (usize, Vec<String>) {
-    let mut jobs = None;
-    let mut rest = Vec::new();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" || arg == "-j" {
-            // Only consume the next token as the value when it looks like
-            // one; `--jobs --verbose` must not eat `--verbose`.
-            match args.peek() {
-                Some(next) if !next.starts_with('-') => args.next(),
-                _ => {
-                    eprintln!("warning: {arg} is missing its value (want a positive integer)");
-                    continue;
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else {
-            rest.push(arg);
-            continue;
-        };
-        match value.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n > 0 => jobs = Some(n),
-            _ => eprintln!(
-                "warning: ignoring bad --jobs value {:?} (want a positive integer)",
-                value.unwrap_or_default()
-            ),
-        }
-    }
-    (jobs.unwrap_or_else(default_jobs), rest)
-}
-
-/// Removes `flag` and the value after it from `args`, returning the value.
-/// Only the first occurrence is taken; a `flag` with nothing after it is
-/// removed and reported on stderr.
-pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("warning: {flag} is missing its value");
-        args.remove(pos);
-        return None;
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-/// Removes every occurrence of `flag` from `args`, returning whether there
-/// was one.
-pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
 }
 
 /// Writes an artifact to `path`, creating its parent directory first.
@@ -1055,52 +976,6 @@ mod tests {
             ClusterBuilder::run,
             |e| matches!(e, BenchError::UnknownPolicy(_)),
         );
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_leaves_positionals() {
-        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter();
-        let (j, rest) = jobs_from_cli(argv(&["128", "--jobs", "3", "x"]));
-        assert_eq!(j, 3);
-        assert_eq!(rest, vec!["128".to_string(), "x".to_string()]);
-        let (j, rest) = jobs_from_cli(argv(&["--jobs=5"]));
-        assert_eq!(j, 5);
-        assert!(rest.is_empty());
-        let (j, _) = jobs_from_cli(argv(&["-j", "2"]));
-        assert_eq!(j, 2);
-        // A bad value is ignored, leaving the default.
-        let (j, _) = jobs_from_cli(argv(&["--jobs", "zero"]));
-        assert!(j >= 1);
-    }
-
-    #[test]
-    fn jobs_flag_missing_value_does_not_eat_the_next_flag() {
-        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter();
-        // `--jobs --verbose`: --verbose is not a value; it must survive.
-        let (j, rest) = jobs_from_cli(argv(&["--jobs", "--verbose"]));
-        assert!(j >= 1);
-        assert_eq!(rest, vec!["--verbose".to_string()]);
-        let (j, rest) = jobs_from_cli(argv(&["-j"]));
-        assert!(j >= 1);
-        assert!(rest.is_empty());
-        let (j, rest) = jobs_from_cli(argv(&["-j", "-j", "2"]));
-        assert_eq!(j, 2);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn take_value_and_take_flag_edit_the_argument_list() {
-        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let mut args = argv(&["--out", "a.txt", "x", "--smoke", "--out", "b.txt", "--smoke"]);
-        assert_eq!(take_value(&mut args, "--out").as_deref(), Some("a.txt"), "first one wins");
-        assert!(take_flag(&mut args, "--smoke"), "a repeated flag is present");
-        assert_eq!(args, ["x", "--out", "b.txt"], "every occurrence of the flag is removed");
-        assert!(!take_flag(&mut args, "--smoke"));
-        assert_eq!(take_value(&mut args, "--ckpt"), None);
-        // A flag missing its value is dropped without eating anything else.
-        let mut args = argv(&["x", "--out"]);
-        assert_eq!(take_value(&mut args, "--out"), None);
-        assert_eq!(args, ["x"]);
     }
 
     #[test]

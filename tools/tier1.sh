@@ -330,4 +330,36 @@ fi
 grep -q -- "--window-us" "$TMP/w0.err"
 echo "   fleet trace and telemetry series parse; attainment is a probability"
 
+echo "== tier1: a bad command line fails typed and writes nothing =="
+# Every binary reads its command line through one parser: a flag without
+# its value, a misspelt flag, an unknown artifact or a zero worker count
+# is an error naming the culprit, raised before anything is written. Each
+# runs in an empty directory, where a stray write would leave results/.
+BIN_DIR="$PWD/target/release"
+mkdir "$TMP/argv"
+while read -r culprit cmd; do
+    # $cmd splits into the binary and its arguments on purpose.
+    # shellcheck disable=SC2086
+    if (cd "$TMP/argv" && "$BIN_DIR"/$cmd) > /dev/null 2> "$TMP/argv.err"; then
+        echo "\`$cmd\` unexpectedly succeeded" >&2
+        exit 1
+    fi
+    if grep -q "panicked" "$TMP/argv.err" || ! grep -qF -- "$culprit" "$TMP/argv.err"; then
+        echo "\`$cmd\` must name \`$culprit\` without panicking:" >&2
+        cat "$TMP/argv.err" >&2
+        exit 1
+    fi
+    if [ -e "$TMP/argv/results" ]; then
+        echo "\`$cmd\` wrote results/ before failing" >&2
+        exit 1
+    fi
+done <<'ARGV'
+--out cluster --smoke --out
+--resum all --resum
+fig99 all fig99
+--jobs faults --jobs 0
+--csv fleet-trace --csv
+ARGV
+echo "   bad command lines exit non-zero, name the culprit and write nothing"
+
 echo "== tier1: OK =="
