@@ -17,7 +17,7 @@
 //! 200k jobs; `--smoke` is intensities 0 and 1 at the high rate on 4
 //! devices and 2000 jobs. The run knobs (`--fidelity` through `--shed`) are
 //! [`lax_bench::cluster::knobs_from_cli`]'s, shared with `cluster` and
-//! `fleet-trace`. Fault plans derive from the workload cell and intensity —
+//! `trace`. Fault plans derive from the workload cell and intensity —
 //! never the policy — so every policy faces the identical fault schedule
 //! and the comparison is paired; arrival streams are also paired *across*
 //! intensities, isolating the faults' effect. Output is bit-identical for

@@ -15,7 +15,7 @@
 //! `results/cluster.txt`; `--smoke` is the four policies at the high rate
 //! on 4 devices and 4000 jobs. The run knobs (`--fidelity` through
 //! `--shed`) are [`lax_bench::cluster::knobs_from_cli`]'s, shared with
-//! `chaos` and `fleet-trace`. Per-device seeds hash from the workload cell,
+//! `chaos` and `trace`. Per-device seeds hash from the workload cell,
 //! never the policy, so the output is bit-identical for any `--jobs N`.
 //!
 //! `--scenario-file` runs a declarative scenario file instead (see

@@ -70,7 +70,7 @@
 //! stream sorted by instant and job id so the delivery order is
 //! independent of worker count. [`FleetSampler`] turns the stream into
 //! windowed SLO time series and [`FleetTraceWriter`] into Perfetto traces
-//! (the `fleet-trace` binary). The [`ClusterReport::misses`] breakdown is
+//! (the `trace` binary, given a fleet cell). The [`ClusterReport::misses`] breakdown is
 //! computed on every run — observed or not — and conserves exactly against
 //! the report's totals; attaching observers never changes any report byte.
 

@@ -344,3 +344,136 @@ mod tests {
         assert!(text.contains("LL"), "cluster table names the policy: {text}");
     }
 }
+
+/// Seeded mutation tests of the JSON surfaces: every document the workspace
+/// emits or ships, truncated, bit-flipped and spliced.
+///
+/// * `validate` and `parse` run one descent, so on every mutant they give
+///   the same verdict, down to the error, and neither panics.
+/// * `ScenarioFile::parse` meets every mutant of a shipped scenario file
+///   with a scenario or a typed `ScenarioFileError`, never a panic.
+#[cfg(test)]
+mod json_mutants {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::path::Path;
+    use std::sync::{Arc, Mutex};
+
+    use gpu_sim::prelude::*;
+    use sim_core::json;
+    use sim_core::rng::SimRng;
+    use workloads::scenario::ScenarioFile;
+
+    use crate::{run_cell, ClusterBuilder, RunOptions};
+
+    /// Every `examples/scenarios/*.json`, as (name, text).
+    fn scenario_files() -> Vec<(String, String)> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("examples/scenarios is readable")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| {
+                let text = std::fs::read_to_string(&path).expect("scenario file is UTF-8");
+                (path.display().to_string(), text)
+            })
+            .collect();
+        files.sort();
+        assert!(files.len() >= 3, "scenario corpus missing: {files:?}");
+        files
+    }
+
+    /// The documents the observers emit for a small faulty device cell and a
+    /// small faulty fleet cell: both traces and both samplers' series JSON.
+    fn emitted_documents() -> Vec<String> {
+        let sampler = Arc::new(Mutex::new(MetricsSampler::new().watch_job(JobId(1))));
+        let writer = Arc::new(Mutex::new(ChromeTraceWriter::new()));
+        let opts = RunOptions::default().observe(sampler.clone()).observe(writer.clone());
+        run_cell(&"LAX:IPV6:high:j6:s1:f1".parse().unwrap(), &opts).unwrap();
+
+        let fleet_sampler = Arc::new(Mutex::new(FleetSampler::new()));
+        let fleet_writer = Arc::new(Mutex::new(FleetTraceWriter::new()));
+        ClusterBuilder::new("LL:HYBRID:high:d2:j24:s7:f1".parse().unwrap())
+            .observe(fleet_sampler.clone())
+            .observe(fleet_writer.clone())
+            .run()
+            .unwrap();
+
+        let docs = vec![
+            writer.lock().unwrap().finish(),
+            sampler.lock().unwrap().to_json(),
+            fleet_writer.lock().unwrap().finish(),
+            fleet_sampler.lock().unwrap().to_json(),
+        ];
+        for doc in &docs {
+            json::validate(doc).expect("emitted documents are valid");
+        }
+        docs
+    }
+
+    /// One seeded mutation: truncate, flip one bit, or splice a short slice of
+    /// a donor document over a short slice of this one.
+    fn mutate(text: &str, corpus: &[String], rng: &mut SimRng) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let pick = |rng: &mut SimRng, n: usize| rng.below(n as u64 + 1) as usize;
+        match rng.below(3) {
+            0 => bytes.truncate(pick(rng, bytes.len())),
+            1 if !bytes.is_empty() => {
+                let i = rng.below(bytes.len() as u64) as usize;
+                bytes[i] ^= 1 << rng.below(8);
+            }
+            _ => {
+                let donor = corpus[rng.below(corpus.len() as u64) as usize].as_bytes();
+                let from = pick(rng, donor.len());
+                let graft = &donor[from..(from + pick(rng, 24)).min(donor.len())];
+                let at = pick(rng, bytes.len());
+                let end = (at + pick(rng, 24)).min(bytes.len());
+                bytes.splice(at..end, graft.iter().copied());
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn validate_and_parse_agree_on_every_mutant() {
+        let mut corpus = emitted_documents();
+        corpus.extend(scenario_files().into_iter().map(|(_, text)| text));
+        let mut rng = SimRng::seed_from(0x150f);
+        let mut accepted = 0;
+        for round in 0..3000 {
+            let mut doc = corpus[round % corpus.len()].clone();
+            for _ in 0..=round % 3 {
+                doc = mutate(&doc, &corpus, &mut rng);
+            }
+            let verdicts = catch_unwind(|| (json::validate(&doc), json::parse(&doc).map(drop)));
+            let (validated, parsed) = verdicts.unwrap_or_else(|_| panic!("panicked on {doc:?}"));
+            assert_eq!(validated, parsed, "validate and parse disagree on {doc:?}");
+            accepted += usize::from(validated.is_ok());
+        }
+        // Mutants on both sides of the grammar, or the agreement checks little.
+        assert!((100..2900).contains(&accepted), "{accepted} of 3000 mutants accepted");
+    }
+
+    #[test]
+    fn scenario_file_mutants_fail_typed() {
+        let files = scenario_files();
+        let corpus: Vec<String> = files.iter().map(|(_, text)| text.clone()).collect();
+        let mut rng = SimRng::seed_from(0x5ce7);
+        let mut rejected = 0;
+        for round in 0..1500 {
+            let (name, text) = &files[round % files.len()];
+            let mut doc = text.clone();
+            for _ in 0..=round % 3 {
+                doc = mutate(&doc, &corpus, &mut rng);
+            }
+            let parsed = catch_unwind(AssertUnwindSafe(|| ScenarioFile::parse(&doc)));
+            match parsed.unwrap_or_else(|_| panic!("{name}: panicked on {doc:?}")) {
+                Ok(_) => {}
+                Err(e) => {
+                    assert!(!e.to_string().is_empty(), "{name}: an error must say what is wrong");
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(rejected > 1000, "only {rejected} of 1500 mutants rejected");
+    }
+}

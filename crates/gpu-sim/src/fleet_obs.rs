@@ -13,22 +13,23 @@
 //!   (one row per window) or JSON. This is what makes a chaos run legible:
 //!   attainment visibly dips and recovers around each crash wave instead of
 //!   collapsing into one end-of-run scalar.
-//! * [`FleetTraceWriter`] — emits Chrome trace-event JSON (Perfetto /
-//!   `chrome://tracing`): one lane per device with health-state spans and
-//!   job spans colored by outcome, router instants for
-//!   route/retry/reject/shed/miss, and counter tracks for in-flight depth
-//!   and down devices.
+//! * [`FleetTraceWriter`] — maps the stream onto Chrome trace-event records
+//!   of [`sim_core::trace::TraceEvents`] (Perfetto / `chrome://tracing`):
+//!   one lane per device with health-state spans and job spans colored by
+//!   outcome, router instants for route/retry/reject/shed/miss, and counter
+//!   tracks for in-flight depth and down devices. The `trace` binary writes
+//!   both artifacts for a fleet cell.
 //!
 //! Both are passive observers: they never mutate simulator state, and the
 //! cluster layer's byte-identity tests pin that attaching them cannot
 //! perturb any report.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use sim_core::json;
 use sim_core::probe::Observer;
 use sim_core::stats::StreamingQuantiles;
 use sim_core::time::{Cycle, Duration};
+use sim_core::trace::TraceEvents;
 
 use crate::probe::{MissBreakdown, MissCause, ProbeEvent};
 
@@ -36,7 +37,7 @@ use crate::probe::{MissBreakdown, MissCause, ProbeEvent};
 /// device-level `profiling_period` cadence.
 pub const DEFAULT_WINDOW: Duration = Duration::from_us(100);
 
-/// Default cap on distinct windows a [`FleetSampler`] tracks.
+/// Cap on distinct windows a [`FleetSampler`] tracks.
 pub const DEFAULT_WINDOW_CAPACITY: usize = 1 << 16;
 
 /// Per-device activity within one window.
@@ -81,7 +82,6 @@ struct WindowStats {
 #[derive(Debug)]
 pub struct FleetSampler {
     window: Duration,
-    capacity: usize,
     dropped: u64,
     windows: BTreeMap<u64, WindowStats>,
     /// Health transitions in arrival order: (at, device, in_rotation).
@@ -101,7 +101,6 @@ impl FleetSampler {
     pub fn new() -> Self {
         FleetSampler {
             window: DEFAULT_WINDOW,
-            capacity: DEFAULT_WINDOW_CAPACITY,
             dropped: 0,
             windows: BTreeMap::new(),
             health: Vec::new(),
@@ -118,19 +117,6 @@ impl FleetSampler {
     pub fn with_window(mut self, window: Duration) -> Self {
         assert!(!window.is_zero(), "window width must be positive");
         self.window = window;
-        self
-    }
-
-    /// Sets the cap on distinct windows; events landing in windows beyond
-    /// the cap are dropped from the series (and counted), though the
-    /// run-level miss breakdown still sees them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_window_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        self.capacity = capacity;
         self
     }
 
@@ -157,7 +143,9 @@ impl FleetSampler {
         self.windows.is_empty()
     }
 
-    /// Events discarded because their window was beyond the cap.
+    /// Events discarded because their window was beyond the
+    /// [`DEFAULT_WINDOW_CAPACITY`] distinct windows already tracked; the
+    /// run-level miss breakdown still sees them.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -174,7 +162,7 @@ impl FleetSampler {
 
     fn stats(&mut self, at: Cycle) -> Option<&mut WindowStats> {
         let idx = self.window_index(at);
-        if !self.windows.contains_key(&idx) && self.windows.len() >= self.capacity {
+        if !self.windows.contains_key(&idx) && self.windows.len() >= DEFAULT_WINDOW_CAPACITY {
             self.dropped += 1;
             return None;
         }
@@ -198,7 +186,7 @@ impl FleetSampler {
         );
         let mut inflight: i64 = 0;
         let mut health_pos = 0usize;
-        let mut down: BTreeMap<u16, ()> = BTreeMap::new();
+        let mut down: BTreeSet<u16> = BTreeSet::new();
         for (&idx, w) in &self.windows {
             let start_us = (idx * self.window.as_cycles()) as f64
                 / sim_core::time::CYCLES_PER_US as f64;
@@ -211,7 +199,7 @@ impl FleetSampler {
                 if up {
                     down.remove(&d);
                 } else {
-                    down.insert(d, ());
+                    down.insert(d);
                 }
                 health_pos += 1;
             }
@@ -374,7 +362,11 @@ impl Observer<ProbeEvent> for FleetSampler {
     }
 }
 
-/// Observer emitting Chrome trace-event JSON for a cluster run.
+/// Observer emitting Chrome trace-event JSON for a cluster run through
+/// [`TraceEvents`], so it keeps at most
+/// [`sim_core::trace::TRACE_EVENT_CAPACITY`] span/instant records; metadata
+/// and the counter tracks are assembled at [`FleetTraceWriter::finish`]
+/// outside the cap.
 ///
 /// Track layout: pid 0 is "Fleet health" — one thread per device carrying
 /// `down`/`drain` spans (a device with no span is in rotation), plus the
@@ -383,13 +375,11 @@ impl Observer<ProbeEvent> for FleetSampler {
 /// `met` or `late`, so Perfetto colors outcomes apart) covering the job's
 /// service residency; pid 2 is "Router" — instants for
 /// route/retry/reject/shed and typed miss events.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetTraceWriter {
-    records: Vec<String>,
-    capacity: usize,
-    dropped: u64,
+    events: TraceEvents,
     /// Devices that appeared in any event (for thread metadata).
-    devices_seen: BTreeMap<u16, ()>,
+    devices_seen: BTreeSet<u16>,
     /// Open health spans: device → (since, crashed).
     open_health: BTreeMap<u16, (Cycle, bool)>,
     /// Latest event timestamp, used to close dangling spans in `finish`.
@@ -404,138 +394,81 @@ pub struct FleetTraceWriter {
     down_deltas: Vec<(Cycle, i64)>,
 }
 
-impl Default for FleetTraceWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FleetTraceWriter {
-    /// A writer holding up to [`crate::probe::DEFAULT_TRACE_CAPACITY`]
-    /// records.
+    /// An empty writer.
     pub fn new() -> Self {
-        FleetTraceWriter {
-            records: Vec::new(),
-            capacity: crate::probe::DEFAULT_TRACE_CAPACITY,
-            dropped: 0,
-            devices_seen: BTreeMap::new(),
-            open_health: BTreeMap::new(),
-            max_ts: Cycle::ZERO,
-            inflight_deltas: Vec::new(),
-            down_deltas: Vec::new(),
-        }
-    }
-
-    /// Sets the record cap on span/instant records; further ones are
-    /// dropped and counted. Metadata and the counter tracks are assembled
-    /// at [`FleetTraceWriter::finish`] and are not subject to the cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.capacity = capacity;
-        self
+        Self::default()
     }
 
     /// Records discarded because the cap was reached.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.events.dropped()
     }
 
     /// Number of records captured so far (excluding metadata, counter
     /// tracks, and dangling health spans, which are generated at
     /// [`FleetTraceWriter::finish`]).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.events.len()
     }
 
     /// `true` when nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    fn push(&mut self, record: String) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn span_record(name: &str, cat: &str, pid: u32, tid: u64, start: Cycle, end: Cycle) -> String {
-        let ts = start.as_us_f64();
-        let dur = end.saturating_since(start).as_us_f64();
-        let mut r = String::from("{\"name\":\"");
-        json::escape_into(&mut r, name);
-        r.push_str(&format!(
-            "\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}}}"
-        ));
-        r
+        self.events.is_empty()
     }
 
     fn push_instant(&mut self, name: &str, cat: &str, at: Cycle, tid: u64) {
-        let ts = at.as_us_f64();
-        let mut r = String::from("{\"name\":\"");
-        json::escape_into(&mut r, name);
-        r.push_str(&format!(
-            "\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":2,\"tid\":{tid}}}"
-        ));
-        self.push(r);
+        self.events.instant(name, cat, 2, tid, at);
     }
 
-    /// Turns a delta log into a `ph:"C"` counter track: stable-sort by
-    /// timestamp, cumulative-sum, one sample per distinct instant.
-    fn counter_track(name: &str, deltas: &[(Cycle, i64)], parts: &mut Vec<String>) {
+    /// Writes a `down` (crash) or `drain` span of `device`'s health lane.
+    fn health_span(events: &mut TraceEvents, device: u16, open: (Cycle, bool), end: Cycle) {
+        let (since, crashed) = open;
+        let name = if crashed { "down" } else { "drain" };
+        events.span(name, "health", 0, device.into(), since, end);
+    }
+
+    /// Writes a delta log as a counter track: stable-sort by timestamp,
+    /// cumulative-sum, one sample per distinct instant.
+    fn counter_track(events: &mut TraceEvents, name: &str, deltas: &[(Cycle, i64)]) {
         let mut sorted = deltas.to_vec();
         sorted.sort_by_key(|&(at, _)| at);
         let mut value: i64 = 0;
-        let mut i = 0;
-        while i < sorted.len() {
-            let at = sorted[i].0;
-            while i < sorted.len() && sorted[i].0 == at {
-                value += sorted[i].1;
-                i += 1;
+        for (i, &(at, delta)) in sorted.iter().enumerate() {
+            value += delta;
+            if sorted.get(i + 1).is_none_or(|&(next, _)| next != at) {
+                events.counter(name, 0, at, value as f64);
             }
-            parts.push(format!(
-                "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{\"value\":{value}}}}}",
-                at.as_us_f64()
-            ));
         }
     }
 
     fn touch(&mut self, at: Cycle, device: u16) {
         self.max_ts = self.max_ts.max(at);
-        self.devices_seen.insert(device, ());
+        self.devices_seen.insert(device);
     }
 
     /// Renders the complete trace document:
-    /// `{"traceEvents":[…metadata…, …records…, …dangling health spans…]}`.
-    /// Health spans still open at the last observed timestamp are closed
-    /// there, so a run ending mid-outage still shows the outage.
+    /// `{"traceEvents":[…metadata…, …records…, …counter tracks…, …dangling
+    /// health spans…]}`. Health spans still open at the last observed
+    /// timestamp are closed there, so a run ending mid-outage still shows
+    /// the outage.
     pub fn finish(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for (pid, pname) in [(0, "Fleet health"), (1, "Jobs"), (2, "Router")] {
-            parts.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{pname}\"}}}}"
-            ));
-        }
-        for &d in self.devices_seen.keys() {
-            for pid in [0u32, 1, 2] {
-                parts.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{d},\"args\":{{\"name\":\"device {d}\"}}}}"
-                ));
+        let head = |head: &mut TraceEvents| {
+            for (pid, name) in [(0, "Fleet health"), (1, "Jobs"), (2, "Router")] {
+                head.process_name(pid, name);
             }
-        }
-        parts.extend(self.records.iter().cloned());
-        Self::counter_track("in_flight", &self.inflight_deltas, &mut parts);
-        Self::counter_track("devices_down", &self.down_deltas, &mut parts);
-        for (&d, &(since, crashed)) in &self.open_health {
-            let name = if crashed { "down" } else { "drain" };
-            parts.push(Self::span_record(name, "health", 0, d as u64, since, self.max_ts));
-        }
-        format!("{{\"traceEvents\":[{}]}}", parts.join(","))
+            for &d in &self.devices_seen {
+                (0..3).for_each(|pid| head.thread_name(pid, d.into(), "device"));
+            }
+        };
+        let tail = |tail: &mut TraceEvents| {
+            Self::counter_track(tail, "in_flight", &self.inflight_deltas);
+            Self::counter_track(tail, "devices_down", &self.down_deltas);
+            for (&d, &open) in &self.open_health {
+                Self::health_span(tail, d, open, self.max_ts);
+            }
+        };
+        self.events.finish(head, tail)
     }
 }
 
@@ -575,10 +508,8 @@ impl Observer<ProbeEvent> for FleetTraceWriter {
             }
             ProbeEvent::DeviceRestored { device } => {
                 self.touch(at, *device);
-                if let Some((since, crashed)) = self.open_health.remove(device) {
-                    let name = if crashed { "down" } else { "drain" };
-                    let r = Self::span_record(name, "health", 0, *device as u64, since, at);
-                    self.push(r);
+                if let Some(open) = self.open_health.remove(device) {
+                    Self::health_span(&mut self.events, *device, open, at);
                 }
                 self.down_deltas.push((at, -1));
             }
@@ -589,8 +520,7 @@ impl Observer<ProbeEvent> for FleetTraceWriter {
                         .saturating_sub(Duration::from_us_f64(*latency_us).as_cycles()),
                 );
                 let cat = if *met { "met" } else { "late" };
-                let r = Self::span_record(&format!("j{}", job.0), cat, 1, *device as u64, start, at);
-                self.push(r);
+                self.events.span(&format!("j{}", job.0), cat, 1, (*device).into(), start, at);
                 self.inflight_deltas.push((at, -1));
             }
             ProbeEvent::JobMissed { job, device, cause } => {
@@ -607,6 +537,7 @@ impl Observer<ProbeEvent> for FleetTraceWriter {
 mod tests {
     use super::*;
     use crate::job::JobId;
+    use sim_core::json;
 
     fn t(us: u64) -> Cycle {
         Cycle::ZERO + Duration::from_us(us)
@@ -696,17 +627,18 @@ mod tests {
 
     #[test]
     fn sampler_window_capacity_drops_and_counts() {
-        let mut s =
-            FleetSampler::new().with_window(Duration::from_us(10)).with_window_capacity(2);
-        s.on_event(t(5), &routed(0, 0));
-        s.on_event(t(15), &routed(1, 0));
-        s.on_event(t(95), &routed(2, 0)); // third distinct window: dropped
-        s.on_event(t(7), &routed(3, 0)); // existing window: kept
-        assert_eq!(s.len(), 2);
+        let mut s = FleetSampler::new().with_window(Duration::from_us(1));
+        let cap = DEFAULT_WINDOW_CAPACITY as u32;
+        let rejected = |j: u32| ProbeEvent::JobRejected { job: JobId(j), laxity_us: -1.0 };
+        for j in 0..=cap {
+            s.on_event(t(j.into()), &rejected(j)); // the last is one window past the cap
+        }
+        s.on_event(t(7), &rejected(7)); // existing window: kept
+        assert_eq!(s.len(), DEFAULT_WINDOW_CAPACITY);
         assert_eq!(s.dropped(), 1);
         // Misses beyond the cap still count toward the run-level breakdown.
         s.on_event(
-            t(95),
+            t(cap.into()),
             &ProbeEvent::JobMissed { job: JobId(2), device: None, cause: MissCause::Shed },
         );
         assert_eq!(s.misses().count(MissCause::Shed), 1);
@@ -807,16 +739,5 @@ mod tests {
             .expect("dangling drain span must be closed");
         assert_eq!(drain.get("ts").and_then(json::Value::as_f64), Some(10.0));
         assert_eq!(drain.get("dur").and_then(json::Value::as_f64), Some(490.0));
-    }
-
-    #[test]
-    fn trace_writer_capacity_drops_and_counts() {
-        let mut w = FleetTraceWriter::new().with_capacity(2);
-        for j in 0..5u32 {
-            w.on_event(t(j as u64), &ProbeEvent::JobRejected { job: JobId(j), laxity_us: -1.0 });
-        }
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.dropped(), 3);
-        json::validate(&w.finish()).unwrap();
     }
 }

@@ -47,7 +47,8 @@
 //!   [`fleet_obs::FleetSampler`] (windowed SLO/latency/health time series)
 //!   and [`fleet_obs::FleetTraceWriter`] (Perfetto traces of fleet runs),
 //!   fed by the routing/health/completion/miss events the cluster layer
-//!   emits.
+//!   emits. Both trace writers only map probe events onto records of
+//!   [`sim_core::trace::TraceEvents`], the one trace-event writer.
 //!
 //! ## Example
 //!

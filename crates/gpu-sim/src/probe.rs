@@ -23,16 +23,17 @@
 //!   DRAM bandwidth utilization, cache hit rates, cumulative energy) with
 //!   CSV/JSON dumps, and can additionally follow one job's predicted
 //!   completion time and priority (the Figure 10 trace).
-//! * [`ChromeTraceWriter`] — emits Chrome trace-event JSON viewable in
-//!   Perfetto / `chrome://tracing`, with per-CU tracks of workgroup spans,
-//!   per-queue kernel spans, and counter tracks.
+//! * [`ChromeTraceWriter`] — maps probe events onto Chrome trace-event
+//!   records of [`sim_core::trace::TraceEvents`], viewable in Perfetto /
+//!   `chrome://tracing`, with per-CU tracks of workgroup spans, per-queue
+//!   kernel spans, and counter tracks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sim_core::json;
 use sim_core::probe::Observer;
-use sim_core::time::{Cycle, Duration};
-use sim_core::trace::TraceSeries;
+use sim_core::time::Cycle;
+use sim_core::trace::{TraceEvents, TraceSeries};
 
 use crate::job::{JobFate, JobId};
 use crate::memory::AccessMix;
@@ -396,7 +397,7 @@ pub struct MetricsSnapshot {
     pub total_wgs: u64,
 }
 
-/// Default per-series point capacity for [`MetricsSampler`].
+/// Per-series point capacity of [`MetricsSampler`].
 pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
 
 /// Observer that turns periodic [`MetricsSnapshot`]s into named
@@ -407,11 +408,6 @@ pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
 /// `Arc<Mutex<MetricsSampler>>` clone to read the series back after the run.
 #[derive(Debug)]
 pub struct MetricsSampler {
-    /// Minimum simulated time between recorded snapshots; `ZERO` records
-    /// every snapshot the simulation fires.
-    period: Duration,
-    capacity: usize,
-    last_recorded: Option<Cycle>,
     prev_dram: Option<(Cycle, u64)>,
     /// Snapshot-aligned series; all sampled at the same instants.
     series: Vec<TraceSeries>,
@@ -434,9 +430,6 @@ impl MetricsSampler {
     /// [`DEFAULT_SERIES_CAPACITY`] points per series.
     pub fn new() -> Self {
         MetricsSampler {
-            period: Duration::ZERO,
-            capacity: DEFAULT_SERIES_CAPACITY,
-            last_recorded: None,
             prev_dram: None,
             series: Vec::new(),
             times: Vec::new(),
@@ -447,27 +440,7 @@ impl MetricsSampler {
         }
     }
 
-    /// Sets the minimum simulated time between recorded snapshots
-    /// (decimation below the simulation's own snapshot cadence).
-    pub fn with_period(mut self, period: Duration) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Sets the per-series point capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "sampler capacity must be positive");
-        self.capacity = capacity;
-        self.watch_predicted = TraceSeries::new("predicted_total_us", capacity);
-        self.watch_priority = TraceSeries::new("priority", capacity);
-        self
-    }
-
-    /// Additionally record every `CpPriority` event of `job` (undecimated)
+    /// Additionally record every `CpPriority` event of `job`
     /// into the `predicted_total_us` / `priority` series — the Figure 10
     /// trace.
     pub fn watch_job(mut self, job: JobId) -> Self {
@@ -530,10 +503,10 @@ impl MetricsSampler {
             }
             self.series = names
                 .into_iter()
-                .map(|n| TraceSeries::new(n, self.capacity))
+                .map(|n| TraceSeries::new(n, DEFAULT_SERIES_CAPACITY))
                 .collect();
         }
-        if self.times.len() >= self.capacity {
+        if self.times.len() >= DEFAULT_SERIES_CAPACITY {
             self.times_dropped += 1;
             return;
         }
@@ -637,16 +610,7 @@ impl MetricsSampler {
 impl Observer<ProbeEvent> for MetricsSampler {
     fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
         match event {
-            ProbeEvent::Snapshot(snap) => {
-                let due = match self.last_recorded {
-                    None => true,
-                    Some(last) => at.saturating_since(last) >= self.period,
-                };
-                if due {
-                    self.last_recorded = Some(at);
-                    self.record(at, snap);
-                }
-            }
+            ProbeEvent::Snapshot(snap) => self.record(at, snap),
             ProbeEvent::CpPriority { job, predicted_total_us, priority }
                 if self.watch == Some(*job) =>
             {
@@ -658,134 +622,58 @@ impl Observer<ProbeEvent> for MetricsSampler {
     }
 }
 
-/// Default cap on emitted trace records for [`ChromeTraceWriter`].
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
-
 /// Observer emitting Chrome trace-event JSON (the format Perfetto and
-/// `chrome://tracing` load).
+/// `chrome://tracing` load) through [`TraceEvents`], so it keeps at most
+/// [`sim_core::trace::TRACE_EVENT_CAPACITY`] records.
 ///
 /// Track layout: pid 0 is the device — one thread per CU carrying workgroup
 /// spans; pid 1 is the CP — one thread per hardware queue carrying kernel
 /// spans; counters from periodic snapshots attach to pid 0.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ChromeTraceWriter {
-    /// Pre-rendered JSON objects, one per trace record.
-    records: Vec<String>,
-    capacity: usize,
-    dropped: u64,
+    events: TraceEvents,
     /// In-flight workgroups: key → (cu, dispatch time, job).
     open_wgs: BTreeMap<SlabKey, (u16, Cycle, JobId)>,
     /// In-flight kernels: queue → (job, kernel index, start time).
     open_kernels: BTreeMap<(usize, usize), (JobId, bool, Cycle)>,
     /// CU indices that carried at least one workgroup (for thread metadata).
-    cus_seen: BTreeMap<u16, ()>,
+    cus_seen: BTreeSet<u16>,
     /// Queues that carried at least one kernel.
-    queues_seen: BTreeMap<usize, ()>,
-}
-
-impl Default for ChromeTraceWriter {
-    fn default() -> Self {
-        Self::new()
-    }
+    queues_seen: BTreeSet<usize>,
 }
 
 impl ChromeTraceWriter {
-    /// A writer holding up to [`DEFAULT_TRACE_CAPACITY`] records.
+    /// An empty writer.
     pub fn new() -> Self {
-        ChromeTraceWriter {
-            records: Vec::new(),
-            capacity: DEFAULT_TRACE_CAPACITY,
-            dropped: 0,
-            open_wgs: BTreeMap::new(),
-            open_kernels: BTreeMap::new(),
-            cus_seen: BTreeMap::new(),
-            queues_seen: BTreeMap::new(),
-        }
-    }
-
-    /// Sets the record cap; further records are dropped and counted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.capacity = capacity;
-        self
+        Self::default()
     }
 
     /// Records discarded because the cap was reached.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.events.dropped()
     }
 
     /// Number of records captured so far (excluding metadata, which is
     /// generated at [`ChromeTraceWriter::finish`]).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.events.len()
     }
 
     /// `true` when nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    fn push(&mut self, record: String) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn push_span(&mut self, name: &str, cat: &str, pid: u32, tid: u64, start: Cycle, end: Cycle) {
-        let ts = start.as_us_f64();
-        let dur = end.saturating_since(start).as_us_f64();
-        let mut r = String::from("{\"name\":\"");
-        json::escape_into(&mut r, name);
-        r.push_str(&format!(
-            "\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}}}"
-        ));
-        self.push(r);
-    }
-
-    fn push_counter(&mut self, name: &str, at: Cycle, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let ts = at.as_us_f64();
-        let mut r = String::from("{\"name\":\"");
-        json::escape_into(&mut r, name);
-        r.push_str(&format!(
-            "\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"args\":{{\"value\":{value}}}}}"
-        ));
-        self.push(r);
+        self.events.is_empty()
     }
 
     /// Renders the complete trace document:
     /// `{"traceEvents":[…metadata…, …records…]}`.
     pub fn finish(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        parts.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"GPU device\"}}"
-                .to_string(),
-        );
-        parts.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"Command processor\"}}"
-                .to_string(),
-        );
-        for &cu in self.cus_seen.keys() {
-            parts.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{cu},\"args\":{{\"name\":\"CU {cu}\"}}}}"
-            ));
-        }
-        for &q in self.queues_seen.keys() {
-            parts.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{q},\"args\":{{\"name\":\"queue {q}\"}}}}"
-            ));
-        }
-        parts.extend(self.records.iter().cloned());
-        format!("{{\"traceEvents\":[{}]}}", parts.join(","))
+        let head = |head: &mut TraceEvents| {
+            head.process_name(0, "GPU device");
+            head.process_name(1, "Command processor");
+            self.cus_seen.iter().for_each(|&cu| head.thread_name(0, cu.into(), "CU"));
+            self.queues_seen.iter().for_each(|&q| head.thread_name(1, q as u64, "queue"));
+        };
+        self.events.finish(head, |_| {})
     }
 }
 
@@ -797,8 +685,8 @@ impl Observer<ProbeEvent> for ChromeTraceWriter {
             }
             ProbeEvent::WgRetired { wg, .. } => {
                 if let Some((cu, start, job)) = self.open_wgs.remove(wg) {
-                    self.cus_seen.insert(cu, ());
-                    self.push_span(&format!("wg job{}", job.0), "wg", 0, cu as u64, start, at);
+                    self.cus_seen.insert(cu);
+                    self.events.span(&format!("wg job{}", job.0), "wg", 0, cu.into(), start, at);
                 }
             }
             ProbeEvent::KernelStarted { job, queue, kernel, critical } => {
@@ -808,21 +696,18 @@ impl Observer<ProbeEvent> for ChromeTraceWriter {
                 // Keyed by (queue, stage) so a DAG job's concurrent stages
                 // each close their own span.
                 if let Some((job, critical, start)) = self.open_kernels.remove(&(*queue, *kernel)) {
-                    self.queues_seen.insert(*queue, ());
-                    let name = if critical {
-                        format!("job{} k{}*", job.0, kernel)
-                    } else {
-                        format!("job{} k{}", job.0, kernel)
-                    };
-                    self.push_span(&name, "kernel", 1, *queue as u64, start, at);
+                    self.queues_seen.insert(*queue);
+                    let mark = if critical { "*" } else { "" };
+                    let name = format!("job{} k{kernel}{mark}", job.0);
+                    self.events.span(&name, "kernel", 1, *queue as u64, start, at);
                 }
             }
             ProbeEvent::Snapshot(snap) => {
-                self.push_counter("busy_queues", at, snap.busy_queues as f64);
-                self.push_counter("resident_waves", at, snap.resident_waves as f64);
-                self.push_counter("energy_mj", at, snap.energy_mj);
-                self.push_counter("l1_hit_rate", at, snap.l1_hit_rate);
-                self.push_counter("l2_hit_rate", at, snap.l2_hit_rate);
+                self.events.counter("busy_queues", 0, at, snap.busy_queues as f64);
+                self.events.counter("resident_waves", 0, at, snap.resident_waves as f64);
+                self.events.counter("energy_mj", 0, at, snap.energy_mj);
+                self.events.counter("l1_hit_rate", 0, at, snap.l1_hit_rate);
+                self.events.counter("l2_hit_rate", 0, at, snap.l2_hit_rate);
             }
             _ => {}
         }
@@ -832,6 +717,7 @@ impl Observer<ProbeEvent> for ChromeTraceWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::time::Duration;
 
     fn t(us: u64) -> Cycle {
         Cycle::ZERO + Duration::from_us(us)
@@ -875,26 +761,15 @@ mod tests {
     }
 
     #[test]
-    fn sampler_period_decimates() {
-        let mut s = MetricsSampler::new().with_period(Duration::from_us(250));
-        for us in [100u64, 200, 300, 400, 500, 600] {
-            s.on_event(t(us), &ProbeEvent::Snapshot(snap(0)));
-        }
-        // Recorded at 100, then next >= 350 is 400, then >= 650: none.
-        assert_eq!(s.times().len(), 2);
-        assert_eq!(s.times()[1], t(400));
-    }
-
-    #[test]
     fn sampler_capacity_bounds_all_series() {
-        let mut s = MetricsSampler::new().with_capacity(3);
-        for us in 1..=10u64 {
+        let mut s = MetricsSampler::new();
+        for us in 1..=DEFAULT_SERIES_CAPACITY as u64 + 7 {
             s.on_event(t(us), &ProbeEvent::Snapshot(snap(0)));
         }
-        assert_eq!(s.times().len(), 3);
+        assert_eq!(s.times().len(), DEFAULT_SERIES_CAPACITY);
         assert_eq!(s.dropped(), 7);
         for series in s.series() {
-            assert_eq!(series.points().len(), 3, "{}", series.name());
+            assert_eq!(series.points().len(), DEFAULT_SERIES_CAPACITY, "{}", series.name());
         }
     }
 
@@ -966,17 +841,6 @@ mod tests {
         assert!(doc.contains("\"CU 3\""), "CU thread metadata present");
         assert!(doc.contains("\"queue 2\""), "queue thread metadata present");
         assert!(doc.contains("\"dur\":10"), "wg span duration in us");
-    }
-
-    #[test]
-    fn chrome_trace_capacity_drops_and_counts() {
-        let mut w = ChromeTraceWriter::new().with_capacity(2);
-        for i in 0..5u64 {
-            w.on_event(t(i), &ProbeEvent::Snapshot(snap(0)));
-        }
-        assert_eq!(w.len(), 2);
-        assert!(w.dropped() > 0);
-        json::validate(&w.finish()).expect("still valid after drops");
     }
 
     #[test]

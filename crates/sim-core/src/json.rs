@@ -1,14 +1,14 @@
-//! Minimal JSON helpers: string escaping for emitters, a strict syntax
-//! validator for smoke tests, and a small value parser for tools that must
-//! read their own emitted documents back.
+//! Minimal JSON helpers: string escaping for emitters, and one strict
+//! recursive descent that either checks a document or materializes it.
 //!
 //! The workspace is std-only (no serde), so trace writers hand-roll their
-//! JSON. [`escape_into`]/[`escaped`] implement RFC 8259 string escaping,
-//! [`validate`] is a small recursive-descent syntax checker used by tests and
-//! `tools/tier1.sh` to prove emitted trace files parse without shelling out
-//! to an external JSON tool, and [`parse`] materializes a document into a
-//! [`Value`] tree (used e.g. by `benchdiff` to read the benchmark's result
-//! lines and `BENCHMARK.json`, and by the scenario-file loader).
+//! JSON. [`escape_into`]/[`escaped`] implement RFC 8259 string escaping.
+//! [`validate`] checks a document without building anything: the trace
+//! binary checks every document it writes with it, at up to ~90 MB.
+//! [`parse`] materializes a document into a [`Value`] tree (used e.g. by
+//! `benchdiff` to read the benchmark's result lines and `BENCHMARK.json`,
+//! and by the scenario-file loader). Both run the same descent, so they
+//! accept exactly the same documents.
 
 /// Append `s` to `out` with JSON string escaping applied (no surrounding
 /// quotes). Escapes `"`, `\`, and all control characters below U+0020.
@@ -37,7 +37,7 @@ pub fn escaped(s: &str) -> String {
     out
 }
 
-/// Why a document failed [`validate`].
+/// Why a document failed [`validate`] or [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the offending character.
@@ -54,187 +54,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Maximum nesting depth [`validate`] accepts before giving up; deep enough
-/// for any trace file we emit, shallow enough to never blow the stack.
+/// Maximum nesting depth accepted before giving up; deep enough for any
+/// trace file we emit, shallow enough to never blow the stack.
 const MAX_DEPTH: usize = 256;
 
 /// Check that `s` is one syntactically valid JSON document (with nothing but
-/// whitespace after it). Values are not materialized — this is a syntax
-/// check, not a parser.
+/// whitespace after it). Runs [`parse`]'s descent with value keeping off, so
+/// it accepts exactly the documents `parse` accepts but builds nothing: its
+/// memory stays flat however large the document.
 pub fn validate(s: &str) -> Result<(), JsonError> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    value(b, &mut pos, 0)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(err(pos, "trailing characters after document"));
-    }
-    Ok(())
-}
-
-fn err(at: usize, message: &str) -> JsonError {
-    JsonError { at, message: message.to_string() }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), JsonError> {
-    if depth > MAX_DEPTH {
-        return Err(err(*pos, "nesting too deep"));
-    }
-    match b.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => object(b, pos, depth),
-        Some(b'[') => array(b, pos, depth),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
-        Some(_) => Err(err(*pos, "expected a JSON value")),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, word: &[u8]) -> Result<(), JsonError> {
-    if b[*pos..].starts_with(word) {
-        *pos += word.len();
-        Ok(())
-    } else {
-        Err(err(*pos, "invalid literal"))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), JsonError> {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(err(*pos, "expected object key string"));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(err(*pos, "expected ':' after object key"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos, depth + 1)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(err(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), JsonError> {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos, depth + 1)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(err(*pos, "expected ',' or ']' in array")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    *pos += 1; // consume opening '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(err(*pos, "bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(err(*pos, "bad escape sequence")),
-                }
-            }
-            c if c < 0x20 => return Err(err(*pos, "raw control character in string")),
-            _ => *pos += 1,
-        }
-    }
-    Err(err(*pos, "unterminated string"))
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return Err(err(*pos, "expected digits in number"));
-    }
-    // JSON forbids leading zeros on multi-digit integer parts.
-    if b[int_start] == b'0' && *pos - int_start > 1 {
-        return Err(err(int_start, "leading zero in number"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(err(*pos, "expected digits after decimal point"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(err(*pos, "expected digits in exponent"));
-        }
-    }
-    debug_assert!(*pos > start);
-    Ok(())
+    Descent::<false>::run(s).map(drop)
 }
 
 /// A materialized JSON value, produced by [`parse`].
@@ -292,181 +121,278 @@ impl Value {
     }
 }
 
-/// Parse one JSON document into a [`Value`] tree. Accepts exactly the
-/// grammar [`validate`] accepts (same depth cap, same strictness); `\uXXXX`
-/// escapes are decoded, including surrogate pairs.
+/// Parse one JSON document into a [`Value`] tree. Strict RFC 8259 grammar
+/// with a nesting cap; `\uXXXX` escapes are decoded, and a surrogate must
+/// come as a high/low pair. [`validate`] runs the same descent.
 pub fn parse(s: &str) -> Result<Value, JsonError> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    let v = pvalue(b, &mut pos, 0)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(err(pos, "trailing characters after document"));
-    }
-    Ok(v)
+    Descent::<true>::run(s)
 }
 
-fn pvalue(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    if depth > MAX_DEPTH {
-        return Err(err(*pos, "nesting too deep"));
-    }
-    match b.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => pobject(b, pos, depth),
-        Some(b'[') => parray(b, pos, depth),
-        Some(b'"') => pstring(b, pos).map(Value::String),
-        Some(b't') => literal(b, pos, b"true").map(|()| Value::Bool(true)),
-        Some(b'f') => literal(b, pos, b"false").map(|()| Value::Bool(false)),
-        Some(b'n') => literal(b, pos, b"null").map(|()| Value::Null),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => pnumber(b, pos),
-        Some(_) => Err(err(*pos, "expected a JSON value")),
-    }
+fn err(at: usize, message: &str) -> JsonError {
+    JsonError { at, message: message.to_string() }
 }
 
-fn pobject(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    let mut pairs = Vec::new();
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(pairs));
+/// The one recursive descent behind [`validate`] and [`parse`]. With `KEEP`
+/// off it checks every byte the same way (escapes and surrogate pairs
+/// included) but allocates nothing: strings and containers come back
+/// empty, numbers as `null`.
+struct Descent<'a, const KEEP: bool> {
+    s: &'a str,
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<const KEEP: bool> Descent<'_, KEEP> {
+    fn run(s: &str) -> Result<Value, JsonError> {
+        let mut d = Descent::<KEEP> { s, b: s.as_bytes(), pos: 0 };
+        d.skip_ws();
+        let v = d.value(0)?;
+        d.skip_ws();
+        if d.pos != d.b.len() {
+            return Err(err(d.pos, "trailing characters after document"));
+        }
+        Ok(v)
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(err(*pos, "expected object key string"));
+
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        let key = pstring(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(err(*pos, "expected ':' after object key"));
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(err(self.pos, "nesting too deep"));
         }
-        *pos += 1;
-        skip_ws(b, pos);
-        pairs.push((key, pvalue(b, pos, depth + 1)?));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(pairs));
+        match self.b.get(self.pos) {
+            None => Err(err(self.pos, "unexpected end of input")),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Value::String),
+            Some(b't') => self.literal(b"true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal(b"false").map(|()| Value::Bool(false)),
+            Some(b'n') => self.literal(b"null").map(|()| Value::Null),
+            Some(c) if *c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) => Err(err(self.pos, "expected a JSON value")),
+        }
+    }
+
+    fn literal(&mut self, word: &[u8]) -> Result<(), JsonError> {
+        if self.b[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(err(self.pos, "invalid literal"))
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.pos += 1; // consume '{'
+        self.skip_ws();
+        let mut pairs = Vec::new();
+        if self.b.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(pairs));
+        }
+        loop {
+            self.skip_ws();
+            if self.b.get(self.pos) != Some(&b'"') {
+                return Err(err(self.pos, "expected object key string"));
             }
-            _ => return Err(err(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
-fn parray(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    let mut items = Vec::new();
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        skip_ws(b, pos);
-        items.push(pvalue(b, pos, depth + 1)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
+            let key = self.string()?;
+            self.skip_ws();
+            if self.b.get(self.pos) != Some(&b':') {
+                return Err(err(self.pos, "expected ':' after object key"));
             }
-            _ => return Err(err(*pos, "expected ',' or ']' in array")),
-        }
-    }
-}
-
-fn hex4(b: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        match b.get(*pos) {
-            Some(h) if h.is_ascii_hexdigit() => {
-                code = code * 16 + (*h as char).to_digit(16).expect("hex digit");
-                *pos += 1;
-            }
-            _ => return Err(err(*pos, "bad \\u escape")),
-        }
-    }
-    Ok(code)
-}
-
-fn pstring(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    let mut out = String::new();
-    *pos += 1; // consume opening '"'
-    let mut run_start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                out.push_str(str_run(b, run_start, *pos)?);
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                out.push_str(str_run(b, run_start, *pos)?);
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        *pos += 1;
-                        let hi = hex4(b, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // High surrogate: require the paired \uXXXX low half.
-                            if b.get(*pos) != Some(&b'\\') || b.get(*pos + 1) != Some(&b'u') {
-                                return Err(err(*pos, "unpaired surrogate in \\u escape"));
-                            }
-                            *pos += 2;
-                            let lo = hex4(b, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(err(*pos, "invalid low surrogate in \\u escape"));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(err(*pos, "unpaired surrogate in \\u escape"));
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(code) {
-                            Some(ch) => out.push(ch),
-                            None => return Err(err(*pos, "invalid \\u code point")),
-                        }
-                        run_start = *pos;
-                        continue;
-                    }
-                    _ => return Err(err(*pos, "bad escape sequence")),
+            self.pos += 1;
+            self.skip_ws();
+            let value = self.value(depth + 1)?;
+            Self::keep(&mut pairs, (key, value));
+            self.skip_ws();
+            match self.b.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(pairs));
                 }
-                *pos += 1;
-                run_start = *pos;
+                _ => return Err(err(self.pos, "expected ',' or '}' in object")),
             }
-            c if c < 0x20 => return Err(err(*pos, "raw control character in string")),
-            _ => *pos += 1,
         }
     }
-    Err(err(*pos, "unterminated string"))
-}
 
-/// Slice the unescaped byte run `[start, end)` as UTF-8.
-fn str_run(b: &[u8], start: usize, end: usize) -> Result<&str, JsonError> {
-    std::str::from_utf8(&b[start..end]).map_err(|_| err(start, "invalid UTF-8 in string"))
-}
+    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.pos += 1; // consume '['
+        self.skip_ws();
+        let mut items = Vec::new();
+        if self.b.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            let item = self.value(depth + 1)?;
+            Self::keep(&mut items, item);
+            self.skip_ws();
+            match self.b.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(err(self.pos, "expected ',' or ']' in array")),
+            }
+        }
+    }
 
-fn pnumber(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    number(b, pos)?;
-    let text = std::str::from_utf8(&b[start..*pos]).expect("number bytes are ASCII");
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| err(start, "number out of range"))
+    /// Pushes `value` when values are kept. Otherwise it is forgotten:
+    /// nothing in it was allocated, and skipping its drop keeps [`validate`]
+    /// close to the speed of a bare scan on ~90 MB traces.
+    fn keep<T>(into: &mut Vec<T>, value: T) {
+        if KEEP {
+            into.push(value);
+        } else {
+            std::mem::forget(value);
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        let mut out = String::new();
+        self.pos += 1; // consume opening '"'
+        loop {
+            let rest = &self.b[self.pos..];
+            let Some(run) = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            else {
+                self.pos = self.b.len();
+                return Err(err(self.pos, "unterminated string"));
+            };
+            // The run ends at an ASCII byte, so the slice is on char boundaries.
+            if KEEP {
+                out.push_str(&self.s[self.pos..self.pos + run]);
+            }
+            self.pos += run;
+            match self.b[self.pos] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    let ch = self.escape()?;
+                    if KEEP {
+                        out.push(ch);
+                    }
+                }
+                _ => return Err(err(self.pos, "raw control character in string")),
+            }
+        }
+    }
+
+    /// Decodes the escape at the backslash under `pos`, leaving `pos` after it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1; // consume the backslash
+        let ch = match self.b.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(err(self.pos, "bad escape sequence")),
+        };
+        self.pos += 1;
+        Ok(ch)
+    }
+
+    /// Decodes the hex digits of a `\uXXXX` escape, and its low half when
+    /// the first is a high surrogate.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            if self.b.get(self.pos) != Some(&b'\\') || self.b.get(self.pos + 1) != Some(&b'u') {
+                return Err(err(self.pos, "unpaired surrogate in \\u escape"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(err(self.pos, "invalid low surrogate in \\u escape"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else if (0xDC00..0xE000).contains(&hi) {
+            return Err(err(self.pos, "unpaired surrogate in \\u escape"));
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| err(self.pos, "invalid \\u code point"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            match self.b.get(self.pos).and_then(|&h| (h as char).to_digit(16)) {
+                Some(digit) => {
+                    code = code * 16 + digit;
+                    self.pos += 1;
+                }
+                None => return Err(err(self.pos, "bad \\u escape")),
+            }
+        }
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        if self.b.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        self.digits();
+        if self.pos == int_start {
+            return Err(err(self.pos, "expected digits in number"));
+        }
+        // JSON forbids leading zeros on multi-digit integer parts.
+        if self.b[int_start] == b'0' && self.pos - int_start > 1 {
+            return Err(err(int_start, "leading zero in number"));
+        }
+        if self.b.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            let frac_start = self.pos;
+            self.digits();
+            if self.pos == frac_start {
+                return Err(err(self.pos, "expected digits after decimal point"));
+            }
+        }
+        if matches!(self.b.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.b.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            let exp_start = self.pos;
+            self.digits();
+            if self.pos == exp_start {
+                return Err(err(self.pos, "expected digits in exponent"));
+            }
+        }
+        if !KEEP {
+            return Ok(Value::Null);
+        }
+        // Rust's float syntax contains JSON's, and out-of-range magnitudes
+        // round to infinity, so every number the checks above pass converts.
+        let n = self.s[start..self.pos].parse().expect("a JSON number is a valid f64 literal");
+        Ok(Value::Number(n))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.b.get(self.pos), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -522,8 +448,14 @@ mod tests {
             "\"bad\\x\"",
             "[1] trailing",
             "\"raw\ncontrol\"",
+            // Lone surrogates name no character.
+            r#""\ud834""#,
+            r#""\udd1e""#,
+            r#""\ud834A""#,
+            r#""\ud834\u0041""#,
         ] {
             assert!(validate(doc).is_err(), "{doc:?} wrongly accepted");
+            assert!(parse(doc).is_err(), "{doc:?} wrongly parsed");
         }
     }
 
@@ -553,16 +485,6 @@ mod tests {
     fn parse_decodes_escapes_and_surrogate_pairs() {
         let v = parse(r#""q\" b\\ n\n snow\u2603 clef\ud834\udd1e raw☃""#).unwrap();
         assert_eq!(v.as_str(), Some("q\" b\\ n\n snow\u{2603} clef\u{1d11e} raw\u{2603}"));
-        for bad in [r#""\ud834""#, r#""\ud834A""#, r#""\udd1e""#] {
-            assert!(parse(bad).is_err(), "{bad:?} wrongly accepted");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_what_validate_rejects() {
-        for doc in ["", "{", "[1,]", "{\"a\":}", "01", "1.", "[1] trailing"] {
-            assert!(parse(doc).is_err(), "{doc:?} wrongly accepted");
-        }
     }
 
     #[test]

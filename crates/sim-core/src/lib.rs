@@ -11,11 +11,13 @@
 //!   sketch with a p999 tier for million-job runs, geometric means, and the
 //!   sliding rate-window counter that models the paper's
 //!   workgroup-completion-rate hardware counter.
-//! * [`trace`] — bounded time-series capture for Figure-10 style plots.
+//! * [`trace`] — bounded capture: time series for Figure-10 style plots,
+//!   and the one Chrome trace-event writer every trace exporter maps onto.
 //! * [`probe`] — generic observer/probe bus for zero-overhead-when-off
 //!   instrumentation of a running simulation.
-//! * [`json`] — string escaping and a strict syntax validator for the
-//!   hand-rolled JSON trace emitters (std-only workspace, no serde).
+//! * [`json`] — string escaping for the hand-rolled JSON emitters, and one
+//!   strict recursive descent that validates a document or parses it
+//!   (std-only workspace, no serde).
 //! * [`table`] — plain-text result tables for the experiment binaries.
 //! * [`chart`] — terminal bar charts for quick visual comparisons.
 //!

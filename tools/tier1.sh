@@ -57,7 +57,7 @@ wait "$BPID" 2>/dev/null || true
 cmp "$TMP/a.txt" "$TMP/b.txt"
 echo "   resumed fault sweep is byte-identical"
 
-echo "== tier1: trace smoke (Chrome trace + metrics CSV) =="
+echo "== tier1: device trace smoke (Chrome trace + metrics CSV) =="
 TRACE_BIN=target/release/trace
 "$TRACE_BIN" "RR:IPV6:low:j8:s1" --out "$TMP/trace.json" --csv "$TMP/metrics.csv"
 # The binary validates the trace itself before writing; double-check with an
@@ -296,21 +296,29 @@ PERFSMOKE_BIN=target/release/perfsmoke
 "$PERFSMOKE_BIN" "RR:HYBRID:medium:j64:s20210301" --floor 3000000
 echo "   batched == reference and throughput floor cleared"
 
-echo "== tier1: fleet-trace smoke (fleet Chrome trace + SLO telemetry) =="
-FLEET_TRACE_BIN=target/release/fleet-trace
-# A small faulty fleet with retries and shedding, so the trace carries
-# health spans, retry instants and a populated miss breakdown.
-"$FLEET_TRACE_BIN" "LL:HYBRID:high:d4:j2000:s7:f1" --retry-budget 2 --shed \
-    --out "$TMP/fleet.json" --csv "$TMP/fleet.csv" --series-json "$TMP/fleet_series.json"
+echo "== tier1: fleet trace smoke (fleet Chrome trace + SLO telemetry) =="
+# The same binary traces a fleet cell: a small faulty fleet with retries and
+# shedding, so the trace carries health spans, retry instants and a
+# populated miss breakdown.
+FLEET_CELL="LL:HYBRID:high:d4:j2000:s7:f1"
+for workers in 1 8; do
+    "$TRACE_BIN" "$FLEET_CELL" --retry-budget 2 --shed --jobs "$workers" \
+        --out "$TMP/fleet$workers.json" --csv "$TMP/fleet$workers.csv" \
+        --series-json "$TMP/fleet_series$workers.json"
+done
+# Every artifact is byte-identical for any worker count.
+cmp "$TMP/fleet1.json" "$TMP/fleet8.json"
+cmp "$TMP/fleet1.csv" "$TMP/fleet8.csv"
+cmp "$TMP/fleet_series1.json" "$TMP/fleet_series8.json"
 # The binary validates both JSON artifacts before writing; double-check with
 # an independent parser and make sure the telemetry series landed.
-python3 -m json.tool "$TMP/fleet.json" > /dev/null
-python3 -m json.tool "$TMP/fleet_series.json" > /dev/null
-head -1 "$TMP/fleet.csv" | grep -q "attain"
-head -1 "$TMP/fleet.csv" | grep -q "devices_up"
+python3 -m json.tool "$TMP/fleet1.json" > /dev/null
+python3 -m json.tool "$TMP/fleet_series1.json" > /dev/null
+head -1 "$TMP/fleet1.csv" | grep -q "attain"
+head -1 "$TMP/fleet1.csv" | grep -q "devices_up"
 # Per-window attainment must parse as a probability (empty means no
 # completions landed in that window).
-python3 - "$TMP/fleet.csv" <<'EOF'
+python3 - "$TMP/fleet1.csv" <<'EOF'
 import csv, sys
 rows = list(csv.DictReader(open(sys.argv[1])))
 assert rows, "telemetry CSV has no windows"
@@ -319,22 +327,23 @@ for row in rows:
         assert 0.0 <= float(row["attain"]) <= 1.0, row
 EOF
 # A zero telemetry window is a typed error, not a panic.
-if "$FLEET_TRACE_BIN" --window-us 0 --out "$TMP/w0.json" 2> "$TMP/w0.err"; then
-    echo "fleet-trace accepted --window-us 0" >&2
+if "$TRACE_BIN" "$FLEET_CELL" --window-us 0 --out "$TMP/w0.json" 2> "$TMP/w0.err"; then
+    echo "trace accepted --window-us 0" >&2
     exit 1
 fi
 if grep -q "panicked" "$TMP/w0.err"; then
-    echo "fleet-trace panicked on --window-us 0" >&2
+    echo "trace panicked on --window-us 0" >&2
     exit 1
 fi
 grep -q -- "--window-us" "$TMP/w0.err"
-echo "   fleet trace and telemetry series parse; attainment is a probability"
+echo "   fleet trace and series parse and match across worker counts; attainment is a probability"
 
 echo "== tier1: a bad command line fails typed and writes nothing =="
 # Every binary reads its command line through one parser: a flag without
 # its value, a misspelt flag, an unknown artifact or a zero worker count
-# is an error naming the culprit, raised before anything is written. Each
-# runs in an empty directory, where a stray write would leave results/.
+# is an error naming the culprit, raised before anything is written. So is
+# a trace flag given for the other kind of cell. Each runs in an empty
+# directory, which a stray write would leave non-empty.
 BIN_DIR="$PWD/target/release"
 mkdir "$TMP/argv"
 while read -r culprit cmd; do
@@ -349,8 +358,8 @@ while read -r culprit cmd; do
         cat "$TMP/argv.err" >&2
         exit 1
     fi
-    if [ -e "$TMP/argv/results" ]; then
-        echo "\`$cmd\` wrote results/ before failing" >&2
+    if [ -n "$(ls -A "$TMP/argv")" ]; then
+        echo "\`$cmd\` wrote a file before failing" >&2
         exit 1
     fi
 done <<'ARGV'
@@ -358,7 +367,9 @@ done <<'ARGV'
 --resum all --resum
 fig99 all fig99
 --jobs faults --jobs 0
---csv fleet-trace --csv
+--csv trace --csv
+--window-us trace RR:IPV6:low:j8:s1 --window-us 5
+--watch trace LL:HYBRID:high:d4:j200:s1 --watch 3
 ARGV
 echo "   bad command lines exit non-zero, name the culprit and write nothing"
 
