@@ -14,7 +14,7 @@
 //! `N_JOBS` is the job count per cell (default 128); the report is printed
 //! and written to `results/ablation.txt`. `LaxConfig` variants have no
 //! registry name, so the cells here run through the generic
-//! [`sweep::par_map`] fan-out rather than `Scenario`-keyed sweeps;
+//! [`par_map`] fan-out rather than `Scenario`-keyed sweeps;
 //! `--jobs N` / `LAX_BENCH_JOBS` still picks the worker count and output
 //! stays bit-identical for any choice.
 
@@ -23,6 +23,7 @@ use lax::ext::LaxDrop;
 use lax::lax::{InitPriority, Lax, LaxConfig};
 use lax_bench::cli::{Cli, CliError};
 use lax_bench::sweep;
+use sim_core::par::par_map;
 use sim_core::table::Table;
 use workloads::spec::{ArrivalRate, Benchmark};
 use workloads::suite::BenchmarkSuite;
@@ -65,7 +66,7 @@ fn table_for(variants: &[(String, Variant)], n: usize, workers: usize) -> Table 
     let cells: Vec<(usize, Benchmark)> = (0..variants.len())
         .flat_map(|v| BENCHES.into_iter().map(move |b| (v, b)))
         .collect();
-    let met = sweep::par_map(&cells, workers, |&(v, bench)| {
+    let met = par_map(&cells, workers, |&(v, bench)| {
         run_cell(&variants[v].1, bench, n)
     });
     let mut header = vec!["variant".to_string()];

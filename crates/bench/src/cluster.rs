@@ -82,6 +82,7 @@ use gpu_sim::fleet::FleetFaultAction;
 use gpu_sim::prelude::*;
 use schedulers::registry;
 use schedulers::routing::{self, RouteDecision, RouteRequest, Router};
+use sim_core::par::par_map;
 use sim_core::rng::{Fnv1a, SimRng};
 use sim_core::stats::StreamingQuantiles;
 use sim_core::table::Table;
@@ -92,7 +93,7 @@ use workloads::suite::BenchmarkSuite;
 
 use crate::cli::{default_jobs, Cli, CliError};
 use crate::runner::DEFAULT_SEED;
-use crate::sweep::{par_map, BenchError, CellFields, ParseScenarioError, SharedObserver};
+use crate::sweep::{BenchError, CellFields, ParseScenarioError, SharedObserver};
 
 /// One cluster experiment cell: a routing policy placing an open-loop
 /// arrival stream across `devices` accelerators. Self-describing, totally

@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use lax::lax::Lax;
+use sim_core::par::par_map;
 use sim_core::stats::geomean;
 use sim_core::table::{fmt_f, Table};
 use workloads::batching::batched_workload;
@@ -20,7 +21,7 @@ use workloads::table1;
 use crate::checkpoint::Checkpoint;
 use crate::cli::CliError;
 use crate::runner::{ResultsDb, DEFAULT_SEED};
-use crate::sweep::{par_map, run_cell, run_grid, BenchError, RunOptions, Scenario};
+use crate::sweep::{run_cell, run_grid, BenchError, RunOptions, Scenario};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
 /// column itself.

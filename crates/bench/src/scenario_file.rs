@@ -20,7 +20,7 @@
 //!
 //! Cells are seeded from the one cell-seed recipe (workload fields only,
 //! never scheduler/policy/worker count) and fanned with
-//! [`crate::sweep::par_map`], which returns results in input order — so
+//! [`sim_core::par::par_map`], which returns results in input order — so
 //! the rendered report is byte-identical for any `--jobs N`, the same
 //! contract the sweep binaries honor.
 
@@ -32,10 +32,11 @@ use workloads::scenario::{ScenarioFile, ScenarioFileError, WorkloadSpec};
 use workloads::spec::{milli_to_intensity, ArrivalRate};
 use workloads::suite::BenchmarkSuite;
 
+use sim_core::par::par_map;
 use sim_core::table::{fmt_f, Table};
 
 use crate::cluster::{cluster_table, ClusterBuilder, ClusterScenario};
-use crate::sweep::{par_map, run_cell, run_jobs, write_output, BenchError, RunOptions, Scenario};
+use crate::sweep::{run_cell, run_jobs, write_output, BenchError, RunOptions, Scenario};
 
 /// The cells a scenario file expands into, schedulers outer and rates
 /// inner (the row order of the rendered table).

@@ -22,11 +22,10 @@
 //!   [`BenchError::Panicked`]) and record each report the moment it
 //!   lands, so one broken cell degrades to a typed error instead of
 //!   killing a multi-hour grid.
-//! * [`par_map`] / [`par_map_with`] — the fan-out beneath [`run_grid`], a
-//!   work queue over `std::thread::scope`: `N` workers pull items from an
-//!   atomic cursor and results flow back over a channel. Sweeps whose
-//!   cells are not checkpointed use it directly (the ablation binary
-//!   sweeps `LaxConfig` variants that have no registry name).
+//! * [`sim_core::par::par_map`] / [`par_map_with`] — the fan-out beneath
+//!   [`run_grid`]. Sweeps whose cells are not checkpointed use it directly
+//!   (the ablation binary sweeps `LaxConfig` variants that have no
+//!   registry name).
 //!
 //! # Determinism
 //!
@@ -54,12 +53,12 @@ use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use schedulers::registry::{self, UnknownScheduler};
 use schedulers::routing::UnknownRoutePolicy;
+use sim_core::par::par_map_with;
 use workloads::burst::apply_bursts;
 use workloads::spec::{
     cell_seed, intensity_to_milli, milli_to_intensity, ArrivalRate, Benchmark, ParseSpecError,
@@ -258,8 +257,9 @@ impl<'a> CellFields<'a> {
 }
 
 /// Error parsing a [`Scenario`] or [`crate::cluster::ClusterScenario`] from
-/// its string form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// its string form. Its `Debug` is its `Display`, so a binary whose `main`
+/// returns the error prints the message, not the struct.
+#[derive(Clone, PartialEq, Eq)]
 pub struct ParseScenarioError {
     input: String,
     reason: String,
@@ -277,6 +277,12 @@ impl fmt::Display for ParseScenarioError {
             ("scenario", "SCHED:BENCH:RATE:jN:sSEED[:fI], e.g. LAX:IPV6:high:j128:s42")
         };
         write!(f, "invalid {what} `{}`: {} (expected {expected})", self.input, self.reason)
+    }
+}
+
+impl fmt::Debug for ParseScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -522,75 +528,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fans `items` across `jobs` scoped worker threads and returns `f(item)`
-/// for each, **in input order**. `on_done(index, result)` fires on the
-/// calling thread as each item finishes (completion order).
-///
-/// The one fan-out beneath [`par_map`] and [`run_grid`], exposed for
-/// sweeps whose cells are not checkpointed.
-///
-/// # Panics
-///
-/// A panic in `f` propagates. If `on_done` panics it is not called again,
-/// but the drain keeps consuming: every in-flight item still completes and
-/// the workers exit cleanly before the panic resumes on the calling
-/// thread, so it never tears through a half-drained pool.
-pub fn par_map_with<T, R, F>(
-    items: &[T],
-    jobs: usize,
-    f: F,
-    mut on_done: impl FnMut(usize, &R),
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = jobs.clamp(1, items.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut callback_panic = None;
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        while let Ok((i, r)) = rx.recv() {
-            if callback_panic.is_none() {
-                callback_panic = panic::catch_unwind(AssertUnwindSafe(|| on_done(i, &r))).err();
-            }
-            results[i] = Some(r);
-        }
-    });
-    if let Some(payload) = callback_panic {
-        panic::resume_unwind(payload);
-    }
-    results.into_iter().map(|r| r.expect("every index was sent exactly once")).collect()
-}
-
-/// [`par_map_with`] without the completion callback.
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(items, jobs, f, |_, _| {})
-}
-
 /// How many times [`run_grid`] runs a panicking cell before reporting
 /// [`BenchError::Panicked`]. The simulator is deterministic, so a panic
 /// usually recurs; the second attempt guards against environmental
@@ -671,6 +608,7 @@ mod tests {
     use crate::checkpoint::{Checkpoint, FleetCodec, SweepCodec};
     use crate::cluster::{ClusterBuilder, ClusterScenario};
     use sim_core::rng::SimRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny(scheduler: &str) -> Scenario {
         Scenario::new(scheduler, Benchmark::Ipv6, ArrivalRate::Low, 4, 1)
@@ -755,7 +693,9 @@ mod tests {
             } else {
                 (bad.parse::<Scenario>().err(), "invalid scenario")
             };
-            let msg = err.unwrap_or_else(|| panic!("`{bad}` should not parse")).to_string();
+            let err = err.unwrap_or_else(|| panic!("`{bad}` should not parse"));
+            let msg = err.to_string();
+            assert_eq!(format!("{err:?}"), msg, "`Debug` prints the message, not the struct");
             assert!(msg.contains(what), "{msg}");
             assert!(msg.contains(why), "`{bad}` should diagnose `{why}`, got: {msg}");
             assert!(msg.contains(bad), "the error must echo the input: {msg}");
@@ -992,13 +932,6 @@ mod tests {
     #[should_panic(expected = "contains ':'")]
     fn scenario_new_rejects_colon_in_scheduler_name() {
         let _ = Scenario::new("LAX:EVIL", Benchmark::Ipv6, ArrivalRate::High, 1, 1);
-    }
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, 8, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     /// A cell whose job count overflows the job vector's capacity panics

@@ -4,6 +4,25 @@
 //! into a latency; there is no coherence traffic to model because the
 //! workloads are read-dominated inference/lookup kernels and the paper's
 //! system is a unified-memory APU without device copies (Section 5).
+//!
+//! Tags are stored as `u32`: the shared L2's tag array is 256 KiB instead
+//! of 512 KiB, and a 16-way set fits one 64-byte host line. A tag is the
+//! address shifted right by the way size (sets × line bytes), so a cache
+//! reaches the first `2^32` way sizes of the address space. Every address
+//! the simulator generates is below [`ADDRESS_LIMIT`] (2^43), and
+//! [`crate::config::GpuConfig::validate`] rejects ways smaller than
+//! [`MIN_WAY_BYTES`] (2 KiB), so a configured cache reaches every address.
+//! A direct probe past a cache's reach panics; it never aliases another
+//! line silently.
+
+use crate::memory::ADDRESS_LIMIT;
+
+/// Smallest way (sets × line bytes) whose 32-bit tags reach every address
+/// below [`ADDRESS_LIMIT`].
+pub const MIN_WAY_BYTES: u64 = ADDRESS_LIMIT >> u32::BITS;
+
+/// Largest associativity: a set's occupancy is kept in one byte.
+pub const MAX_WAYS: u32 = u8::MAX as u32;
 
 /// Result of probing one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +50,7 @@ pub struct SetAssocCache {
     /// slice in LRU order (slot 0 = LRU, `len-1` = MRU). Flat layout keeps
     /// a probe inside one or two cache lines instead of chasing a per-set
     /// heap allocation.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     /// Occupied ways per set.
     lens: Vec<u8>,
     ways: usize,
@@ -49,9 +68,11 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (non-power-of-two set count,
-    /// zero ways, capacity not divisible by way size).
+    /// zero ways or more than [`MAX_WAYS`], capacity not divisible by way
+    /// size).
     pub fn new(bytes: u32, ways: u32, line_bytes: u32) -> Self {
-        assert!(ways > 0 && line_bytes.is_power_of_two() && line_bytes > 0);
+        assert!((1..=MAX_WAYS).contains(&ways), "associativity {ways} is not 1 to {MAX_WAYS}");
+        assert!(line_bytes.is_power_of_two() && line_bytes > 0);
         let lines = bytes / line_bytes;
         assert!(lines > 0 && lines.is_multiple_of(ways), "bad cache geometry");
         let num_sets = (lines / ways) as u64;
@@ -89,10 +110,15 @@ impl SetAssocCache {
     /// Probes (and on miss, allocates) cache line number `line`; returns
     /// `true` on a hit. The `probe` body minus the address shift, for
     /// callers that iterate line numbers directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is past the cache's reach (its tag needs more
+    /// than 32 bits).
     #[inline]
     pub fn probe_line(&mut self, line: u64) -> bool {
         let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.tag_shift;
+        let tag = self.tag(line);
         let len = self.lens[set_idx] as usize;
         let base = set_idx * self.ways;
         // Most probes re-touch the most recently used line; a hit there
@@ -118,7 +144,7 @@ impl SetAssocCache {
         let set0 = (line & self.set_mask) as usize;
         let mut miss = 0u32;
         if set0 + count as usize <= self.num_sets() as usize {
-            let tag = line >> self.tag_shift;
+            let tag = self.tag(line);
             for i in 0..count as usize {
                 let set_idx = set0 + i;
                 let len = self.lens[set_idx] as usize;
@@ -139,8 +165,16 @@ impl SetAssocCache {
         miss
     }
 
+    /// The 32-bit tag of cache line number `line`.
+    #[inline]
+    fn tag(&self, line: u64) -> u32 {
+        let tag = line >> self.tag_shift;
+        assert!(tag <= u64::from(u32::MAX), "line {line:#x} is past the cache's 32-bit tag reach");
+        tag as u32
+    }
+
     /// Non-MRU probe outcome: scan the set, rotate on hit, allocate on miss.
-    fn probe_slow(&mut self, set_idx: usize, base: usize, len: usize, tag: u64) -> bool {
+    fn probe_slow(&mut self, set_idx: usize, base: usize, len: usize, tag: u32) -> bool {
         let set = &mut self.tags[base..base + len];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             set.copy_within(pos + 1.., pos);
@@ -269,6 +303,40 @@ mod tests {
             assert_eq!(hit, model_hit, "divergence at line {line}");
         }
         assert!(c.hits() > 0 && c.misses() > 0);
+    }
+
+    #[test]
+    fn tags_reach_every_address_below_the_limit() {
+        // A minimal way (MIN_WAY_BYTES: 32 sets of 64-byte lines) tells the
+        // top line below ADDRESS_LIMIT apart from its low-tag aliases.
+        let mut c = SetAssocCache::new(MIN_WAY_BYTES as u32 * 2, 2, 64);
+        let top = ADDRESS_LIMIT - 64;
+        assert_eq!(c.probe(top), ProbeResult::Miss);
+        assert_eq!(c.probe(top % MIN_WAY_BYTES), ProbeResult::Miss, "a distinct line");
+        assert_eq!(c.probe(top), ProbeResult::Hit);
+        assert_eq!(c.probe_run(top >> 6, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit tag reach")]
+    fn a_probe_past_the_reach_panics_instead_of_aliasing() {
+        let mut c = SetAssocCache::new(MIN_WAY_BYTES as u32 * 2, 2, 64);
+        c.probe(0);
+        // Tag 2^32 would truncate to tag 0 and hit the line above.
+        c.probe(ADDRESS_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit tag reach")]
+    fn a_probe_run_past_the_reach_panics_instead_of_aliasing() {
+        let mut c = SetAssocCache::new(MIN_WAY_BYTES as u32 * 2, 2, 64);
+        c.probe_run(ADDRESS_LIMIT >> 6, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 256")]
+    fn more_ways_than_the_occupancy_byte_counts_panics() {
+        SetAssocCache::new(256 * 64, 256, 64);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use sim_core::time::Duration;
 
+use crate::cache::{MAX_WAYS, MIN_WAY_BYTES};
+
 /// Full GPU + memory-system configuration.
 ///
 /// Defaults reproduce Table 2 of the paper: a 1.5 GHz, 8-CU GCN-style GPU
@@ -185,13 +187,29 @@ impl GpuConfig {
         if self.mem.line_bytes == 0 || !self.mem.line_bytes.is_power_of_two() {
             return Err("line size must be a positive power of two".into());
         }
-        let l1_lines = self.mem.l1_bytes / self.mem.line_bytes;
-        if l1_lines == 0 || !l1_lines.is_multiple_of(self.mem.l1_ways) {
-            return Err("L1 lines must be divisible by associativity".into());
-        }
-        let l2_lines = self.mem.l2_bytes / self.mem.line_bytes;
-        if l2_lines == 0 || !l2_lines.is_multiple_of(self.mem.l2_ways) {
-            return Err("L2 lines must be divisible by associativity".into());
+        let levels = [
+            ("L1", self.mem.l1_bytes, self.mem.l1_ways),
+            ("L2", self.mem.l2_bytes, self.mem.l2_ways),
+        ];
+        for (level, bytes, ways) in levels {
+            if !(1..=MAX_WAYS).contains(&ways) {
+                return Err(format!("{level} associativity {ways} is not 1 to {MAX_WAYS}"));
+            }
+            let lines = bytes / self.mem.line_bytes;
+            if lines == 0 || !lines.is_multiple_of(ways) {
+                return Err(format!("{level} lines must be divisible by associativity"));
+            }
+            let sets = lines / ways;
+            if !sets.is_power_of_two() {
+                return Err(format!("{level} set count {sets} must be a power of two"));
+            }
+            let way_bytes = u64::from(sets) * u64::from(self.mem.line_bytes);
+            if way_bytes < MIN_WAY_BYTES {
+                return Err(format!(
+                    "{level} ways of {way_bytes} bytes are below {MIN_WAY_BYTES}: \
+                     32-bit tags would not reach the address space"
+                ));
+            }
         }
         if self.mem.dram_channels == 0 || !self.mem.dram_channels.is_power_of_two() {
             return Err("DRAM channels must be a positive power of two".into());
@@ -237,6 +255,36 @@ mod tests {
 
         let mut c = GpuConfig::default();
         c.mem.dram_channels = 3;
+        assert!(c.validate().is_err());
+
+        // 12 KiB of 4-way L1 is 48 sets: the cache model indexes sets by
+        // mask, so this used to pass here and panic building the cache.
+        let mut c = GpuConfig::default();
+        c.mem.l1_bytes = 12 * 1024;
+        assert_eq!(c.validate().unwrap_err(), "L1 set count 48 must be a power of two");
+
+        let mut c = GpuConfig::default();
+        c.mem.l2_bytes = 3 * 1024 * 1024;
+        assert_eq!(c.validate().unwrap_err(), "L2 set count 3072 must be a power of two");
+
+        // Ways below 2 KiB: a 32-bit tag would not reach 2^43.
+        let mut c = GpuConfig::default();
+        c.mem.l1_bytes = 4 * 1024;
+        c.mem.l1_ways = 4;
+        assert!(c.validate().unwrap_err().contains("32-bit tags"));
+        c.mem.l1_ways = 2;
+        assert!(c.validate().is_ok(), "2 KiB ways are enough");
+
+        let mut c = GpuConfig::default();
+        c.mem.l2_ways = 128;
+        c.mem.l2_bytes = 128 * 64 * 16;
+        assert!(c.validate().unwrap_err().starts_with("L2 ways of 1024 bytes"));
+
+        // A set's occupancy is one byte: 256 ways would wrap it.
+        let mut c = GpuConfig::default();
+        c.mem.l2_ways = 256;
+        assert_eq!(c.validate().unwrap_err(), "L2 associativity 256 is not 1 to 255");
+        c.mem.l2_ways = 0;
         assert!(c.validate().is_err());
     }
 }

@@ -9,6 +9,8 @@
 use std::sync::Arc;
 
 use crate::config::GpuConfig;
+use crate::memory::{access_end, ADDRESS_LIMIT};
+use crate::simd::COMPLETION_EPS;
 
 /// Identifies a kernel *class* (e.g. "LSTM GEMM"), the key of the paper's
 /// Kernel Profiling Table.
@@ -82,6 +84,25 @@ impl ComputeProfile {
     #[inline]
     pub fn segment_cycles(&self) -> f64 {
         self.issue_cycles as f64 / (self.mem_accesses as f64 + 1.0)
+    }
+
+    /// A lower bound, in cycles, on the isolated run of any kernel with
+    /// this profile ([`crate::sim::run_isolated`]): `issue_cycles` less
+    /// one [`COMPLETION_EPS`] per compute segment, rounded down to whole
+    /// cycles.
+    ///
+    /// A SIMD serves each wave at most one issue-cycle per cycle (its
+    /// processor-sharing rate `min(1, coissue / n)` never exceeds 1). A
+    /// wave runs its `m + 1` segments one after another, and a segment
+    /// counts as done up to `COMPLETION_EPS` issue-cycles early. So every
+    /// wave spends at least `issue_cycles - (m + 1) · COMPLETION_EPS`
+    /// cycles computing; dispatch, memory stalls and contention only add
+    /// to that. Rounding the slack up to a whole cycle also absorbs the
+    /// floating-point rounding of the service arithmetic, since a run
+    /// lasts a whole number of cycles.
+    pub fn min_isolated_cycles(&self) -> u64 {
+        let slack = ((self.mem_accesses as f64 + 1.0) * COMPLETION_EPS).ceil() as u64;
+        self.issue_cycles.saturating_sub(slack)
     }
 }
 
@@ -201,7 +222,9 @@ impl KernelDesc {
     }
 
     /// Sanity-checks the descriptor against a machine configuration: a
-    /// single WG must fit on one CU, otherwise it can never be dispatched.
+    /// single WG must fit on one CU, otherwise it can never be dispatched,
+    /// and every access must stay below [`ADDRESS_LIMIT`] (a shared region
+    /// must end, with one access's span to spare, at or below 2^43).
     ///
     /// # Errors
     ///
@@ -232,6 +255,13 @@ impl KernelDesc {
         }
         if self.profile.issue_cycles == 0 && self.profile.mem_accesses == 0 {
             return Err("kernel performs no work".into());
+        }
+        let profile = &self.profile;
+        let end = access_end(profile.pattern, profile.lines_per_access, cfg.mem.line_bytes);
+        if end > ADDRESS_LIMIT {
+            return Err(format!(
+                "accesses reach {end:#x}, past the {ADDRESS_LIMIT:#x}-byte address space"
+            ));
         }
         Ok(())
     }
@@ -348,6 +378,33 @@ mod tests {
             ComputeProfile::compute_only(10),
         );
         assert!(k.validate(&cfg).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_shared_region_past_the_address_limit() {
+        let cfg = GpuConfig::default();
+        let region = |base: u64, len: u64| {
+            let mut k = desc();
+            k.profile.pattern = AccessPattern::SharedRegion { base, len };
+            k.validate(&cfg)
+        };
+        let span = 2 * 64; // lines_per_access 2
+        assert!(region(1 << 42, 1 << 20).is_ok());
+        assert!(region(ADDRESS_LIMIT - span - (1 << 20), 1 << 20).is_ok());
+        let err = region(ADDRESS_LIMIT - span - (1 << 20) + 64, 1 << 20).unwrap_err();
+        assert!(err.contains("address space"), "{err}");
+        assert!(region(1 << 44, 1 << 20).is_err(), "the old region base");
+        assert!(region(u64::MAX - 8, 1 << 20).is_err(), "no overflow");
+    }
+
+    #[test]
+    fn min_isolated_cycles_subtracts_a_whole_cycle_of_slack() {
+        let mut p = desc().profile;
+        assert_eq!(p.min_isolated_cycles(), 999);
+        p.mem_accesses = 3_000_000;
+        assert_eq!(p.min_isolated_cycles(), 996);
+        p.issue_cycles = 0;
+        assert_eq!(p.min_isolated_cycles(), 0);
     }
 
     #[test]

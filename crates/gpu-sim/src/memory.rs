@@ -199,6 +199,30 @@ impl MemoryHierarchy {
     }
 }
 
+/// The simulated address space: every byte an access touches lies below
+/// this limit (2^43, 8 TiB), which is what lets the caches store 32-bit
+/// tags (see [`crate::cache`]).
+pub const ADDRESS_LIMIT: u64 = 1 << 43;
+
+/// Bytes of the per-job virtual slice streaming and random patterns use.
+const JOB_REGION_BYTES: u64 = 1 << 24; // 16 MiB virtual slice per job
+/// Start of the per-job slices; the 2^16 of them end at 2^32 + 2^40.
+const JOB_SPACE_BASE: u64 = 1 << 32;
+
+/// Exclusive upper bound of every byte an access of `pattern` touches: the
+/// end of the pattern's window plus one access's span of
+/// `lines_per_access` lines. Saturates instead of overflowing, so an
+/// absurd region still compares above [`ADDRESS_LIMIT`].
+pub fn access_end(pattern: AccessPattern, lines_per_access: u32, line_bytes: u32) -> u64 {
+    let window_end = match pattern {
+        AccessPattern::Streaming | AccessPattern::RandomWithin { .. } => {
+            JOB_SPACE_BASE + (1 << 16) * JOB_REGION_BYTES
+        }
+        AccessPattern::SharedRegion { base, len } => base.saturating_add(len),
+    };
+    window_end.saturating_add(u64::from(lines_per_access) * u64::from(line_bytes))
+}
+
 /// Deterministically generates the base address of one access.
 ///
 /// * `job_seed` — distinguishes per-job buffers (use the job id).
@@ -207,6 +231,11 @@ impl MemoryHierarchy {
 ///
 /// Streaming addresses walk a per-job region; shared-region and random
 /// patterns hash the indices into their window, so replays are reproducible.
+///
+/// The access starting here stays below [`access_end`], whatever the seed
+/// and indices: per-job slices end below 2^41, and a shared region ends
+/// where it says. So for every kernel [`crate::kernel::KernelDesc::validate`]
+/// accepts, every address is below [`ADDRESS_LIMIT`].
 pub fn gen_address(
     pattern: AccessPattern,
     job_seed: u64,
@@ -215,8 +244,6 @@ pub fn gen_address(
     lines_per_access: u32,
     line_bytes: u32,
 ) -> u64 {
-    const JOB_REGION_BYTES: u64 = 1 << 24; // 16 MiB virtual slice per job
-    const JOB_SPACE_BASE: u64 = 1 << 32;
     match pattern {
         AccessPattern::Streaming => {
             let region = JOB_SPACE_BASE + (job_seed % (1 << 16)) * JOB_REGION_BYTES;
@@ -309,7 +336,7 @@ mod tests {
 
     #[test]
     fn shared_region_addresses_stay_in_region() {
-        let base = 1 << 44;
+        let base = 1 << 42;
         let len = 1 << 20;
         for w in 0..100 {
             let a = gen_address(
@@ -322,6 +349,41 @@ mod tests {
             );
             assert!(a >= base && a < base + len);
         }
+    }
+
+    /// The address contract at its extremes: every pattern, seeds and
+    /// indices at both ends of their ranges, a shared region flush against
+    /// the limit, and wide accesses, stay below [`access_end`] and hence
+    /// below [`ADDRESS_LIMIT`].
+    #[test]
+    fn addresses_stay_below_the_limit_at_extreme_indices() {
+        let lines = 32;
+        let span = u64::from(lines) * 64;
+        let patterns = [
+            AccessPattern::Streaming,
+            AccessPattern::RandomWithin { len: u64::MAX },
+            AccessPattern::RandomWithin { len: 1 },
+            AccessPattern::SharedRegion { base: ADDRESS_LIMIT - span - (1 << 30), len: 1 << 30 },
+            AccessPattern::SharedRegion { base: ADDRESS_LIMIT - span - 100, len: 100 },
+        ];
+        let seeds = [0, 1, (1 << 16) - 1, 1 << 16, u64::MAX / 3, u64::MAX];
+        let indices = [0, 1, 256, u32::MAX / 257, u32::MAX - 1, u32::MAX];
+        for pattern in patterns {
+            let end = access_end(pattern, lines, 64);
+            assert!(end <= ADDRESS_LIMIT, "{pattern:?} ends at {end:#x}");
+            for seed in seeds {
+                for wave in indices {
+                    for access in indices {
+                        let a = gen_address(pattern, seed, wave, access, lines, 64);
+                        assert!(a + span <= end, "{pattern:?} {seed} {wave} {access}: {a:#x}");
+                    }
+                }
+            }
+        }
+        let past = AccessPattern::SharedRegion { base: ADDRESS_LIMIT - 64, len: 64 };
+        assert!(access_end(past, 1, 64) > ADDRESS_LIMIT);
+        let absurd = AccessPattern::SharedRegion { base: u64::MAX, len: u64::MAX };
+        assert_eq!(access_end(absurd, 1, 64), u64::MAX);
     }
 
     #[test]

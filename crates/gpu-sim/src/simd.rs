@@ -14,8 +14,11 @@ use sim_core::time::{Cycle, Duration};
 use crate::slab::{Slab, SlabKey};
 use crate::wave::Wavefront;
 
-/// Numerical slack when deciding a segment has finished, in issue-cycles.
-const EPS: f64 = 1e-6;
+/// Numerical slack when deciding a segment has finished, in issue-cycles:
+/// a compute segment may end up to this much short of its length, which
+/// is why [`crate::kernel::ComputeProfile::min_isolated_cycles`] subtracts
+/// it once per segment.
+pub const COMPLETION_EPS: f64 = 1e-6;
 
 /// One SIMD unit's scheduling state.
 ///
@@ -156,7 +159,7 @@ impl SimdUnit {
         }
         if elapsed.is_zero() {
             for &(k, rem) in &self.active {
-                if rem <= EPS {
+                if rem <= COMPLETION_EPS {
                     out.push(k);
                 } else {
                     min_rem = min_rem.min(rem);
@@ -167,7 +170,7 @@ impl SimdUnit {
         let service = elapsed.as_cycles() as f64 * self.share(n);
         for (k, rem) in &mut self.active {
             *rem = (*rem - service).max(0.0);
-            if *rem <= EPS {
+            if *rem <= COMPLETION_EPS {
                 out.push(*k);
             } else {
                 min_rem = min_rem.min(*rem);
@@ -278,7 +281,7 @@ impl SimdUnit {
     pub fn completed_waves(&self) -> Vec<SlabKey> {
         self.active
             .iter()
-            .filter(|&&(_, rem)| rem <= EPS)
+            .filter(|&&(_, rem)| rem <= COMPLETION_EPS)
             .map(|&(k, _)| k)
             .collect()
     }
@@ -287,7 +290,9 @@ impl SimdUnit {
     /// the hot-path variant of [`SimdUnit::completed_waves`], yielding keys
     /// in the same (active-list) order.
     pub fn collect_completed(&self, out: &mut Vec<SlabKey>) {
-        out.extend(self.active.iter().filter(|&&(_, rem)| rem <= EPS).map(|&(k, _)| k));
+        out.extend(
+            self.active.iter().filter(|&&(_, rem)| rem <= COMPLETION_EPS).map(|&(k, _)| k),
+        );
     }
 }
 

@@ -59,7 +59,7 @@ fn run_trial(trial_seed: u64, accesses: usize) {
     let job_seed = mix(&mut rng);
     let patterns = [
         AccessPattern::Streaming,
-        AccessPattern::SharedRegion { base: 1 << 44, len: 1 << 18 },
+        AccessPattern::SharedRegion { base: 1 << 42, len: 1 << 18 },
         AccessPattern::RandomWithin { len: 1 << 20 },
     ];
 

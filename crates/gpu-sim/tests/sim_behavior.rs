@@ -600,3 +600,83 @@ fn run_panics_on_runtime_fault_with_context() {
     let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("event budget"), "panic message was: {msg}");
 }
+
+/// xorshift64 step for the seeded property loops below.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// The bound calibration's probe pruning rests on: no isolated run beats
+/// `ComputeProfile::min_isolated_cycles`. Random kernels cover every
+/// access pattern, zero to many accesses, and grids from one wave per SIMD
+/// to several times the co-issue window (where waves share issue
+/// bandwidth).
+#[test]
+fn isolated_runs_never_beat_the_issue_bound() {
+    let cfg = GpuConfig::default();
+    let simds = cfg.num_cus * cfg.simds_per_cu;
+    let mut state = 0x5EED_CA1B_u64;
+    for trial in 0..48 {
+        let waves_per_simd = 1 + next(&mut state) % (3 * u64::from(cfg.coissue_waves));
+        let wg_size = 64 << (next(&mut state) % 3);
+        let waves = (simds as u64 * waves_per_simd).next_multiple_of(wg_size / 64);
+        let mem_accesses = match trial % 4 {
+            0 => 0,
+            1 => (next(&mut state) % 4) as u32,
+            _ => (next(&mut state) % 64) as u32,
+        };
+        let pattern = match trial % 3 {
+            0 => AccessPattern::Streaming,
+            1 => AccessPattern::SharedRegion { base: 1 << 42, len: 4096 << (next(&mut state) % 12) },
+            _ => AccessPattern::RandomWithin { len: 4096 << (next(&mut state) % 12) },
+        };
+        let profile = ComputeProfile {
+            issue_cycles: 1 + next(&mut state) % 200_000,
+            mem_accesses,
+            lines_per_access: 1 + (next(&mut state) % 8) as u32,
+            pattern,
+        };
+        let threads = (waves * 64) as u32;
+        let desc = KernelDesc::new(KernelClassId(0), "k", threads, wg_size as u32, 16, 0, profile);
+        let measured = run_isolated(&cfg, Arc::new(desc)).unwrap().as_cycles();
+        assert!(
+            measured >= profile.min_isolated_cycles(),
+            "trial {trial}: {measured} cycles beat the bound {} of {profile:?} ({waves} waves)",
+            profile.min_isolated_cycles()
+        );
+    }
+}
+
+/// A shared region that reaches past the 2^43-byte address space is a
+/// typed job error from the builder, not a cache tag that aliases.
+#[test]
+fn a_shared_region_past_the_address_space_is_a_typed_error() {
+    let region = |base: u64| {
+        let mut k = (*kernel(0, 64, 100, 4)).clone();
+        k.profile.pattern = AccessPattern::SharedRegion { base, len: 1 << 20 };
+        Simulation::builder().jobs(vec![one_job(vec![Arc::new(k)], 100, 0, 0)]).build()
+    };
+    assert!(region(1 << 42).is_ok());
+    let err = region(1 << 44).map(|_| ()).unwrap_err();
+    assert!(matches!(err, SimError::Job(ref m) if m.contains("address space")), "{err}");
+}
+
+/// Cache geometries the cache model cannot build are typed configuration
+/// errors: a set count that is not a power of two, or ways too small for
+/// 32-bit tags.
+#[test]
+fn unbuildable_cache_geometries_are_typed_config_errors() {
+    let desc = kernel(0, 64, 100, 4);
+    let mut cfg = GpuConfig::default();
+    cfg.mem.l1_bytes = 12 * 1024;
+    let err = run_isolated(&cfg, desc.clone()).unwrap_err();
+    assert!(matches!(err, SimError::Config(ref m) if m.contains("power of two")), "{err}");
+    let mut cfg = GpuConfig::default();
+    cfg.mem.l2_ways = 128;
+    cfg.mem.l2_bytes = 128 * 64 * 16;
+    let err = run_isolated(&cfg, desc).unwrap_err();
+    assert!(matches!(err, SimError::Config(ref m) if m.contains("32-bit tags")), "{err}");
+}

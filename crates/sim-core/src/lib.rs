@@ -18,6 +18,11 @@
 //! * [`json`] — string escaping for the hand-rolled JSON emitters, and one
 //!   strict recursive descent that validates a document or parses it
 //!   (std-only workspace, no serde).
+//! * [`par`] — the one fan-out primitive: [`par::par_map`] runs a pure
+//!   function over a slice on scoped worker threads and returns the
+//!   results in input order, whatever the worker count. The suite's
+//!   calibration, the experiment grids and the fleet's device phase all
+//!   run through it.
 //! * [`table`] — plain-text result tables for the experiment binaries.
 //! * [`chart`] — terminal bar charts for quick visual comparisons.
 //!
@@ -48,6 +53,7 @@
 pub mod chart;
 pub mod event;
 pub mod json;
+pub mod par;
 pub mod probe;
 pub mod rng;
 pub mod stats;

@@ -9,12 +9,25 @@
 //! machine model. The fit uses the simulator itself as the oracle
 //! ([`gpu_sim::sim::run_isolated`]), so it stays correct if the timing
 //! model evolves.
+//!
+//! # Pruned probes
+//!
+//! Most of a fit's time goes to bisection probes, and the first ones (at
+//! 4× and 2× the target budget) are hopeless by construction. A SIMD
+//! serves a wave at most one issue-cycle per cycle, so no isolated run is
+//! shorter than [`ComputeProfile::min_isolated_cycles`], about the probe's
+//! own budget. A probe whose bound alone is more than `3 · TOLERANCE`
+//! above the target is decided without simulating it: the search moves
+//! down, as the simulation would have made it. The proof that this
+//! changes neither the probe sequence nor the fitted descriptor is at
+//! [`fit`]'s loop.
 
 use std::sync::Arc;
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::kernel::{AccessPattern, ComputeProfile, KernelClassId, KernelDesc};
 use gpu_sim::sim::run_isolated;
+use sim_core::time::Duration;
 
 use crate::kernels::{shared_region_base, KernelSpec, PatternKind};
 
@@ -83,6 +96,12 @@ fn measure(cfg: &GpuConfig, desc: &KernelDesc) -> f64 {
         .as_us_f64()
 }
 
+/// Relative error of an isolated time against the target, the one formula
+/// both a measured probe and a pruned probe's bound go through.
+fn rel_err(us: f64, target_us: f64) -> f64 {
+    (us - target_us).abs() / target_us
+}
+
 /// Fits `spec` on the given machine and returns the calibrated descriptor.
 ///
 /// The fit first chooses a memory-access count from `mem_share`, then
@@ -113,15 +132,36 @@ pub fn fit(spec: &KernelSpec, class: KernelClassId, cfg: &GpuConfig) -> Calibrat
         let mut best = (f64::INFINITY, 1u64, floor);
         for _ in 0..24 {
             let mid = lo + (hi - lo) / 2;
-            let measured = measure(cfg, &build(spec, class, mid, mem_accesses));
-            let err = (measured - spec.target_us).abs() / spec.target_us;
-            if err < best.0 {
-                best = (err, mid, measured);
+            let desc = build(spec, class, mid, mem_accesses);
+            // A hopeless probe is not simulated. Proof that this changes
+            // neither the probe sequence nor the result: `floor_us` is the
+            // probe's run-time floor, so `measured >= floor_us`. Every step
+            // from a cycle count to an error (u64 -> f64, / CYCLES_PER_US,
+            // - target, / target) is monotone under IEEE rounding, so with
+            // `floor_us >= target` also `err >= rel_err(floor_us)`. When
+            // that exceeds `3 · TOLERANCE`, the simulated probe would have
+            // * `err > TOLERANCE`, so it would not break the search;
+            // * `measured >= target`, so it would set `hi = mid - 1`, the
+            //   branch taken below: the probe sequence is unchanged;
+            // * `err > 3 · TOLERANCE`, so it could never be returned. The
+            //   fit returns the first probe of least error when that error
+            //   is at most `3 · TOLERANCE`; dropping probes of larger error
+            //   leaves it the same probe, and leaves "no probe within
+            //   3 · TOLERANCE" (the retry below) unchanged too.
+            let floor_us = Duration::from_cycles(desc.profile.min_isolated_cycles()).as_us_f64();
+            let hopeless = floor_us >= spec.target_us
+                && rel_err(floor_us, spec.target_us) > TOLERANCE * 3.0;
+            let measured = (!hopeless).then(|| measure(cfg, &desc));
+            if let Some(measured) = measured {
+                let err = rel_err(measured, spec.target_us);
+                if err < best.0 {
+                    best = (err, mid, measured);
+                }
+                if err <= TOLERANCE {
+                    break;
+                }
             }
-            if err <= TOLERANCE {
-                break;
-            }
-            if measured < spec.target_us {
+            if measured.is_some_and(|m| m < spec.target_us) {
                 lo = mid + 1;
             } else {
                 hi = mid.saturating_sub(1).max(lo);

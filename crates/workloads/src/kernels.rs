@@ -52,7 +52,7 @@ pub struct KernelSpec {
 
 /// Base address of shared-weight region `region`.
 pub fn shared_region_base(region: u8) -> u64 {
-    (1 << 44) + (region as u64) * (1 << 28)
+    (1 << 42) + (region as u64) * (1 << 28)
 }
 
 const KB: u64 = 1024;

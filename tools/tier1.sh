@@ -197,6 +197,17 @@ cmp "$TMP/grid/cluster.txt" results/cluster.txt
 cmp "$TMP/grid/chaos.txt" results/chaos.txt
 echo "   regenerated cluster.txt and chaos.txt match the committed artifacts"
 
+echo "== tier1: Table 1 regenerates byte-identically (calibration drift) =="
+# results/table1.txt prints every calibrated kernel's fitted isolated time,
+# so any change to the calibration or to the device timing model it fits
+# against shows here. `all` writes into the results/ of its working
+# directory, so it runs from an empty one.
+ALL_BIN="$PWD/target/release/all"
+mkdir "$TMP/table1"
+(cd "$TMP/table1" && "$ALL_BIN" table1 2> /dev/null)
+cmp "$TMP/table1/results/table1.txt" results/table1.txt
+echo "   regenerated table1.txt matches the committed artifact"
+
 echo "== tier1: EXPERIMENTS.md is what its builder makes of results/ =="
 # EXPERIMENTS.md embeds the committed results/*.txt tables through its
 # template. Rebuild it, compare against the saved copy, and put the copy
@@ -342,7 +353,8 @@ echo "== tier1: a bad command line fails typed and writes nothing =="
 # Every binary reads its command line through one parser: a flag without
 # its value, a misspelt flag, an unknown artifact or a zero worker count
 # is an error naming the culprit, raised before anything is written. So is
-# a trace flag given for the other kind of cell. Each runs in an empty
+# a trace flag given for the other kind of cell, and so is a malformed cell
+# string, which prints its message rather than its `Debug` form. Each runs in an empty
 # directory, which a stray write would leave non-empty.
 BIN_DIR="$PWD/target/release"
 mkdir "$TMP/argv"
@@ -353,8 +365,10 @@ while read -r culprit cmd; do
         echo "\`$cmd\` unexpectedly succeeded" >&2
         exit 1
     fi
-    if grep -q "panicked" "$TMP/argv.err" || ! grep -qF -- "$culprit" "$TMP/argv.err"; then
-        echo "\`$cmd\` must name \`$culprit\` without panicking:" >&2
+    # A typed error prints its message, never a `Debug` struct.
+    if grep -q "panicked\|ParseScenarioError {" "$TMP/argv.err" \
+        || ! grep -qF -- "$culprit" "$TMP/argv.err"; then
+        echo "\`$cmd\` must name \`$culprit\` in a message, without panicking:" >&2
         cat "$TMP/argv.err" >&2
         exit 1
     fi
@@ -370,6 +384,8 @@ fig99 all fig99
 --csv trace --csv
 --window-us trace RR:IPV6:low:j8:s1 --window-us 5
 --watch trace LL:HYBRID:high:d4:j200:s1 --watch 3
+`d0` cluster LL:HYBRID:high:d0:j8:s1
+fields trace RR:IPV6:low:j8
 ARGV
 echo "   bad command lines exit non-zero, name the culprit and write nothing"
 
