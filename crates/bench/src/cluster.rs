@@ -1077,7 +1077,7 @@ impl ClusterBuilder {
             };
             let req =
                 RouteRequest { arrival: t_arr, service_est: job.service_est, deadline };
-            if self.shed_degraded && (0..n).any(|d| router.health(d) != DeviceHealth::Up) {
+            if self.shed_degraded && !router.all_up() {
                 if let Some(lax) = router.best_laxity(&req) {
                     if lax < 0.0 {
                         shed += 1;

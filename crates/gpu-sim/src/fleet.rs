@@ -6,11 +6,12 @@
 //!
 //! * **Fast** — each device is a [`FastDevice`]: a `c`-slot queueing model
 //!   served at the calibrated isolated service time of each job's kernel
-//!   chain (one slot per compute unit: the same capacity abstraction the
-//!   router's free-time model uses). A seeded per-device jitter widens
-//!   service times slightly so devices are not bit-for-bit clones, and
-//!   straggler windows stretch bookings that start inside them. Costs O(1)
-//!   per booking; a million jobs route and execute in seconds.
+//!   chain (one slot per compute unit). Its slots are a [`Slots`], the
+//!   same type the router's free-time model holds. A seeded per-device
+//!   jitter widens service times slightly so devices are not bit-for-bit
+//!   clones, and straggler windows stretch bookings that start inside them.
+//!   Costs O(1) per booking in the common case; a million jobs route and
+//!   execute in seconds.
 //! * **Detailed** — each device is a full [`crate::sim::Simulation`]; the
 //!   cluster layer materializes kernel chains per surviving booking. Costs
 //!   what the single-device simulator costs; used for smokes and fidelity
@@ -37,6 +38,7 @@
 //! never from the routing policy or worker identity, so paired policy
 //! comparisons and `--jobs N` bit-identity survive fault injection.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
@@ -94,6 +96,109 @@ impl FromStr for Fidelity {
     }
 }
 
+/// The `c`-slot capacity model shared by the router's predictions and
+/// [`FastDevice`]'s bookings: the multiset of the instants each slot frees
+/// up, kept in ascending order, plus their running sum.
+///
+/// Equal free times are interchangeable, so the model is the multiset
+/// alone: [`Slots::earliest`] is its front, held inline, a booking replaces
+/// the front with the new completion (searched for from the back, where it
+/// usually belongs), and the running sum answers [`Slots::backlog`] without
+/// a scan whenever every slot is busy.
+///
+/// # Examples
+///
+/// ```
+/// use gpu_sim::fleet::Slots;
+/// use sim_core::time::{Cycle, Duration};
+///
+/// let mut slots = Slots::new(2);
+/// slots.book(Cycle::ZERO + Duration::from_us(100));
+/// assert_eq!(slots.earliest(), Cycle::ZERO, "one slot is still idle");
+/// slots.book(Cycle::ZERO + Duration::from_us(40));
+/// assert_eq!(slots.earliest().as_us_f64(), 40.0);
+/// assert_eq!(slots.backlog(Cycle::ZERO + Duration::from_us(20)).as_us_f64(), 100.0);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Slots {
+    /// The earliest free-at instant, kept out of `rest` so that reading it
+    /// touches no heap memory.
+    earliest: Cycle,
+    /// The other `c - 1` free-at instants, ascending.
+    rest: VecDeque<Cycle>,
+    /// Sum of all `c` free-at instants in cycles; `u128` so it never
+    /// overflows.
+    total: u128,
+}
+
+impl Slots {
+    /// `c` slots, all free from time zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is zero.
+    pub fn new(c: usize) -> Self {
+        assert!(c > 0, "a device needs at least one slot");
+        Slots { earliest: Cycle::ZERO, rest: vec![Cycle::ZERO; c - 1].into(), total: 0 }
+    }
+
+    /// The earliest instant any slot frees up.
+    #[inline]
+    pub fn earliest(&self) -> Cycle {
+        self.earliest
+    }
+
+    /// Books the earliest slot until `completion`, which must not precede
+    /// [`Slots::earliest`].
+    #[inline]
+    pub fn book(&mut self, completion: Cycle) {
+        debug_assert!(self.earliest <= completion, "a booking ends after its slot frees");
+        self.total =
+            self.total - u128::from(self.earliest.as_cycles()) + u128::from(completion.as_cycles());
+        match self.rest.front() {
+            Some(&next) if next < completion => {
+                self.earliest = next;
+                self.rest.pop_front();
+                let mut at = self.rest.len();
+                while at > 0 && self.rest[at - 1] > completion {
+                    at -= 1;
+                }
+                self.rest.insert(at, completion);
+            }
+            _ => self.earliest = completion,
+        }
+    }
+
+    /// Outstanding work at `now`: the sum over slots of how far each free
+    /// time lies past `now`, saturating at [`Duration::MAX`].
+    #[inline]
+    pub fn backlog(&self, now: Cycle) -> Duration {
+        let sum = if self.earliest > now {
+            self.total - self.c() as u128 * u128::from(now.as_cycles())
+        } else {
+            self.rest
+                .iter()
+                .rev()
+                .take_while(|&&f| f > now)
+                .map(|f| u128::from(f.saturating_since(now).as_cycles()))
+                .sum()
+        };
+        Duration::from_cycles(u64::try_from(sum).unwrap_or(u64::MAX))
+    }
+
+    /// Frees every slot at `at`: the device restarts with an empty queue.
+    pub fn fill(&mut self, at: Cycle) {
+        self.earliest = at;
+        self.rest.iter_mut().for_each(|f| *f = at);
+        self.total = self.c() as u128 * u128::from(at.as_cycles());
+    }
+
+    /// The slot count, `c`.
+    fn c(&self) -> usize {
+        self.rest.len() + 1
+    }
+}
+
 /// The fleet's one booking model: a device as `c` FIFO service slots, each
 /// booking served at its calibrated isolated service time.
 ///
@@ -118,8 +223,7 @@ impl FromStr for Fidelity {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FastDevice {
-    /// Free-at instant of each slot.
-    slots: Vec<Cycle>,
+    slots: Slots,
     jitter: f64,
     rng: SimRng,
     /// `(at, until, factor)` of this device's straggler windows.
@@ -145,9 +249,13 @@ impl FastDevice {
     /// `slots` must be at least 1 and `jitter` must lie in `[0, 1)`; the
     /// cluster layer rejects other values with a typed error before it
     /// builds any device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
     pub fn new(slots: usize, jitter: f64, seed: u64) -> Self {
         FastDevice {
-            slots: vec![Cycle::ZERO; slots],
+            slots: Slots::new(slots),
             jitter,
             rng: SimRng::seed_from(seed),
             stragglers: Vec::new(),
@@ -168,10 +276,6 @@ impl FastDevice {
     /// Books one job entering at `entry` with calibrated service
     /// `service_est`. Entries must not decrease from one booking to the
     /// next.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device was built with zero slots.
     pub fn book(&mut self, entry: Cycle, service_est: Duration) -> Service {
         let service = if self.jitter == 0.0 {
             service_est
@@ -179,8 +283,7 @@ impl FastDevice {
             let m = 1.0 - self.jitter + 2.0 * self.jitter * self.rng.uniform_f64();
             service_est.mul_f64(m)
         };
-        let slot = self.slots.iter_mut().min().expect("a device needs at least one slot");
-        let start = (*slot).max(entry);
+        let start = self.slots.earliest().max(entry);
         let factor: f64 = self
             .stragglers
             .iter()
@@ -191,7 +294,7 @@ impl FastDevice {
         // no-op but must also be one bit for bit.
         let service = if factor != 1.0 { service.mul_f64(factor) } else { service };
         let completion = start + service;
-        *slot = completion;
+        self.slots.book(completion);
         Service { start, completion }
     }
 
@@ -694,6 +797,86 @@ mod tests {
             .collect()
     }
 
+    /// The naive backlog `Slots` must reproduce: a saturating fold over
+    /// every slot's remaining busy time.
+    fn naive_backlog(free: &[Cycle], now: Cycle) -> Duration {
+        free.iter()
+            .map(|&f| f.saturating_since(now))
+            .fold(Duration::ZERO, |acc, w| acc.saturating_add(w))
+    }
+
+    /// Checks `slots` against the naive unsorted slot vector: the sorted
+    /// multiset, the earliest instant and the backlog at every probe instant.
+    fn assert_matches_naive(slots: &Slots, naive: &[Cycle], now: Cycle, ctx: &str) {
+        let mut sorted = naive.to_vec();
+        sorted.sort_unstable();
+        let held: Vec<Cycle> =
+            std::iter::once(slots.earliest).chain(slots.rest.iter().copied()).collect();
+        assert_eq!(held, sorted, "{ctx}: multiset");
+        let sum: u128 = naive.iter().map(|f| u128::from(f.as_cycles())).sum();
+        assert_eq!(slots.total, sum, "{ctx}: running sum");
+        assert_eq!(slots.earliest(), sorted[0], "{ctx}: earliest");
+        let one = Duration::from_cycles(1);
+        let mut probes = vec![Cycle::ZERO, now, Cycle::MAX];
+        for &f in naive {
+            probes.extend([f, f + one, Cycle::from_cycles(f.as_cycles().saturating_sub(1))]);
+        }
+        for at in probes {
+            assert_eq!(slots.backlog(at), naive_backlog(naive, at), "{ctx}: backlog at {at:?}");
+        }
+    }
+
+    #[test]
+    fn slots_and_fast_device_match_the_naive_min_and_fold_model() {
+        for c in [1usize, 2, 3, 8, 9] {
+            for seed in 0..24u64 {
+                let mut rng = SimRng::seed_from((seed << 8) | c as u64);
+                let mut slots = Slots::new(c);
+                let mut dev = FastDevice::new(c, 0.0, seed);
+                let mut naive = vec![Cycle::ZERO; c];
+                let mut now = Cycle::ZERO;
+                for step in 0..300 {
+                    let ctx = format!("c={c} seed={seed} step={step}");
+                    // Coarse steps and services make ties and idle slots
+                    // common; a rare saturating service pins slots at MAX.
+                    now += Duration::from_cycles(10 * rng.below(4));
+                    if rng.below(12) == 0 {
+                        let at =
+                            Cycle::from_cycles(now.as_cycles().saturating_sub(10 * rng.below(3)));
+                        slots.fill(at);
+                        dev.restore(at);
+                        naive.fill(at);
+                    } else {
+                        let service = if rng.below(64) == 0 {
+                            Duration::MAX
+                        } else {
+                            Duration::from_cycles(10 * rng.below(8))
+                        };
+                        let slot = naive.iter_mut().min().expect("a slot");
+                        let start = (*slot).max(now);
+                        *slot = start + service;
+                        slots.book(start + service);
+                        let got = dev.book(now, service);
+                        assert_eq!(got, Service { start, completion: start + service }, "{ctx}");
+                    }
+                    assert_matches_naive(&slots, &naive, now, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slots_backlog_saturates_like_the_fold() {
+        let mut slots = Slots::new(3);
+        slots.book(Cycle::MAX);
+        slots.book(Cycle::MAX);
+        let naive = [Cycle::ZERO, Cycle::MAX, Cycle::MAX];
+        assert_eq!(slots.backlog(Cycle::ZERO), Duration::MAX);
+        assert_matches_naive(&slots, &naive, Cycle::from_cycles(5), "two saturated slots");
+        slots.book(Cycle::MAX);
+        assert_eq!(slots.backlog(Cycle::from_cycles(1)), Duration::MAX, "every slot busy");
+    }
+
     #[test]
     fn fidelity_names_round_trip() {
         assert_eq!("fast".parse::<Fidelity>().unwrap(), Fidelity::Fast);
@@ -753,8 +936,7 @@ mod tests {
 
     #[test]
     fn stragglers_stretch_only_bookings_that_start_inside_and_unit_factor_is_exact() {
-        let window =
-            |factor| StragglerWindow { device: 0, at: us(100), until: us(200), factor };
+        let window = |factor| StragglerWindow { device: 0, at: us(100), until: us(200), factor };
         let jobs = [(0, 50), (100, 50), (199, 50), (200, 50)];
         let slow = [window(2.0)];
         let got = book_all(&mut FastDevice::new(4, 0.0, 1).with_stragglers(&slow), &jobs);
@@ -870,11 +1052,7 @@ mod tests {
     fn fleet_plan_display_summarizes() {
         assert_eq!(FleetFaultPlan::none().to_string(), "no fleet faults");
         let plan = FleetFaultPlan {
-            crashes: vec![DeviceCrash {
-                device: 0,
-                at: Cycle::ZERO,
-                until: Cycle::from_cycles(1),
-            }],
+            crashes: vec![DeviceCrash { device: 0, at: Cycle::ZERO, until: Cycle::from_cycles(1) }],
             ..FleetFaultPlan::none()
         };
         assert_eq!(plan.to_string(), "1 crashes, 0 drains, 0 stragglers, 0 outages");

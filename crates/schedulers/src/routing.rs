@@ -36,7 +36,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use gpu_sim::fleet::DeviceHealth;
+use gpu_sim::fleet::{DeviceHealth, Slots};
 use sim_core::rng::SimRng;
 use sim_core::time::{Cycle, Duration};
 
@@ -95,12 +95,7 @@ impl UnknownRoutePolicy {
 
 impl fmt::Display for UnknownRoutePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown routing policy `{}` (known: {})",
-            self.name,
-            names().join(", ")
-        )
+        write!(f, "unknown routing policy `{}` (known: {})", self.name, names().join(", "))
     }
 }
 
@@ -173,20 +168,24 @@ pub enum RouteDecision {
 /// Stateful router over `n` devices, each modeled as `slots` independent
 /// service slots (one per compute unit in the fast fidelity tier).
 ///
-/// The model is intentionally the same one the per-device admission test
-/// uses: each slot stores the instant it becomes free; a routed job takes
-/// the earliest-free slot of its device and pushes that slot's free time to
-/// `max(now, free) + service_est`. All predictions are made at arrival
-/// time, so routing one pass over an arrival-ordered stream is O(jobs ×
-/// devices × slots) and completely deterministic.
+/// The model is the very [`Slots`] type the fast tier's devices book
+/// through: each slot stores the instant it becomes free; a routed job
+/// takes the earliest-free slot of its device and pushes that slot's free
+/// time to `max(now, free) + service_est`. All predictions are made at
+/// arrival time and are completely deterministic. A device's earliest free
+/// time is O(1) and its backlog O(1) while every slot is busy, so routing
+/// one arrival costs O(devices) for `LOW` and `LL` (O(1) for `RR` and `P2C`
+/// on a healthy fleet), plus a booking that is O(1) in the common case.
 #[derive(Debug, Clone)]
 pub struct Router {
     policy: RoutePolicy,
-    /// `slots[d][k]` = predicted instant device `d`'s slot `k` frees up.
-    slots: Vec<Vec<Cycle>>,
+    /// Predicted slot free times of each device.
+    slots: Vec<Slots>,
     /// Per-device availability; only `Up` devices receive placements. All
     /// `Up` unless the cluster layer replays fleet faults into the router.
     health: Vec<DeviceHealth>,
+    /// How many entries of `health` are `Up`.
+    up: usize,
     rr_next: usize,
     /// Consumed only by [`RoutePolicy::PowerOfTwo`]; seeded from the
     /// workload cell so P2C is deterministic per cell.
@@ -201,11 +200,11 @@ impl Router {
     /// Panics if `devices` or `slots_per_device` is zero.
     pub fn new(policy: RoutePolicy, devices: usize, slots_per_device: usize, seed: u64) -> Self {
         assert!(devices > 0, "router needs at least one device");
-        assert!(slots_per_device > 0, "router needs at least one slot per device");
         Router {
             policy,
-            slots: vec![vec![Cycle::ZERO; slots_per_device]; devices],
+            slots: vec![Slots::new(slots_per_device); devices],
             health: vec![DeviceHealth::Up; devices],
+            up: devices,
             rr_next: 0,
             rng: SimRng::seed_from(seed),
         }
@@ -223,21 +222,27 @@ impl Router {
 
     /// Sets the health of device `d` (driven by fleet fault transitions).
     pub fn set_health(&mut self, d: usize, health: DeviceHealth) {
+        let was_up = self.health[d] == DeviceHealth::Up;
+        let is_up = health == DeviceHealth::Up;
+        self.up = self.up + usize::from(is_up) - usize::from(was_up);
         self.health[d] = health;
     }
 
     /// `true` when every device is out of rotation.
     pub fn all_unavailable(&self) -> bool {
-        self.health.iter().all(|&h| h != DeviceHealth::Up)
+        self.up == 0
+    }
+
+    /// `true` when every device is in rotation.
+    pub fn all_up(&self) -> bool {
+        self.up == self.devices()
     }
 
     /// Clears device `d`'s predicted slot model to "free at `at`" — a
     /// crashed device restores with an empty queue, so predictions carried
     /// over from before the crash would be fiction.
     pub fn reset_device(&mut self, d: usize, at: Cycle) {
-        for slot in &mut self.slots[d] {
-            *slot = at;
-        }
+        self.slots[d].fill(at);
     }
 
     /// The best (largest) predicted laxity of `req` across `Up` devices,
@@ -257,35 +262,28 @@ impl Router {
     /// exposed so fleet observers can sample per-device queue depth without
     /// reaching into router internals.
     pub fn backlog_us(&self, d: usize, now: Cycle) -> f64 {
-        self.outstanding(d, now).as_us_f64()
+        self.slots[d].backlog(now).as_us_f64()
     }
 
-    /// Indices of devices currently accepting placements.
+    /// Indices of devices currently accepting placements, ascending. On a
+    /// healthy fleet the health test is skipped.
     fn up_devices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.health
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| h == DeviceHealth::Up)
-            .map(|(d, _)| d)
+        let all_up = self.all_up();
+        (0..self.devices()).filter(move |&d| all_up || self.health[d] == DeviceHealth::Up)
     }
 
-    /// The earliest instant any slot of device `d` frees up.
-    fn earliest_free(&self, d: usize) -> Cycle {
-        *self.slots[d].iter().min().expect("at least one slot")
-    }
-
-    /// Total predicted backlog of device `d` at `now`: the sum over slots
-    /// of how far each free time lies in the future.
-    fn outstanding(&self, d: usize, now: Cycle) -> Duration {
-        self.slots[d]
-            .iter()
-            .map(|&free| free.saturating_since(now))
-            .fold(Duration::ZERO, |acc, w| acc.saturating_add(w))
+    /// The `i`-th Up device in index order (`i` itself on a healthy fleet).
+    fn nth_up(&self, i: usize) -> usize {
+        if self.all_up() {
+            i
+        } else {
+            self.up_devices().nth(i).expect("position below the Up count")
+        }
     }
 
     /// Predicted (wait, completion) if `req` were bound to device `d`.
     fn predict(&self, d: usize, req: &RouteRequest) -> (Duration, Cycle) {
-        let start = self.earliest_free(d).max(req.arrival);
+        let start = self.slots[d].earliest().max(req.arrival);
         let wait = start.saturating_since(req.arrival);
         (wait, start + req.service_est)
     }
@@ -305,11 +303,7 @@ impl Router {
     /// the decision.
     fn commit(&mut self, d: usize, req: &RouteRequest) -> RouteDecision {
         let (wait, completion) = self.predict(d, req);
-        let slot = self.slots[d]
-            .iter_mut()
-            .min()
-            .expect("at least one slot");
-        *slot = completion;
+        self.slots[d].book(completion);
         RouteDecision::Route {
             device: d,
             predicted_wait: wait,
@@ -320,11 +314,7 @@ impl Router {
     /// Among `candidates`, the device with the least outstanding work
     /// (ties to the lowest index).
     fn least_loaded(&self, candidates: impl Iterator<Item = usize>, now: Cycle) -> usize {
-        candidates
-            .map(|d| (self.outstanding(d, now), d))
-            .min()
-            .expect("at least one candidate")
-            .1
+        candidates.map(|d| (self.slots[d].backlog(now), d)).min().expect("at least one candidate").1
     }
 
     /// Routes one request. Requests must arrive in non-decreasing `arrival`
@@ -332,13 +322,12 @@ impl Router {
     ///
     /// Placement considers only [`DeviceHealth::Up`] devices; when none are
     /// in rotation the verdict is [`RouteDecision::NoDevice`]. On an
-    /// all-healthy fleet every policy takes exactly the code path (and, for
-    /// P2C, the RNG draws) it took before health existed, so fault-free
-    /// runs stay bit-identical.
+    /// all-healthy fleet every policy makes the choices (and, for P2C, the
+    /// RNG draws) it made before health existed, so fault-free runs stay
+    /// bit-identical.
     pub fn route(&mut self, req: &RouteRequest) -> RouteDecision {
         let n = self.devices();
-        let all_up = self.health.iter().all(|&h| h == DeviceHealth::Up);
-        if !all_up && self.all_unavailable() {
+        if self.all_unavailable() {
             return RouteDecision::NoDevice;
         }
         match self.policy {
@@ -358,32 +347,18 @@ impl Router {
                 self.commit(d, req)
             }
             RoutePolicy::PowerOfTwo => {
-                let d = if all_up {
-                    let a = self.rng.below(n as u64) as usize;
-                    if n == 1 {
-                        a
-                    } else {
-                        // Sample b uniformly from the other n-1 devices.
-                        let mut b = self.rng.below(n as u64 - 1) as usize;
-                        if b >= a {
-                            b += 1;
-                        }
-                        self.least_loaded([a, b].into_iter(), req.arrival)
-                    }
+                // Sample a among the m Up devices and b uniformly from the
+                // other m-1, both by position among the Up devices.
+                let m = self.up;
+                let a = self.rng.below(m as u64) as usize;
+                let d = if m == 1 {
+                    self.nth_up(a)
                 } else {
-                    // Same two-draw scheme over the surviving devices.
-                    let up: Vec<usize> = self.up_devices().collect();
-                    let m = up.len();
-                    let a = self.rng.below(m as u64) as usize;
-                    if m == 1 {
-                        up[a]
-                    } else {
-                        let mut b = self.rng.below(m as u64 - 1) as usize;
-                        if b >= a {
-                            b += 1;
-                        }
-                        self.least_loaded([up[a], up[b]].into_iter(), req.arrival)
+                    let mut b = self.rng.below(m as u64 - 1) as usize;
+                    if b >= a {
+                        b += 1;
                     }
+                    self.least_loaded([self.nth_up(a), self.nth_up(b)].into_iter(), req.arrival)
                 };
                 self.commit(d, req)
             }
@@ -425,6 +400,187 @@ mod tests {
         }
     }
 
+    /// The router as it stood before [`Slots`]: an unsorted slot vector per
+    /// device, a min search per prediction and booking, a saturating fold
+    /// per backlog, and P2C failover over a collected list of Up devices.
+    struct Reference {
+        policy: RoutePolicy,
+        slots: Vec<Vec<Cycle>>,
+        health: Vec<DeviceHealth>,
+        rr_next: usize,
+        rng: SimRng,
+    }
+
+    impl Reference {
+        fn new(policy: RoutePolicy, devices: usize, slots: usize, seed: u64) -> Self {
+            Reference {
+                policy,
+                slots: vec![vec![Cycle::ZERO; slots]; devices],
+                health: vec![DeviceHealth::Up; devices],
+                rr_next: 0,
+                rng: SimRng::seed_from(seed),
+            }
+        }
+
+        fn up(&self) -> Vec<usize> {
+            (0..self.slots.len()).filter(|&d| self.health[d] == DeviceHealth::Up).collect()
+        }
+
+        fn outstanding(&self, d: usize, now: Cycle) -> Duration {
+            self.slots[d]
+                .iter()
+                .map(|&free| free.saturating_since(now))
+                .fold(Duration::ZERO, |acc, w| acc.saturating_add(w))
+        }
+
+        fn predict(&self, d: usize, req: &RouteRequest) -> (Duration, Cycle) {
+            let start = (*self.slots[d].iter().min().unwrap()).max(req.arrival);
+            (start.saturating_since(req.arrival), start + req.service_est)
+        }
+
+        fn best_laxity(&self, req: &RouteRequest) -> Option<f64> {
+            let best = self.up().into_iter().map(|d| self.predict(d, req).1).min()?;
+            Some(Router::laxity_us(req, best))
+        }
+
+        fn least_loaded(&self, candidates: &[usize], now: Cycle) -> usize {
+            candidates.iter().map(|&d| (self.outstanding(d, now), d)).min().unwrap().1
+        }
+
+        fn commit(&mut self, d: usize, req: &RouteRequest) -> RouteDecision {
+            let (wait, completion) = self.predict(d, req);
+            *self.slots[d].iter_mut().min().unwrap() = completion;
+            RouteDecision::Route {
+                device: d,
+                predicted_wait: wait,
+                laxity_us: Router::laxity_us(req, completion),
+            }
+        }
+
+        fn route(&mut self, req: &RouteRequest) -> RouteDecision {
+            let up = self.up();
+            if up.is_empty() {
+                return RouteDecision::NoDevice;
+            }
+            let d = match self.policy {
+                RoutePolicy::RoundRobin => {
+                    let mut d = self.rr_next;
+                    while self.health[d] != DeviceHealth::Up {
+                        d = (d + 1) % self.slots.len();
+                    }
+                    self.rr_next = (d + 1) % self.slots.len();
+                    d
+                }
+                RoutePolicy::LeastOutstanding => self.least_loaded(&up, req.arrival),
+                RoutePolicy::PowerOfTwo => {
+                    let m = up.len();
+                    let a = self.rng.below(m as u64) as usize;
+                    if m == 1 {
+                        up[a]
+                    } else {
+                        let mut b = self.rng.below(m as u64 - 1) as usize;
+                        if b >= a {
+                            b += 1;
+                        }
+                        self.least_loaded(&[up[a], up[b]], req.arrival)
+                    }
+                }
+                RoutePolicy::LeastLaxity => {
+                    let (completion, d) =
+                        up.iter().map(|&d| (self.predict(d, req).1, d)).min().unwrap();
+                    let laxity = Router::laxity_us(req, completion);
+                    if laxity < 0.0 {
+                        return RouteDecision::Reject { laxity_us: laxity };
+                    }
+                    d
+                }
+            };
+            self.commit(d, req)
+        }
+    }
+
+    /// Routes one seeded stream through `Router` and `Reference` side by
+    /// side, with health flips and crash resets, and asserts equal
+    /// decisions, best laxities and backlogs throughout; returns the
+    /// chosen devices.
+    fn route_against_reference(
+        policy: RoutePolicy,
+        devices: usize,
+        slots: usize,
+        seed: u64,
+        flips: bool,
+    ) -> Vec<usize> {
+        let mut router = Router::new(policy, devices, slots, seed);
+        let mut reference = Reference::new(policy, devices, slots, seed);
+        let mut rng = SimRng::seed_from(seed ^ 0x5eed);
+        let mut arrival = 0;
+        let mut picks = Vec::new();
+        for step in 0..1500 {
+            arrival += rng.below(40);
+            let r = req(arrival, 5 + rng.below(300), 50 + rng.below(2000));
+            if flips && rng.below(25) == 0 {
+                let d = rng.below(devices as u64) as usize;
+                let h = [DeviceHealth::Up, DeviceHealth::Draining, DeviceHealth::Down]
+                    [rng.below(3) as usize];
+                router.set_health(d, h);
+                reference.health[d] = h;
+            }
+            if flips && rng.below(60) == 0 {
+                let d = rng.below(devices as u64) as usize;
+                router.reset_device(d, r.arrival);
+                reference.slots[d].fill(r.arrival);
+            }
+            let ctx = format!("{policy} seed={seed} step={step}");
+            assert_eq!(router.best_laxity(&r), reference.best_laxity(&r), "{ctx}");
+            let got = router.route(&r);
+            assert_eq!(got, reference.route(&r), "{ctx}");
+            if let RouteDecision::Route { device, .. } = got {
+                picks.push(device);
+            }
+            for d in 0..devices {
+                let want = reference.outstanding(d, r.arrival).as_us_f64();
+                assert_eq!(router.backlog_us(d, r.arrival), want, "{ctx} device {d}");
+            }
+        }
+        picks
+    }
+
+    #[test]
+    fn routing_matches_the_per_slot_scan_reference() {
+        for policy in RoutePolicy::ALL {
+            for (devices, slots) in [(1, 1), (4, 2), (6, 3), (16, 8)] {
+                for seed in 0..3 {
+                    route_against_reference(policy, devices, slots, seed, true);
+                    route_against_reference(policy, devices, slots, seed, false);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn p2c_failover_picks_devices_by_position_among_survivors() {
+        // A degraded fleet held fixed: P2C must choose exactly the devices
+        // the collected Up list chose, and only survivors.
+        let mut router = Router::new(RoutePolicy::PowerOfTwo, 8, 2, 11);
+        let mut reference = Reference::new(RoutePolicy::PowerOfTwo, 8, 2, 11);
+        for (d, h) in
+            [(1, DeviceHealth::Down), (4, DeviceHealth::Draining), (5, DeviceHealth::Down)]
+        {
+            router.set_health(d, h);
+            reference.health[d] = h;
+        }
+        let picks: Vec<usize> = (0..400)
+            .map(|i| {
+                let r = req(i * 3, 40, 10_000);
+                let got = router.route(&r);
+                assert_eq!(got, reference.route(&r), "arrival {i}");
+                device_of(got)
+            })
+            .collect();
+        let distinct: std::collections::BTreeSet<_> = picks.iter().copied().collect();
+        assert_eq!(distinct.into_iter().collect::<Vec<_>>(), vec![0, 2, 3, 6, 7]);
+    }
+
     #[test]
     fn names_round_trip_and_unknowns_list_the_registry() {
         for p in RoutePolicy::ALL {
@@ -442,8 +598,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_devices_in_order() {
         let mut r = Router::new(RoutePolicy::RoundRobin, 3, 1, 1);
-        let picks: Vec<usize> =
-            (0..6).map(|i| device_of(r.route(&req(i, 10, 1000)))).collect();
+        let picks: Vec<usize> = (0..6).map(|i| device_of(r.route(&req(i, 10, 1000)))).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -545,8 +700,7 @@ mod tests {
     fn round_robin_rotates_over_survivors() {
         let mut r = Router::new(RoutePolicy::RoundRobin, 4, 1, 1);
         r.set_health(1, DeviceHealth::Down);
-        let picks: Vec<usize> =
-            (0..6).map(|i| device_of(r.route(&req(i, 10, 100_000)))).collect();
+        let picks: Vec<usize> = (0..6).map(|i| device_of(r.route(&req(i, 10, 100_000)))).collect();
         assert_eq!(picks, vec![0, 2, 3, 0, 2, 3]);
     }
 
