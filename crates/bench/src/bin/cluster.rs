@@ -19,7 +19,8 @@
 //! never the policy, so the output is bit-identical for any `--jobs N`.
 //!
 //! `--scenario-file` runs a declarative scenario file instead (see
-//! `workloads::scenario`); the file must carry a `fleet` key.
+//! `workloads::scenario`); the file must carry a `fleet` key. Its report
+//! goes to `--out` when given and to stdout otherwise.
 //!
 //! Finished cells stream into the checkpoint when `--ckpt` is given, keyed
 //! by the cell and its non-default knobs; rerunning with `--resume` keeps
@@ -29,20 +30,22 @@
 use std::error::Error;
 use std::path::PathBuf;
 
-use lax_bench::checkpoint::FleetCheckpoint;
 use lax_bench::cli::Cli;
-use lax_bench::cluster::{
-    cells_from_cli, cluster_table, hybrid_grid, knobs_from_cli, ClusterBuilder,
-};
+use lax_bench::cluster::{cluster_table, hybrid_grid, run_fleet_grid};
 use lax_bench::scenario_file::{read_scenario_file, write_scenario_report};
-use lax_bench::sweep::{run_grid, write_output};
 use workloads::spec::ArrivalRate;
+
+const HEADER: &str = "\
+# Cluster SLO attainment: routing/admission policies over a device fleet
+# (deadline-aware least-laxity LL generalizes the paper's CP admission
+#  test to the cluster front door; attain counts rejected jobs as misses)
+";
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut cli = Cli::from_env();
-    let jobs = cli.jobs()?;
-    let out = PathBuf::from(cli.value("--out")?.unwrap_or_else(|| "results/cluster.txt".into()));
     if let Some(path) = cli.value("--scenario-file")?.map(PathBuf::from) {
+        let jobs = cli.jobs()?;
+        let out = cli.value("--out")?.map(PathBuf::from);
         if let Some(unknown) = cli.positionals()?.first() {
             return Err(format!("unknown argument `{unknown}` with --scenario-file").into());
         }
@@ -54,46 +57,9 @@ fn main() -> Result<(), Box<dyn Error>> {
             )
             .into());
         }
-        return write_scenario_report("cluster", &file, &out, jobs);
+        return write_scenario_report("cluster", &file, out.as_deref(), jobs);
     }
-    let smoke = cli.flag("--smoke")?;
-    let resume = cli.flag("--resume")?;
-    let ckpt_path = cli.value("--ckpt")?.map(PathBuf::from);
-    let knobs = knobs_from_cli(&mut cli)?;
-    let mut cells = cells_from_cli(&cli.positionals()?)?;
-    if cells.is_empty() {
-        cells = if smoke {
-            hybrid_grid(&[0], &[ArrivalRate::High], 4, 4000)
-        } else {
-            hybrid_grid(&[0], &ArrivalRate::ALL, 16, 1_000_000)
-        };
-    }
-    let builders: Vec<ClusterBuilder> = cells.into_iter().map(|c| knobs(c).workers(jobs)).collect();
-
-    let mut checkpoint = ckpt_path.map(|p| FleetCheckpoint::for_run(p, resume, "cluster"));
-    eprintln!("[cluster] {} cell(s) on {jobs} worker thread(s)", builders.len());
-    let t0 = std::time::Instant::now();
-    // One cell at a time: a detailed cell spreads its devices over `jobs`.
-    let reports = run_grid(&builders, 1, checkpoint.as_mut(), ClusterBuilder::run, |b, r| match r {
-        Ok(r) => eprintln!(
-            "[cluster] {b}: attain {:.4}, p999 {:.1}us",
-            r.attainment(),
-            r.latency_us.p999()
-        ),
-        Err(e) => eprintln!("[cluster] {b}: {e}"),
-    })?;
-
-    let mut text = String::new();
-    text.push_str("# Cluster SLO attainment: routing/admission policies over a device fleet\n");
-    text.push_str("# (deadline-aware least-laxity LL generalizes the paper's CP admission\n");
-    text.push_str("#  test to the cluster front door; attain counts rejected jobs as misses)\n");
-    // Every cell ran under the one knob set, so the first names its fidelity.
-    text.push_str(&format!("# fidelity: {}\n", reports[0].fidelity));
-    text.push_str(&cluster_table(&reports).render());
-    write_output(&out, &text)?;
-    if let Some(ckpt) = checkpoint.as_ref() {
-        ckpt.discard_file()?;
-    }
-    eprintln!("[cluster] wrote {} in {:?}", out.display(), t0.elapsed());
-    Ok(())
+    let smoke = hybrid_grid(&[0], &[ArrivalRate::High], 4, 4000);
+    let full = hybrid_grid(&[0], &ArrivalRate::ALL, 16, 1_000_000);
+    run_fleet_grid(cli, "cluster", smoke, full, HEADER, cluster_table)
 }

@@ -21,7 +21,8 @@
 //! With `--scenario-file` the grid comes from the file instead (see
 //! `workloads::scenario` for the schema and `examples/scenarios/` for
 //! exemplars); malformed files exit with a typed diagnosis, and `--check`
-//! parses + validates without running anything.
+//! parses + validates without running anything. A scenario file's report
+//! goes to `--out` when given and to stdout otherwise.
 
 use std::error::Error;
 use std::path::PathBuf;
@@ -39,7 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let resume = cli.flag("--resume")?;
     let check = cli.flag("--check")?;
     let scenario_file = cli.value("--scenario-file")?.map(PathBuf::from);
-    let out = PathBuf::from(cli.value("--out")?.unwrap_or_else(|| "results/dag.txt".into()));
+    let out = cli.value("--out")?.map(PathBuf::from);
     let ckpt = PathBuf::from(cli.value("--ckpt")?.unwrap_or_else(|| "results/dag.ckpt".into()));
     if let Some(unknown) = cli.positionals()?.first() {
         return Err(format!("unknown argument `{unknown}`").into());
@@ -58,9 +59,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             );
             return Ok(());
         }
-        return write_scenario_report("dag", &file, &out, jobs);
+        return write_scenario_report("dag", &file, out.as_deref(), jobs);
     }
 
+    let out = out.unwrap_or_else(|| PathBuf::from("results/dag.txt"));
     let grid = if smoke { DagSweep::smoke() } else { DagSweep::full() };
     let mut checkpoint = Checkpoint::for_run(&ckpt, resume, "dag");
     let total = grid.schedulers.len() * grid.benches.len() * grid.rates.len();

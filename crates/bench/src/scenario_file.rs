@@ -178,8 +178,8 @@ pub fn read_scenario_file(path: &Path) -> Result<ScenarioFile, Box<dyn Error>> {
 }
 
 /// The `--scenario-file` mode of `bin/cluster` and `bin/dag`: runs the
-/// file's grid on `workers` threads and writes the report to `out`,
-/// narrating on stderr under `[bin]`.
+/// file's grid on `workers` threads and writes the report to `out`, or
+/// prints it to stdout without `out`, narrating on stderr under `[bin]`.
 ///
 /// # Errors
 ///
@@ -187,7 +187,7 @@ pub fn read_scenario_file(path: &Path) -> Result<ScenarioFile, Box<dyn Error>> {
 pub fn write_scenario_report(
     bin: &str,
     file: &ScenarioFile,
-    out: &Path,
+    out: Option<&Path>,
     workers: usize,
 ) -> Result<(), Box<dyn Error>> {
     eprintln!(
@@ -198,8 +198,16 @@ pub fn write_scenario_report(
     );
     let t0 = std::time::Instant::now();
     let text = run_scenario_file(file, workers)?;
-    write_output(out, &text)?;
-    eprintln!("[{bin}] wrote {} in {:?}", out.display(), t0.elapsed());
+    match out {
+        Some(out) => {
+            write_output(out, &text)?;
+            eprintln!("[{bin}] wrote {} in {:?}", out.display(), t0.elapsed());
+        }
+        None => {
+            print!("{text}");
+            eprintln!("[{bin}] ran in {:?}", t0.elapsed());
+        }
+    }
     Ok(())
 }
 

@@ -39,6 +39,12 @@ cargo test --release --manifest-path benchmark/Cargo.toml
 echo "== tier1: cargo clippy -D warnings (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier1: rustfmt --check (fleet engine module and binaries) =="
+# The fleet module and its two grid binaries are kept rustfmt-clean under
+# the root rustfmt.toml; the rest of the tree is not formatted yet.
+rustfmt --check --edition 2021 crates/bench/src/cluster/*.rs \
+    crates/bench/src/bin/cluster.rs crates/bench/src/bin/chaos.rs
+
 echo "== tier1: fault-sweep smoke + kill-and-resume byte-identity =="
 FAULTS_BIN=target/release/faults
 TMP="$(mktemp -d)"
@@ -284,6 +290,21 @@ grep -q "fanout-diamond" "$TMP/sf1.txt"
 "$CLUSTER_BIN" --scenario-file examples/scenarios/ipa-fleet.json --jobs 8 --out "$TMP/sff8.txt"
 cmp "$TMP/sff1.txt" "$TMP/sff8.txt"
 grep -q "ipa-fleet" "$TMP/sff1.txt"
+# Without --out a scenario file's report goes to stdout: run from an empty
+# directory, neither binary may create results/ (nor any other file).
+SCENARIO_FILES="$PWD/examples/scenarios"
+RELEASE="$PWD/target/release"
+mkdir "$TMP/sf_stdout"
+(cd "$TMP/sf_stdout" \
+    && "$RELEASE/cluster" --scenario-file "$SCENARIO_FILES/ipa-fleet.json" > ../sf_cl.txt \
+    && "$RELEASE/dag" --scenario-file "$SCENARIO_FILES/fanout-diamond.json" > ../sf_dag.txt) \
+    2> /dev/null
+if [ -n "$(ls -A "$TMP/sf_stdout")" ]; then
+    echo "a scenario-file run without --out wrote into its working directory" >&2
+    exit 1
+fi
+cmp "$TMP/sf_cl.txt" "$TMP/sff1.txt"
+cmp "$TMP/sf_dag.txt" "$TMP/sf1.txt"
 # A malformed file must exit non-zero with a typed diagnosis, not panic.
 echo '{"name": 3}' > "$TMP/bad.json"
 if "$DAG_BIN" --check --scenario-file "$TMP/bad.json" 2> "$TMP/bad.err"; then
