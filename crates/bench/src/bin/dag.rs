@@ -4,9 +4,8 @@
 //! scenario file.
 //!
 //! ```text
-//! cargo run --release -p lax-bench --bin dag -- \
-//!     [--smoke] [--jobs N] [--resume] [--out PATH] [--ckpt PATH] \
-//!     [--scenario-file PATH [--check]]
+//! cargo run --release -p lax-bench --bin dag -- [--jobs N] [--out PATH] \
+//!     ([--smoke] [--resume] [--ckpt PATH] | --scenario-file PATH [--check])
 //! ```
 //!
 //! Without `--scenario-file` the grid is schedulers × DAG benchmarks ×
@@ -22,7 +21,8 @@
 //! `workloads::scenario` for the schema and `examples/scenarios/` for
 //! exemplars); malformed files exit with a typed diagnosis, and `--check`
 //! parses + validates without running anything. A scenario file's report
-//! goes to `--out` when given and to stdout otherwise.
+//! goes to `--out` when given and to stdout otherwise. The grid's own
+//! flags are unknown arguments there, and `--check` is one without a file.
 
 use std::error::Error;
 use std::path::PathBuf;
@@ -36,16 +36,12 @@ use lax_bench::Checkpoint;
 fn main() -> Result<(), Box<dyn Error>> {
     let mut cli = Cli::from_env();
     let jobs = cli.jobs()?;
-    let smoke = cli.flag("--smoke")?;
-    let resume = cli.flag("--resume")?;
-    let check = cli.flag("--check")?;
-    let scenario_file = cli.value("--scenario-file")?.map(PathBuf::from);
     let out = cli.value("--out")?.map(PathBuf::from);
-    let ckpt = PathBuf::from(cli.value("--ckpt")?.unwrap_or_else(|| "results/dag.ckpt".into()));
-    if let Some(unknown) = cli.positionals()?.first() {
-        return Err(format!("unknown argument `{unknown}`").into());
-    }
-    if let Some(path) = scenario_file {
+    if let Some(path) = cli.value("--scenario-file")?.map(PathBuf::from) {
+        let check = cli.flag("--check")?;
+        if let Some(unknown) = cli.positionals()?.first() {
+            return Err(format!("unknown argument `{unknown}` with --scenario-file").into());
+        }
         let file = read_scenario_file(&path)?;
         if check {
             println!(
@@ -60,6 +56,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             return Ok(());
         }
         return write_scenario_report("dag", &file, out.as_deref(), jobs);
+    }
+    let smoke = cli.flag("--smoke")?;
+    let resume = cli.flag("--resume")?;
+    let ckpt = PathBuf::from(cli.value("--ckpt")?.unwrap_or_else(|| "results/dag.ckpt".into()));
+    if let Some(unknown) = cli.positionals()?.first() {
+        return Err(format!("unknown argument `{unknown}`").into());
     }
 
     let out = out.unwrap_or_else(|| PathBuf::from("results/dag.txt"));

@@ -8,15 +8,15 @@ use std::sync::Arc;
 
 use gpu_sim::fleet::FleetFaultAction;
 use gpu_sim::prelude::*;
-use schedulers::registry;
 use schedulers::routing::{RouteDecision, RoutePolicy, RouteRequest, Router};
 use sim_core::par::par_map;
 use sim_core::stats::StreamingQuantiles;
+use workloads::stream::{Arrival, JobSpec, Workload};
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::{materialize_job, ChainSpec, ClusterJob, JobStream};
+use super::arrivals::JobStream;
 use super::{ClusterBuilder, ClusterReport};
-use crate::sweep::BenchError;
+use crate::sweep::{device_simulation, BenchError};
 
 impl ClusterBuilder {
     /// The fleet engine: one time-ordered pass interleaving fleet fault
@@ -158,8 +158,8 @@ impl ClusterBuilder {
         if survivors.is_empty() {
             return Ok(Tally::default());
         }
-        let bench = self.scenario.bench;
-        let descs: Vec<JobDesc> = survivors
+        let workload = Workload::Bench(self.scenario.bench);
+        let descs = survivors
             .iter()
             .enumerate()
             .map(|(i, &Booking { entry, job })| {
@@ -167,10 +167,10 @@ impl ClusterBuilder {
                 // held to its original deadline: the relative deadline
                 // shrinks by the time already burned.
                 let deadline = job.deadline_abs.saturating_since(entry);
-                materialize_job(suite, bench, job.spec, i as u32, deadline, entry)
+                workload.materialize(suite, job.spec, i as u32, deadline, entry)
             })
-            .collect();
-        let mode = registry::try_build(&self.device_scheduler)?;
+            .collect::<Result<_, JobError>>()
+            .map_err(|e| BenchError::Sim(e.into()))?;
         let faults = FaultPlan {
             slowdowns: windows
                 .iter()
@@ -178,13 +178,8 @@ impl ClusterBuilder {
                 .collect(),
             ..FaultPlan::none()
         };
-        let mut sim = Simulation::builder()
-            .offline_rates(suite.offline_rates())
-            .jobs(descs)
-            .scheduler(mode)
-            .faults(faults)
-            .build()?;
-        let report = sim.try_run().map_err(BenchError::Sim)?;
+        let mut sim = device_simulation(suite, descs, &self.device_scheduler, faults, &[])?;
+        let report = sim.try_run()?;
         let mut tally = Tally::new(collect);
         for r in &report.records {
             let Booking { entry, job } = survivors[r.id.0 as usize];
@@ -302,19 +297,18 @@ struct Engine {
 impl Engine {
     /// Routes one arrival, after replaying the transitions at or before
     /// its instant and the retries before it.
-    fn arrive(&mut self, job: ClusterJob) {
-        let t_arr = job.arrival;
+    fn arrive(&mut self, (job, service_est): (Arrival, Duration)) {
+        let t_arr = job.at;
         self.replay(Some(t_arr));
         let placement = RetryJob {
             id: job.id,
             original_arrival: t_arr,
-            service_est: job.service_est,
+            service_est,
             deadline_abs: t_arr + self.deadline,
             attempt: 0,
             spec: job.spec,
         };
-        let req =
-            RouteRequest { arrival: t_arr, service_est: job.service_est, deadline: self.deadline };
+        let req = RouteRequest { arrival: t_arr, service_est, deadline: self.deadline };
         if self.shed_degraded && !self.router.all_up() {
             if let Some(lax) = self.router.best_laxity(&req).filter(|&lax| lax < 0.0) {
                 self.shed += 1;
@@ -513,7 +507,7 @@ struct RetryJob {
     deadline_abs: Cycle,
     /// Which retry generation this is (0 = the initial placement).
     attempt: u32,
-    spec: ChainSpec,
+    spec: JobSpec,
 }
 
 /// A scheduled retry, ordered by (fire instant, schedule sequence) — the

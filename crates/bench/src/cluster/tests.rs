@@ -2,26 +2,28 @@
 //! both fidelity tiers, faults, retries and shedding, the probe stream and
 //! the miss attribution.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use schedulers::routing;
 use workloads::spec::{ArrivalRate, Benchmark};
+use workloads::stream::Arrival;
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::{last_arrival, ClusterJob, JobStream};
+use super::arrivals::{arrivals, last_arrival, JobStream};
 use super::*;
 use crate::checkpoint::{Codec, FleetCheckpoint, FleetCodec};
 use crate::cli::Cli;
-use crate::sweep::{run_grid, BenchError};
+use crate::sweep::{device_simulation, run_grid, BenchError, SharedObserver};
 
 fn scen(policy: &str) -> ClusterScenario {
     ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7)
 }
 
 /// The cell's whole arrival stream.
-fn whole_stream(s: &ClusterScenario) -> Vec<ClusterJob> {
+fn whole_stream(s: &ClusterScenario) -> Vec<(Arrival, Duration)> {
     JobStream::new(s, BenchmarkSuite::calibrated()).collect()
 }
 
@@ -429,10 +431,10 @@ fn out_of_range_fleet_knobs_are_typed_errors() {
 #[test]
 fn booking_fate_boundary_is_the_crash_instant() {
     let s = ClusterScenario::new("RR", Benchmark::Stem, ArrivalRate::Low, 1, 1, 3);
-    let job = whole_stream(&s)[0];
+    let (job, service) = whole_stream(&s)[0];
     // Room for the retry to pass the laxity gate after a full service.
-    assert!(job.service_est.as_cycles() * 2 < s.bench.deadline().as_cycles());
-    let completion = job.arrival + job.service_est;
+    assert!(service.as_cycles() * 2 < s.bench.deadline().as_cycles());
+    let completion = job.at + service;
     let run = |at: Cycle| {
         let crash = DeviceCrash { device: 0, at, until: completion + Duration::from_cycles(1) };
         ClusterBuilder::new(s.clone())
@@ -653,7 +655,7 @@ fn miss_attribution_conserves_exactly_in_detailed_tier() {
     assert_attribution_conserves(&plain);
     let s = ClusterScenario::new("LOW", Benchmark::Ipv6, ArrivalRate::Low, 2, 24, 3);
     let jobs = whole_stream(&s);
-    let span = jobs.last().unwrap().arrival;
+    let span = jobs.last().unwrap().0.at;
     let plan = FleetFaultPlan {
         crashes: vec![DeviceCrash {
             device: 0,
@@ -787,4 +789,71 @@ fn outcome_events_sort_by_instant_then_job_with_completion_first() {
         assert_eq!(late as u64, r.completed - r.met, "{s}: one miss after each late completion");
     }
     assert!(ClusterBuilder::new(scen("RR")).run().unwrap().met < 400, "RR must complete late");
+}
+
+/// Each job's first fate event, by job id: a device's `JobResolved`, or a
+/// fleet's outcome events read as a [`JobFate`] (a late completion's miss
+/// follows its completion, which is kept).
+#[derive(Default)]
+struct Fates(BTreeMap<u32, JobFate>);
+
+impl Observer<ProbeEvent> for Fates {
+    fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
+        let (job, fate) = match *event {
+            ProbeEvent::JobResolved { job, fate } => (job, fate),
+            ProbeEvent::JobCompleted { job, .. } => (job, JobFate::Completed(at)),
+            ProbeEvent::JobMissed { job, cause: MissCause::DeviceReject, .. } => {
+                (job, JobFate::Rejected(at))
+            }
+            ProbeEvent::JobMissed { job, .. } => (job, JobFate::Aborted(at)),
+            _ => return,
+        };
+        self.0.entry(job.0).or_insert(fate);
+    }
+}
+
+/// The `d1` oracle. A fault-free one-device detailed cell under RR routing
+/// hands every job to its device at its arrival, with its deadline, so it
+/// must run exactly what the device path runs on the same stream,
+/// collected: the same per-job fates, heard through an observer on each
+/// side, and the same met, device-rejected, makespan and event counts.
+/// Checked for a device scheduler without and with admission control, on
+/// a chain and a DAG benchmark.
+#[test]
+fn one_device_detailed_cell_runs_like_the_device_path() {
+    let suite = BenchmarkSuite::calibrated();
+    // A few jobs that overlap on the device, the cells side by side: in the
+    // debug profile the detailed tier costs about a second per job.
+    let cells: Vec<(Benchmark, usize, &str)> = [(Benchmark::Hybrid, 3), (Benchmark::FanOut, 2)]
+        .into_iter()
+        .flat_map(|(bench, n)| ["RR", "LAX"].map(|scheduler| (bench, n, scheduler)))
+        .collect();
+    sim_core::par::par_map(&cells, cells.len(), |&(bench, n, scheduler)| {
+        let s = ClusterScenario::new("RR", bench, ArrivalRate::High, 1, n, 5);
+        let cell = format!("{s} on {scheduler}");
+        let fleet_fates = Arc::new(Mutex::new(Fates::default()));
+        let fleet = ClusterBuilder::new(s.clone())
+            .fidelity(Fidelity::Detailed)
+            .device_scheduler(scheduler)
+            .observe(fleet_fates.clone())
+            .run()
+            .unwrap();
+        let device_fates = Arc::new(Mutex::new(Fates::default()));
+        let jobs = arrivals(&s).into_jobs(suite, bench.deadline()).unwrap();
+        let observers = [device_fates.clone() as SharedObserver];
+        let device = device_simulation(suite, jobs, scheduler, FaultPlan::none(), &observers)
+            .unwrap()
+            .try_run()
+            .unwrap();
+        let fates = &fleet_fates.lock().unwrap().0;
+        assert_eq!(fates.len(), n, "{cell}: every job has a fate");
+        assert_eq!(fates, &device_fates.lock().unwrap().0, "{cell}");
+        assert!(fleet.met > 0, "{cell}: a cell that meets nothing checks little");
+        let met = device.deadlines_met() as u64;
+        assert_eq!(
+            (fleet.met, fleet.device_rejected, fleet.makespan, fleet.events),
+            (met, device.rejected() as u64, device.makespan, device.events),
+            "{cell}"
+        );
+    });
 }

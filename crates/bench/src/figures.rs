@@ -9,7 +9,6 @@
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
-use lax::lax::Lax;
 use sim_core::par::par_map;
 use sim_core::stats::geomean;
 use sim_core::table::{fmt_f, Table};
@@ -21,7 +20,7 @@ use workloads::table1;
 use crate::checkpoint::Checkpoint;
 use crate::cli::CliError;
 use crate::runner::{ResultsDb, DEFAULT_SEED};
-use crate::sweep::{run_cell, run_grid, BenchError, RunOptions, Scenario};
+use crate::sweep::{device_simulation, run_cell, run_grid, BenchError, RunOptions, Scenario};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
 /// column itself.
@@ -119,13 +118,8 @@ pub fn fig4(workers: usize) -> String {
         for &b in &sizes {
             let n = b.max(8);
             let w = batched_workload(suite, bench, ArrivalRate::High, n, b, 99);
-            let mut sim = Simulation::builder()
-                .offline_rates(suite.offline_rates())
-                .jobs(w.jobs.clone())
-                .scheduler(SchedulerMode::Cp(Box::new(RoundRobin::new())))
-                .build()
-                .expect("batched jobs run");
-            let report = sim.run();
+            let sim = device_simulation(suite, w.jobs.clone(), "RR", FaultPlan::none(), &[]);
+            let report = sim.expect("batched jobs run").run();
             let completions: Vec<Option<Cycle>> = report
                 .records
                 .iter()
@@ -273,14 +267,8 @@ pub fn fig10(sample_job: u32, n_jobs: usize, seed: u64, workers: usize) -> Strin
     let sections = par_map(&benches, workers, |&bench| {
         let jobs = suite.generate_jobs(bench, ArrivalRate::High, n_jobs, seed);
         let sampler = Arc::new(Mutex::new(MetricsSampler::new().watch_job(JobId(sample_job))));
-        let mut sim = Simulation::builder()
-            .offline_rates(suite.offline_rates())
-            .jobs(jobs)
-            .cp(Lax::new())
-            .observe(Box::new(Arc::clone(&sampler)))
-            .build()
-            .expect("jobs run");
-        let report = sim.run();
+        let sim = device_simulation(suite, jobs, "LAX", FaultPlan::none(), &[sampler.clone()]);
+        let report = sim.expect("jobs run").run();
         let rec = &report.records[sample_job as usize];
         let actual_us = rec.latency().map(|l| l.as_us_f64());
         let guard = sampler.lock().expect("sampler lock");

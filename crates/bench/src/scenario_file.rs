@@ -9,8 +9,9 @@
 //!
 //! * No `fleet` key, named benchmark → one [`Scenario`] per scheduler ×
 //!   rate, carrying the file's fault intensity, run by [`run_cell`].
-//! * No `fleet` key, inline DAG → the same scheduler × rate grid; the
-//!   file generates each cell's jobs, and the rest of the cell is the body
+//! * No `fleet` key, inline DAG → the same scheduler × rate grid; each
+//!   cell's jobs are the file's DAG on the one job stream
+//!   ([`workloads::stream`]), and the rest of the cell is the body
 //!   [`run_cell`] runs after job generation.
 //! * With `fleet` → one [`ClusterScenario`] per rate (the file's routing
 //!   policy and device count), run by [`ClusterBuilder`] at the fast tier,

@@ -481,7 +481,6 @@ pub(crate) fn run_jobs(
     intensity: f64,
     observers: &[SharedObserver],
 ) -> Result<SimReport, BenchError> {
-    let mode = registry::try_build(scheduler)?;
     let cfg = GpuConfig::default();
     // Faults are drawn over the span jobs can occupy: last arrival plus the
     // latest relative deadline, so late windows still overlap live work.
@@ -492,16 +491,29 @@ pub(crate) fn run_jobs(
         .unwrap_or(Duration::ZERO);
     let plan = FaultPlan::seeded(cell_seed, intensity, span, cfg.num_cus);
     apply_bursts(&mut jobs, &plan.bursts);
+    Ok(device_simulation(suite, jobs, scheduler, plan, observers)?.try_run()?)
+}
+
+/// The one device constructor: `jobs` under the registry scheduler
+/// `scheduler`, with the suite's offline rates, `faults` and `observers`.
+/// Device cells, the figures and the fleet's detailed tier all build
+/// through it. Fails typed on an unknown scheduler or rejected jobs.
+pub(crate) fn device_simulation(
+    suite: &BenchmarkSuite,
+    jobs: Vec<JobDesc>,
+    scheduler: &str,
+    faults: FaultPlan,
+    observers: &[SharedObserver],
+) -> Result<Simulation, BenchError> {
     let mut builder = Simulation::builder()
         .offline_rates(suite.offline_rates())
         .jobs(jobs)
-        .scheduler(mode)
-        .faults(plan);
+        .scheduler(registry::try_build(scheduler)?)
+        .faults(faults);
     for obs in observers {
         builder = builder.observe(Box::new(Arc::clone(obs)));
     }
-    let mut sim = builder.build()?;
-    sim.try_run().map_err(BenchError::Sim)
+    Ok(builder.build()?)
 }
 
 /// Writes an artifact to `path`, creating its parent directory first.

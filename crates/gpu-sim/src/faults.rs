@@ -37,7 +37,7 @@
 
 use std::fmt;
 
-use sim_core::rng::SimRng;
+use sim_core::rng::{FaultDraws, SimRng};
 use sim_core::time::{Cycle, Duration};
 
 /// A transient whole-device slowdown: every compute segment started and
@@ -168,37 +168,24 @@ impl FaultPlan {
         let mut cu_rng = root.fork(2);
         let mut dram_rng = root.fork(3);
         let mut burst_rng = root.fork(4);
-        let span_cycles = span.as_cycles();
-        let count = |r: &mut SimRng, mean: f64| -> usize {
-            // Deterministic rounding of a scaled count: floor + Bernoulli
-            // on the fractional part.
-            let scaled = mean * intensity;
-            let base = scaled.floor();
-            let extra = usize::from(r.uniform_f64() < (scaled - base));
-            base as usize + extra
-        };
-        let window = |r: &mut SimRng, frac: f64| -> (Cycle, Cycle) {
-            let len = ((span_cycles as f64 * frac).max(1.0)) as u64;
-            let start = r.below(span_cycles.saturating_sub(len).max(1));
-            (Cycle::from_cycles(start), Cycle::from_cycles(start + len))
-        };
+        let draws = FaultDraws::new(intensity, span);
         let mut plan = FaultPlan::none();
-        for _ in 0..count(&mut slow_rng, 2.0) {
-            let (at, until) = window(&mut slow_rng, 0.10);
+        for _ in 0..draws.count(&mut slow_rng, 2.0) {
+            let (at, until) = draws.window(&mut slow_rng, 0.10);
             let factor = 1.5 + slow_rng.uniform_f64() * (1.0 + intensity);
             plan.slowdowns.push(Slowdown { at, until, factor });
         }
-        for _ in 0..count(&mut cu_rng, 1.5) {
-            let (at, until) = window(&mut cu_rng, 0.15);
+        for _ in 0..draws.count(&mut cu_rng, 1.5) {
+            let (at, until) = draws.window(&mut cu_rng, 0.15);
             let cu = cu_rng.below(u64::from(num_cus)) as u32;
             plan.cu_faults.push(CuFault { cu, at, until });
         }
-        for _ in 0..count(&mut dram_rng, 1.0) {
-            let (at, until) = window(&mut dram_rng, 0.12);
+        for _ in 0..draws.count(&mut dram_rng, 1.0) {
+            let (at, until) = draws.window(&mut dram_rng, 0.12);
             let factor = 2.0 + dram_rng.uniform_f64() * 2.0 * intensity;
             plan.dram_throttles.push(DramThrottle { at, until, factor });
         }
-        for _ in 0..count(&mut burst_rng, 1.0) {
+        for _ in 0..draws.count(&mut burst_rng, 1.0) {
             let start_frac = burst_rng.uniform_f64() * 0.8;
             let len_frac = 0.05 + burst_rng.uniform_f64() * 0.15;
             let compression = 2.0 + burst_rng.uniform_f64() * 2.0 * intensity;

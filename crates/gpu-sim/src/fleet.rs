@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
-use sim_core::rng::SimRng;
+use sim_core::rng::{FaultDraws, SimRng};
 use sim_core::time::{Cycle, Duration};
 
 /// How much machinery each cluster device runs.
@@ -479,41 +479,28 @@ impl FleetFaultPlan {
         let mut drain_rng = root.fork(2);
         let mut strag_rng = root.fork(3);
         let mut outage_rng = root.fork(4);
-        let span_cycles = span.as_cycles();
-        let count = |r: &mut SimRng, mean: f64| -> usize {
-            // Deterministic rounding of a scaled count: floor + Bernoulli
-            // on the fractional part.
-            let scaled = mean * intensity;
-            let base = scaled.floor();
-            let extra = usize::from(r.uniform_f64() < (scaled - base));
-            base as usize + extra
-        };
-        let window = |r: &mut SimRng, frac: f64| -> (Cycle, Cycle) {
-            let len = ((span_cycles as f64 * frac).max(1.0)) as u64;
-            let start = r.below(span_cycles.saturating_sub(len).max(1));
-            (Cycle::from_cycles(start), Cycle::from_cycles(start + len))
-        };
+        let draws = FaultDraws::new(intensity, span);
         let per_fleet = (f64::from(devices) / 8.0).max(1.0);
         let mut plan = FleetFaultPlan::none();
-        for _ in 0..count(&mut crash_rng, 2.0 * per_fleet) {
-            let (at, until) = window(&mut crash_rng, 0.10 + 0.05 * intensity.min(2.0));
+        for _ in 0..draws.count(&mut crash_rng, 2.0 * per_fleet) {
+            let (at, until) = draws.window(&mut crash_rng, 0.10 + 0.05 * intensity.min(2.0));
             let device = crash_rng.below(u64::from(devices)) as u32;
             plan.crashes.push(DeviceCrash { device, at, until });
         }
-        for _ in 0..count(&mut drain_rng, 1.0) {
-            let (at, until) = window(&mut drain_rng, 0.10);
+        for _ in 0..draws.count(&mut drain_rng, 1.0) {
+            let (at, until) = draws.window(&mut drain_rng, 0.10);
             let device = drain_rng.below(u64::from(devices)) as u32;
             plan.drains.push(DeviceDrain { device, at, until });
         }
-        for _ in 0..count(&mut strag_rng, 3.0 * per_fleet) {
-            let (at, until) = window(&mut strag_rng, 0.20);
+        for _ in 0..draws.count(&mut strag_rng, 3.0 * per_fleet) {
+            let (at, until) = draws.window(&mut strag_rng, 0.20);
             let device = strag_rng.below(u64::from(devices)) as u32;
             let factor = 1.5 + strag_rng.uniform_f64() * (0.5 + intensity);
             plan.stragglers.push(StragglerWindow { device, at, until, factor });
         }
         if devices >= 2 {
-            for _ in 0..count(&mut outage_rng, 0.5) {
-                let (at, until) = window(&mut outage_rng, 0.08);
+            for _ in 0..draws.count(&mut outage_rng, 0.5) {
+                let (at, until) = draws.window(&mut outage_rng, 0.08);
                 let max_width = (u64::from(devices) / 2).max(2);
                 let count = (2 + outage_rng.below(max_width.saturating_sub(1).max(1))) as u32;
                 let count = count.min(devices);

@@ -318,8 +318,6 @@ pub struct JobDesc {
     pub deadline: Duration,
     /// Arrival time at the host.
     pub arrival: Cycle,
-    /// User-assigned static priority hint (used by PREMA; 0 = default).
-    pub user_priority: u32,
 }
 
 impl JobDesc {
@@ -361,14 +359,7 @@ impl JobDesc {
             graph,
             deadline,
             arrival,
-            user_priority: 0,
         })
-    }
-
-    /// Builder-style setter for the PREMA user priority.
-    pub fn with_user_priority(mut self, p: u32) -> Self {
-        self.user_priority = p;
-        self
     }
 
     /// The kernel DAG.

@@ -1,7 +1,6 @@
 //! Per-job outcomes and whole-run reports: everything Figures 6-9 and
 //! Table 5 are computed from.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sim_core::stats::Samples;
@@ -135,30 +134,6 @@ impl SimReport {
         } else {
             useful / total
         }
-    }
-
-    /// Deadline-met counts grouped by benchmark label (for multi-benchmark
-    /// runs such as HYBRID).
-    pub fn met_by_bench(&self) -> BTreeMap<String, usize> {
-        let mut map = BTreeMap::new();
-        for r in &self.records {
-            let e = map.entry(r.bench.to_string()).or_insert(0);
-            if r.met_deadline() {
-                *e += 1;
-            }
-        }
-        map
-    }
-
-    /// Mean completion latency in microseconds over completed jobs.
-    pub fn mean_latency_us(&self) -> f64 {
-        let mut s = Samples::new();
-        for r in &self.records {
-            if let Some(l) = r.latency() {
-                s.push(l.as_us_f64());
-            }
-        }
-        s.mean()
     }
 }
 

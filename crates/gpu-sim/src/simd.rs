@@ -98,12 +98,6 @@ impl SimdUnit {
         self.resident
     }
 
-    /// Number of waves actively computing.
-    #[inline]
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// Current generation; events carrying an older value are stale.
     #[inline]
     pub fn generation(&self) -> u64 {

@@ -37,8 +37,9 @@ impl Prema {
         Prema::default()
     }
 
-    /// Token = user priority x slowdown. Slowdown compares elapsed time to
-    /// the predicted isolated duration from the offline profile table.
+    /// Token = user priority x slowdown, with every job at PREMA's default
+    /// priority 1. Slowdown compares elapsed time to the predicted isolated
+    /// duration from the offline profile table.
     fn token(job: &ActiveJob, ctx: &CpContext<'_>) -> f64 {
         let isolated_us: f64 = job
             .job
@@ -52,7 +53,7 @@ impl Prema {
             .sum();
         let elapsed_us = ctx.now.saturating_since(job.job.arrival).as_us_f64();
         let slowdown = if isolated_us > 0.0 { elapsed_us / isolated_us } else { elapsed_us };
-        (job.job.user_priority.max(1)) as f64 * slowdown.max(1.0)
+        slowdown.max(1.0)
     }
 
     /// Penalty to bring a preempted job back on-device.

@@ -24,7 +24,6 @@
 //!   calibration, the experiment grids and the fleet's device phase all
 //!   run through it.
 //! * [`table`] — plain-text result tables for the experiment binaries.
-//! * [`chart`] — terminal bar charts for quick visual comparisons.
 //!
 //! Everything here is deliberately independent of the GPU model so it can be
 //! reused by any event-driven simulator.
@@ -50,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chart;
 pub mod event;
 pub mod json;
 pub mod par;

@@ -8,7 +8,7 @@
 //! through SplitMix64, so the crate has no external dependencies and the
 //! streams are identical on every platform.
 
-use crate::time::Duration;
+use crate::time::{Cycle, Duration};
 
 /// SplitMix64 step: used to expand a 64-bit seed into the xoshiro state.
 #[inline]
@@ -133,6 +133,43 @@ impl SimRng {
     pub fn noise(&mut self, spread: f64) -> f64 {
         assert!((0.0..1.0).contains(&spread));
         1.0 + (self.uniform_f64() * 2.0 - 1.0) * spread
+    }
+}
+
+/// The two draws every seeded fault plan makes, at one intensity over one
+/// span: how many faults of a class, and where each one's window lies.
+/// The device plan (`gpu_sim::faults::FaultPlan::seeded`) and the fleet
+/// plan (`gpu_sim::fleet::FleetFaultPlan::seeded`) both draw through it,
+/// each from its own per-class sub-streams.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultDraws {
+    intensity: f64,
+    span_cycles: u64,
+}
+
+impl FaultDraws {
+    /// Draws for a plan at `intensity` whose windows fall inside `span`.
+    pub fn new(intensity: f64, span: Duration) -> Self {
+        FaultDraws { intensity, span_cycles: span.as_cycles() }
+    }
+
+    /// How many faults of a class averaging `mean` per unit intensity:
+    /// the scaled mean's floor, plus one with probability its fractional
+    /// part (one uniform draw from `r`).
+    pub fn count(&self, r: &mut SimRng, mean: f64) -> usize {
+        let scaled = mean * self.intensity;
+        let base = scaled.floor();
+        let extra = usize::from(r.uniform_f64() < (scaled - base));
+        base as usize + extra
+    }
+
+    /// A window `frac` of the span long (at least one cycle), starting
+    /// uniformly where it still ends inside the span when it fits (one
+    /// draw from `r`).
+    pub fn window(&self, r: &mut SimRng, frac: f64) -> (Cycle, Cycle) {
+        let len = ((self.span_cycles as f64 * frac).max(1.0)) as u64;
+        let start = r.below(self.span_cycles.saturating_sub(len).max(1));
+        (Cycle::from_cycles(start), Cycle::from_cycles(start + len))
     }
 }
 

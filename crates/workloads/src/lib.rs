@@ -12,8 +12,10 @@
 //! * [`rnn`] — LSTM/GRU/Vanilla job chains whose call counts reproduce the
 //!   Table 1 LSTM job exactly at sequence length 13, with WMT'15-like
 //!   per-job sequence lengths (mean 16).
-//! * [`suite`] — the calibrated [`suite::BenchmarkSuite`]: job generation
-//!   with exponential arrivals and the offline profile table.
+//! * [`suite`] — the calibrated [`suite::BenchmarkSuite`]: device-cell job
+//!   generation and the offline profile table.
+//! * [`stream`] — the one job stream of every kind of cell, with every
+//!   job-shape rule written once.
 //! * [`dag`] — DAG-structured job graphs (fan-out/fan-in diamond, the
 //!   Sirius-style IPA pipeline) built from the same calibrated kernels.
 //! * [`batching`] — merged-batch workloads for Figure 4.
@@ -50,5 +52,6 @@ pub mod mixed;
 pub mod rnn;
 pub mod scenario;
 pub mod spec;
+pub mod stream;
 pub mod suite;
 pub mod table1;

@@ -58,14 +58,13 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
-use gpu_sim::job::{JobDesc, JobError, JobGraph, JobId};
+use gpu_sim::job::{JobDesc, JobError, JobGraph};
 use sim_core::json::{self, JsonError, Value};
-use sim_core::rng::SimRng;
-use sim_core::time::{Cycle, Duration};
+use sim_core::time::Duration;
 
 use crate::spec::{cell_seed, intensity_to_milli, milli_to_intensity, ArrivalRate, Benchmark};
+use crate::stream::{Arrivals, Workload};
 use crate::suite::BenchmarkSuite;
 
 /// Why a scenario file was rejected. Every malformed input maps to one of
@@ -332,8 +331,9 @@ impl ScenarioFile {
 
     /// Generates the cell's job stream at one rate level: named workloads
     /// delegate to [`BenchmarkSuite::generate_jobs`] (byte-identical to the
-    /// sweep engine's cells), inline DAGs draw exponential inter-arrivals
-    /// at the file's own rate table.
+    /// sweep engine's cells), and an inline DAG is one more
+    /// [`Workload`] on the same [`Arrivals`] stream, at the file's own
+    /// rate table.
     ///
     /// # Errors
     ///
@@ -358,22 +358,9 @@ impl ScenarioFile {
                         why: format!("must be > 0 jobs/sec, got {per_sec}"),
                     });
                 }
-                let deadline = Duration::from_us_f64(spec.deadline_us);
-                let label: Arc<str> = self.name.as_str().into();
-                let mut rng = SimRng::seed_from(self.cell_seed(rate));
-                let mut now = Cycle::ZERO;
-                let mut out = Vec::with_capacity(self.n_jobs);
-                for i in 0..self.n_jobs {
-                    now += rng.exp_interarrival(per_sec);
-                    out.push(JobDesc::from_graph(
-                        JobId(i as u32),
-                        label.clone(),
-                        graph.clone(),
-                        deadline,
-                        now,
-                    )?);
-                }
-                Ok(out)
+                let workload = Workload::Graph(self.name.as_str().into(), graph);
+                let arrivals = Arrivals::new(workload, self.cell_seed(rate), per_sec, self.n_jobs);
+                Ok(arrivals.into_jobs(suite, Duration::from_us_f64(spec.deadline_us))?)
             }
         }
     }

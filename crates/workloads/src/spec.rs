@@ -135,20 +135,6 @@ impl Benchmark {
     pub fn is_dag(self) -> bool {
         matches!(self, Benchmark::FanOut | Benchmark::Ipa)
     }
-
-    /// Input size reported in Table 4 (threads for few-kernel benchmarks,
-    /// hidden-layer width for RNNs; the dominant stage's size for DAGs).
-    pub fn input_size(self) -> u32 {
-        match self {
-            Benchmark::Lstm | Benchmark::Gru => 128,
-            Benchmark::Van => 256,
-            Benchmark::Hybrid => 128, // mixed 128/256
-            Benchmark::Ipv6 | Benchmark::Cuckoo => 8192,
-            Benchmark::Gmm => 2048,
-            Benchmark::Stem | Benchmark::FanOut => 4096,
-            Benchmark::Ipa => 2048,
-        }
-    }
 }
 
 impl ArrivalRate {

@@ -1,21 +1,21 @@
 //! The calibrated benchmark suite: kernel descriptors fitted to Table 1,
-//! job generators with Table 4 arrival processes, and the offline profile
-//! table for prediction-based schedulers.
+//! device-cell job generation over the one [`crate::stream`] of Table 4
+//! arrivals, and the offline profile table for prediction-based
+//! schedulers.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use gpu_sim::config::GpuConfig;
-use gpu_sim::job::{JobDesc, JobId};
+use gpu_sim::job::JobDesc;
 use gpu_sim::kernel::{ClassTable, KernelClassId, KernelDesc};
 use sim_core::par::par_map;
-use sim_core::rng::SimRng;
-use sim_core::time::Cycle;
 
 use crate::calibrate::{fit, CalibratedKernel};
 use crate::kernels::{KernelSpec, ALL_SPECS};
-use crate::rnn::{build_chain, sample_seq_len, Hidden, KernelSource, RnnCell};
+use crate::rnn::KernelSource;
 use crate::spec::{ArrivalRate, Benchmark};
+use crate::stream::{Arrivals, Workload};
 
 /// All calibrated kernels plus the machinery to generate benchmark jobs.
 #[derive(Debug)]
@@ -113,55 +113,9 @@ impl BenchmarkSuite {
             .collect()
     }
 
-    /// Builds the kernel chain of one job of `bench`. `ordinal` selects the
-    /// cell type for HYBRID (even = LSTM-128, odd = GRU-256) and `rng`
-    /// samples RNN sequence lengths.
-    pub fn job_kernels(
-        &self,
-        bench: Benchmark,
-        ordinal: usize,
-        rng: &mut SimRng,
-    ) -> Vec<Arc<KernelDesc>> {
-        match bench {
-            Benchmark::Lstm => build_chain(RnnCell::Lstm, Hidden::H128, sample_seq_len(rng), self),
-            Benchmark::Gru => build_chain(RnnCell::Gru, Hidden::H128, sample_seq_len(rng), self),
-            Benchmark::Van => {
-                build_chain(RnnCell::Vanilla, Hidden::H256, sample_seq_len(rng), self)
-            }
-            Benchmark::Hybrid => {
-                if ordinal.is_multiple_of(2) {
-                    build_chain(RnnCell::Lstm, Hidden::H128, sample_seq_len(rng), self)
-                } else {
-                    build_chain(RnnCell::Gru, Hidden::H256, sample_seq_len(rng), self)
-                }
-            }
-            Benchmark::Ipv6 => vec![self.kernel("ipv6")],
-            Benchmark::Cuckoo => vec![self.kernel("cuckoo")],
-            Benchmark::Gmm => vec![self.kernel("gmm")],
-            Benchmark::Stem => vec![self.kernel("stem")],
-            Benchmark::FanOut | Benchmark::Ipa => {
-                panic!("{bench} is a DAG benchmark; use job_graph")
-            }
-        }
-    }
-
-    /// Builds the kernel graph of one job of a DAG benchmark. FANOUT
-    /// samples its fan-out width per job; IPA's pipeline shape is fixed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bench` is a linear-chain benchmark (use
-    /// [`BenchmarkSuite::job_kernels`]).
-    pub fn job_graph(&self, bench: Benchmark, rng: &mut SimRng) -> gpu_sim::job::JobGraph {
-        match bench {
-            Benchmark::FanOut => crate::dag::fanout_graph(self, crate::dag::sample_fanout_width(rng)),
-            Benchmark::Ipa => crate::dag::ipa_graph(self, crate::dag::IPA_WIDTH),
-            b => panic!("{b} is a chain benchmark; use job_kernels"),
-        }
-    }
-
     /// Generates `n` jobs of `bench` with exponential inter-arrival gaps at
-    /// the Table 4 rate (Section 5.3 simulates 128 jobs per benchmark).
+    /// the Table 4 rate (Section 5.3 simulates 128 jobs per benchmark):
+    /// the [`Arrivals`] stream, collected and materialized.
     ///
     /// Jobs get dense ids `0..n` in arrival order, as the simulator
     /// requires.
@@ -172,37 +126,10 @@ impl BenchmarkSuite {
         n: usize,
         seed: u64,
     ) -> Vec<JobDesc> {
-        let mut rng = SimRng::seed_from(seed ^ (bench as u64) << 8 ^ (rate as u64) << 4);
-        let jobs_per_sec = bench.rate_jobs_per_sec(rate);
-        let mut now = Cycle::ZERO;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            now += rng.exp_interarrival(jobs_per_sec);
-            if bench.is_dag() {
-                let graph = self.job_graph(bench, &mut rng);
-                out.push(
-                    JobDesc::from_graph(JobId(i as u32), bench.name(), graph, bench.deadline(), now)
-                        .expect("calibrated DAG jobs are structurally valid"),
-                );
-                continue;
-            }
-            let kernels = self.job_kernels(bench, i, &mut rng);
-            let label = match bench {
-                Benchmark::Hybrid => {
-                    if i % 2 == 0 {
-                        "HYBRID/LSTM128"
-                    } else {
-                        "HYBRID/GRU256"
-                    }
-                }
-                b => b.name(),
-            };
-            out.push(
-                JobDesc::chain(JobId(i as u32), label, kernels, bench.deadline(), now)
-                    .expect("calibrated chains are non-empty with positive deadlines"),
-            );
-        }
-        out
+        let seed = seed ^ (bench as u64) << 8 ^ (rate as u64) << 4;
+        Arrivals::new(Workload::Bench(bench), seed, bench.rate_jobs_per_sec(rate), n)
+            .into_jobs(self, bench.deadline())
+            .expect("benchmark deadlines are positive")
     }
 }
 

@@ -39,11 +39,13 @@ cargo test --release --manifest-path benchmark/Cargo.toml
 echo "== tier1: cargo clippy -D warnings (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier1: rustfmt --check (fleet engine module and binaries) =="
-# The fleet module and its two grid binaries are kept rustfmt-clean under
-# the root rustfmt.toml; the rest of the tree is not formatted yet.
+echo "== tier1: rustfmt --check (fleet module, job stream and binaries) =="
+# The fleet module, the job stream, the suite and three binaries are kept
+# rustfmt-clean under the root rustfmt.toml; the rest of the tree is not
+# formatted yet.
 rustfmt --check --edition 2021 crates/bench/src/cluster/*.rs \
-    crates/bench/src/bin/cluster.rs crates/bench/src/bin/chaos.rs
+    crates/bench/src/bin/cluster.rs crates/bench/src/bin/chaos.rs \
+    crates/bench/src/bin/dag.rs crates/workloads/src/stream.rs crates/workloads/src/suite.rs
 
 echo "== tier1: fault-sweep smoke + kill-and-resume byte-identity =="
 FAULTS_BIN=target/release/faults
@@ -374,9 +376,10 @@ echo "== tier1: a bad command line fails typed and writes nothing =="
 # Every binary reads its command line through one parser: a flag without
 # its value, a misspelt flag, an unknown artifact or a zero worker count
 # is an error naming the culprit, raised before anything is written. So is
-# a trace flag given for the other kind of cell, and so is a malformed cell
-# string, which prints its message rather than its `Debug` form. Each runs in an empty
-# directory, which a stray write would leave non-empty.
+# a trace flag given for the other kind of cell, a grid flag given with a
+# scenario file, and a malformed cell string, which prints its message
+# rather than its `Debug` form. Each runs in an empty directory, which a
+# stray write would leave non-empty.
 BIN_DIR="$PWD/target/release"
 mkdir "$TMP/argv"
 while read -r culprit cmd; do
@@ -407,6 +410,7 @@ fig99 all fig99
 --watch trace LL:HYBRID:high:d4:j200:s1 --watch 3
 `d0` cluster LL:HYBRID:high:d0:j8:s1
 fields trace RR:IPV6:low:j8
+--smoke dag --scenario-file examples/scenarios/fanout-diamond.json --smoke
 ARGV
 echo "   bad command lines exit non-zero, name the culprit and write nothing"
 
