@@ -33,11 +33,7 @@ fn fit_cost(spec: &KernelSpec) -> f64 {
 
 impl KernelSource for BenchmarkSuite {
     fn kernel(&self, name: &str) -> Arc<KernelDesc> {
-        self.by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown kernel {name}"))
-            .desc
-            .clone()
+        self.by_name.get(name).unwrap_or_else(|| panic!("unknown kernel {name}")).desc.clone()
     }
 }
 
@@ -90,9 +86,7 @@ impl BenchmarkSuite {
     ///
     /// Panics on unknown names.
     pub fn calibration(&self, name: &str) -> &CalibratedKernel {
-        self.by_name
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown kernel {name}"))
+        self.by_name.get(name).unwrap_or_else(|| panic!("unknown kernel {name}"))
     }
 
     /// The calibrated descriptor for `name`, or `None` when no such kernel
