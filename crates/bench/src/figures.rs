@@ -20,7 +20,9 @@ use workloads::table1;
 use crate::checkpoint::Checkpoint;
 use crate::cli::CliError;
 use crate::runner::{ResultsDb, DEFAULT_SEED};
-use crate::sweep::{device_simulation, run_cell, run_grid, BenchError, RunOptions, Scenario};
+use crate::sweep::{
+    device_simulation, run_cell, run_grid, BenchError, RunOptions, Scenario, SharedObserver,
+};
 
 /// Schedulers of Figure 6 (CPU-side study), excluding the RR baseline
 /// column itself.
@@ -267,7 +269,8 @@ pub fn fig10(sample_job: u32, n_jobs: usize, seed: u64, workers: usize) -> Strin
     let sections = par_map(&benches, workers, |&bench| {
         let jobs = suite.generate_jobs(bench, ArrivalRate::High, n_jobs, seed);
         let sampler = Arc::new(Mutex::new(MetricsSampler::new().watch_job(JobId(sample_job))));
-        let sim = device_simulation(suite, jobs, "LAX", FaultPlan::none(), &[sampler.clone()]);
+        let observer: SharedObserver = sampler.clone();
+        let sim = device_simulation(suite, jobs, "LAX", FaultPlan::none(), &[observer]);
         let report = sim.expect("jobs run").run();
         let rec = &report.records[sample_job as usize];
         let actual_us = rec.latency().map(|l| l.as_us_f64());
