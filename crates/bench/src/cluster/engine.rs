@@ -14,7 +14,6 @@ use sim_core::stats::StreamingQuantiles;
 use workloads::stream::{Arrival, JobSpec, Workload};
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::JobStream;
 use super::{ClusterBuilder, ClusterReport};
 use crate::sweep::{device_simulation, BenchError};
 
@@ -40,7 +39,7 @@ impl ClusterBuilder {
     pub(super) fn run_engine(
         &self,
         policy: RoutePolicy,
-        jobs: JobStream<'_>,
+        jobs: impl Iterator<Item = (Arrival, Duration)>,
         suite: &BenchmarkSuite,
         plan: &FleetFaultPlan,
     ) -> Result<ClusterReport, BenchError> {

@@ -7,7 +7,7 @@ use gpu_sim::prelude::*;
 use schedulers::routing;
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::{last_arrival, JobStream, MAX_JOBS};
+use super::arrivals::{job_stream, last_arrival, MAX_JOBS};
 use super::{ClusterReport, ClusterScenario};
 use crate::cli::{default_jobs, Cli, CliError};
 use crate::sweep::{BenchError, SharedObserver};
@@ -253,7 +253,7 @@ impl ClusterBuilder {
         };
         plan.validate(self.scenario.devices as u32)?;
         let suite = BenchmarkSuite::calibrated();
-        self.run_engine(policy, JobStream::new(&self.scenario, suite), suite, &plan)
+        self.run_engine(policy, job_stream(&self.scenario, suite), suite, &plan)
     }
 }
 

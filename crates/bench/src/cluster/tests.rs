@@ -12,7 +12,7 @@ use workloads::spec::{ArrivalRate, Benchmark};
 use workloads::stream::Arrival;
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::{arrivals, last_arrival, JobStream};
+use super::arrivals::{arrivals, job_stream, last_arrival};
 use super::*;
 use crate::checkpoint::{Codec, FleetCheckpoint, FleetCodec};
 use crate::cli::Cli;
@@ -24,7 +24,7 @@ fn scen(policy: &str) -> ClusterScenario {
 
 /// The cell's whole arrival stream.
 fn whole_stream(s: &ClusterScenario) -> Vec<(Arrival, Duration)> {
-    JobStream::new(s, BenchmarkSuite::calibrated()).collect()
+    job_stream(s, BenchmarkSuite::calibrated()).collect()
 }
 
 /// Records every probe event with its instant.

@@ -62,26 +62,22 @@ pub enum Workload {
 impl Workload {
     /// Draws the shape of job `ordinal` from `rng`.
     fn draw(&self, ordinal: usize, rng: &mut SimRng) -> JobSpec {
-        let rnn = |cell, hidden, rng: &mut SimRng| JobSpec::Rnn {
-            cell,
-            hidden,
-            seq_len: sample_seq_len(rng),
-        };
         let Workload::Bench(bench) = self else {
             return JobSpec::Graph;
         };
-        match bench {
-            Benchmark::Lstm => rnn(RnnCell::Lstm, Hidden::H128, rng),
-            Benchmark::Gru => rnn(RnnCell::Gru, Hidden::H128, rng),
-            Benchmark::Van => rnn(RnnCell::Vanilla, Hidden::H256, rng),
-            Benchmark::Hybrid if ordinal.is_multiple_of(2) => rnn(RnnCell::Lstm, Hidden::H128, rng),
-            Benchmark::Hybrid => rnn(RnnCell::Gru, Hidden::H256, rng),
-            Benchmark::FanOut => JobSpec::Dag { width: sample_fanout_width(rng) as u32 },
-            Benchmark::Ipa => JobSpec::Dag { width: IPA_WIDTH as u32 },
+        let (cell, hidden) = match bench {
+            Benchmark::Lstm => (RnnCell::Lstm, Hidden::H128),
+            Benchmark::Gru => (RnnCell::Gru, Hidden::H128),
+            Benchmark::Van => (RnnCell::Vanilla, Hidden::H256),
+            Benchmark::Hybrid if ordinal.is_multiple_of(2) => (RnnCell::Lstm, Hidden::H128),
+            Benchmark::Hybrid => (RnnCell::Gru, Hidden::H256),
+            Benchmark::FanOut => return JobSpec::Dag { width: sample_fanout_width(rng) as u32 },
+            Benchmark::Ipa => return JobSpec::Dag { width: IPA_WIDTH as u32 },
             Benchmark::Ipv6 | Benchmark::Cuckoo | Benchmark::Gmm | Benchmark::Stem => {
-                JobSpec::Single
+                return JobSpec::Single
             }
-        }
+        };
+        JobSpec::Rnn { cell, hidden, seq_len: sample_seq_len(rng) }
     }
 
     /// The label and kernel graph of a job of shape `spec` (a chain is
@@ -118,13 +114,20 @@ impl Workload {
     /// stages' calibrated isolated times, so a chain's sum and a DAG's
     /// longest arm.
     pub fn service(&self, suite: &BenchmarkSuite, spec: JobSpec) -> Duration {
+        let us = |name: &str| suite.calibration(name).measured_us;
+        // An RNN chain is summed as built: its graph would cost a fleet
+        // cell more than the cell's service table saves.
+        if let JobSpec::Rnn { cell, hidden, seq_len } = spec {
+            let chain = build_chain(cell, hidden, seq_len, suite);
+            return Duration::from_us_f64(chain.iter().map(|k| us(&k.name)).sum());
+        }
         let (_, graph) = self.job(suite, spec);
         let stages = graph.stages();
         let mut finish = vec![0.0f64; stages.len()];
         for &i in graph.topo_order() {
             let i = i as usize;
             let start = graph.preds(i).iter().fold(0.0f64, |acc, &p| acc.max(finish[p as usize]));
-            finish[i] = start + suite.calibration(&stages[i].name).measured_us;
+            finish[i] = start + us(&stages[i].name);
         }
         Duration::from_us_f64(finish.into_iter().fold(0.0f64, f64::max))
     }
@@ -178,11 +181,6 @@ impl Arrivals {
     pub fn new(workload: Workload, seed: u64, jobs_per_sec: f64, n: usize) -> Self {
         let rng = SimRng::seed_from(seed);
         Arrivals { workload, rng, jobs_per_sec, now: Cycle::ZERO, next: 0, n }
-    }
-
-    /// The workload the stream draws.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
     }
 
     /// Collects the rest of the stream, every job materialized with the
