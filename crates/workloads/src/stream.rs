@@ -61,23 +61,28 @@ pub enum Workload {
 
 impl Workload {
     /// Draws the shape of job `ordinal` from `rng`.
+    #[inline]
     fn draw(&self, ordinal: usize, rng: &mut SimRng) -> JobSpec {
+        let rnn = |cell, hidden, rng: &mut SimRng| JobSpec::Rnn {
+            cell,
+            hidden,
+            seq_len: sample_seq_len(rng),
+        };
         let Workload::Bench(bench) = self else {
             return JobSpec::Graph;
         };
-        let (cell, hidden) = match bench {
-            Benchmark::Lstm => (RnnCell::Lstm, Hidden::H128),
-            Benchmark::Gru => (RnnCell::Gru, Hidden::H128),
-            Benchmark::Van => (RnnCell::Vanilla, Hidden::H256),
-            Benchmark::Hybrid if ordinal.is_multiple_of(2) => (RnnCell::Lstm, Hidden::H128),
-            Benchmark::Hybrid => (RnnCell::Gru, Hidden::H256),
-            Benchmark::FanOut => return JobSpec::Dag { width: sample_fanout_width(rng) as u32 },
-            Benchmark::Ipa => return JobSpec::Dag { width: IPA_WIDTH as u32 },
+        match bench {
+            Benchmark::Lstm => rnn(RnnCell::Lstm, Hidden::H128, rng),
+            Benchmark::Gru => rnn(RnnCell::Gru, Hidden::H128, rng),
+            Benchmark::Van => rnn(RnnCell::Vanilla, Hidden::H256, rng),
+            Benchmark::Hybrid if ordinal.is_multiple_of(2) => rnn(RnnCell::Lstm, Hidden::H128, rng),
+            Benchmark::Hybrid => rnn(RnnCell::Gru, Hidden::H256, rng),
+            Benchmark::FanOut => JobSpec::Dag { width: sample_fanout_width(rng) as u32 },
+            Benchmark::Ipa => JobSpec::Dag { width: IPA_WIDTH as u32 },
             Benchmark::Ipv6 | Benchmark::Cuckoo | Benchmark::Gmm | Benchmark::Stem => {
-                return JobSpec::Single
+                JobSpec::Single
             }
-        };
-        JobSpec::Rnn { cell, hidden, seq_len: sample_seq_len(rng) }
+        }
     }
 
     /// The label and kernel graph of a job of shape `spec` (a chain is
@@ -206,6 +211,10 @@ impl Arrivals {
 impl Iterator for Arrivals {
     type Item = Arrival;
 
+    // Inlined into the fleet engine's routing loop, which draws one job
+    // per step from another crate: as a call, the draw cost a fast-tier
+    // cell 2-5% more.
+    #[inline(always)]
     fn next(&mut self) -> Option<Arrival> {
         if self.next == self.n {
             return None;
