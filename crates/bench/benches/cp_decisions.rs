@@ -53,8 +53,14 @@ fn busy_queues(n: usize, kernels_per_job: usize) -> Vec<ComputeQueue> {
                 })
                 .collect();
             let desc = Arc::new(
-                JobDesc::chain(JobId(i as u32), "bench", kernels, Duration::from_ms(7), Cycle::ZERO)
-                    .unwrap(),
+                JobDesc::chain(
+                    JobId(i as u32),
+                    "bench",
+                    kernels,
+                    Duration::from_ms(7),
+                    Cycle::ZERO,
+                )
+                .unwrap(),
             );
             let mut a = ActiveJob::new(desc, Cycle::ZERO);
             a.state = JobState::Running;

@@ -91,10 +91,7 @@ impl fmt::Display for DiffError {
             DiffError::Rules(why) => write!(f, "BENCHMARK.json: {why}"),
             DiffError::Line(side, line, why) => write!(f, "{side} line {line}: {why}"),
             DiffError::Pairs(parent, change) => {
-                write!(
-                    f,
-                    "cannot pair {parent} parent run(s) with {change} change run(s)"
-                )
+                write!(f, "cannot pair {parent} parent run(s) with {change} change run(s)")
             }
             DiffError::NoMetrics => {
                 write!(f, "the runs carry no end-to-end metric of BENCHMARK.json")
@@ -127,9 +124,7 @@ pub fn rules(benchmark_json: &str) -> Result<Vec<MetricRule>, DiffError> {
                 Some("lower") => Better::Lower,
                 Some("higher") => Better::Higher,
                 _ => {
-                    return Err(DiffError::Rules(format!(
-                        "`{name}` has no lower/higher `better`"
-                    )))
+                    return Err(DiffError::Rules(format!("`{name}` has no lower/higher `better`")))
                 }
             };
             let bound = m
@@ -137,11 +132,7 @@ pub fn rules(benchmark_json: &str) -> Result<Vec<MetricRule>, DiffError> {
                 .and_then(Value::as_f64)
                 .filter(|b| b.is_finite() && *b >= 0.0)
                 .ok_or_else(|| DiffError::Rules(format!("`{name}` has no usable bound")))?;
-            Ok(MetricRule {
-                name: name.to_string(),
-                better,
-                bound,
-            })
+            Ok(MetricRule { name: name.to_string(), better, bound })
         })
         .collect()
 }
@@ -180,11 +171,7 @@ fn parse_run(side: Side, line: usize, text: &str) -> Result<Run, DiffError> {
             .ok_or_else(|| err(format!("metric `{name}` has no finite value")))?;
         metrics.insert(name.clone(), value);
     }
-    Ok(Run {
-        attempted,
-        failed,
-        metrics,
-    })
+    Ok(Run { attempted, failed, metrics })
 }
 
 fn parse_runs(side: Side, text: &str) -> Result<Vec<Run>, DiffError> {
@@ -212,11 +199,7 @@ impl Quartiles {
             let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
             v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
         };
-        Quartiles {
-            q1: at(0.25),
-            median: at(0.5),
-            q3: at(0.75),
-        }
+        Quartiles { q1: at(0.25), median: at(0.5), q3: at(0.75) }
     }
 
     fn iqr(&self) -> f64 {
@@ -275,11 +258,7 @@ fn judge(rule: &MetricRule, name: &str, parent: &[f64], change: &[f64]) -> Metri
         Better::Lower => -1.0,
         Better::Higher => 1.0,
     };
-    let wins = parent
-        .iter()
-        .zip(change)
-        .filter(|(p, c)| sign * (*c - *p) > 0.0)
-        .count();
+    let wins = parent.iter().zip(change).filter(|(p, c)| sign * (*c - *p) > 0.0).count();
     let (pq, cq) = (Quartiles::of(parent), Quartiles::of(change));
     let gap = sign * (cq.median - pq.median);
     let worse = if gap >= 0.0 {
@@ -331,10 +310,7 @@ impl Report {
     /// Process exit code: 1 on any regression or a larger failure share,
     /// 0 otherwise.
     pub fn exit_code(&self) -> u8 {
-        let regressed = self
-            .metrics
-            .iter()
-            .any(|m| m.verdict == Verdict::Regression);
+        let regressed = self.metrics.iter().any(|m| m.verdict == Verdict::Regression);
         u8::from(regressed || self.more_failures())
     }
 
@@ -363,9 +339,7 @@ impl Report {
         let (pf, pa) = self.parent_ops;
         let (cf, ca) = self.change_ops;
         let mut out = t.render();
-        out.push_str(&format!(
-            "failed operations: parent {pf}/{pa}, change {cf}/{ca}\n"
-        ));
+        out.push_str(&format!("failed operations: parent {pf}/{pa}, change {cf}/{ca}\n"));
         out.push_str(match (self.exit_code(), self.more_failures()) {
             (0, _) => "benchdiff: no regression\n",
             (_, true) => "benchdiff: FAIL (the change fails a larger share of operations)\n",
@@ -431,11 +405,7 @@ pub fn compare(rules: &[MetricRule], parent: &str, change: &str) -> Result<Repor
             (f.saturating_add(r.failed), a.saturating_add(r.attempted))
         })
     };
-    Ok(Report {
-        metrics,
-        parent_ops: ops(&parent),
-        change_ops: ops(&change),
-    })
+    Ok(Report { metrics, parent_ops: ops(&parent), change_ops: ops(&change) })
 }
 
 #[cfg(test)]
@@ -458,10 +428,7 @@ mod tests {
 
     /// A run file of `sim_us_per_s` values (higher is better, bound 0.25).
     fn runs(values: &[f64]) -> String {
-        values
-            .iter()
-            .map(|v| line(10, 0, &[("sim_us_per_s", *v)]) + "\n")
-            .collect()
+        values.iter().map(|v| line(10, 0, &[("sim_us_per_s", *v)]) + "\n").collect()
     }
 
     fn repo_rules() -> Vec<MetricRule> {
@@ -474,16 +441,12 @@ mod tests {
         report.metrics[0].clone()
     }
 
-    const PARENT: [f64; 10] = [
-        100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0,
-    ];
+    const PARENT: [f64; 10] = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0];
 
     #[test]
     fn the_compiled_in_rules_are_the_benchmarks_end_to_end_metrics() {
-        let names: Vec<(String, Better, f64)> = repo_rules()
-            .into_iter()
-            .map(|r| (r.name, r.better, r.bound))
-            .collect();
+        let names: Vec<(String, Better, f64)> =
+            repo_rules().into_iter().map(|r| (r.name, r.better, r.bound)).collect();
         assert_eq!(
             names,
             vec![
@@ -544,9 +507,7 @@ mod tests {
 
     #[test]
     fn a_spread_wider_than_the_bound_is_unresolved() {
-        let wide = [
-            60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0,
-        ];
+        let wide = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0];
         let m = only(&runs(&PARENT), &runs(&wide));
         assert_eq!(m.verdict, Verdict::Unresolved);
         let m = only(&runs(&wide), &runs(&wide));
@@ -555,9 +516,7 @@ mod tests {
 
     #[test]
     fn a_larger_failure_share_on_the_change_side_fails() {
-        let ok: String = (0..10)
-            .map(|_| line(40, 0, &[("sim_us_per_s", 1.0)]) + "\n")
-            .collect();
+        let ok: String = (0..10).map(|_| line(40, 0, &[("sim_us_per_s", 1.0)]) + "\n").collect();
         let mut bad = ok.clone();
         bad.push_str(&line(40, 1, &[("sim_us_per_s", 1.0)]));
         let ok11 = format!("{ok}{}", line(40, 0, &[("sim_us_per_s", 1.0)]));
@@ -589,11 +548,8 @@ mod tests {
                 .collect::<String>()
         };
         let report = compare(&repo_rules(), &merged(4.0), &merged(6.0)).unwrap();
-        let got: Vec<(&str, Verdict)> = report
-            .metrics
-            .iter()
-            .map(|m| (m.name.as_str(), m.verdict))
-            .collect();
+        let got: Vec<(&str, Verdict)> =
+            report.metrics.iter().map(|m| (m.name.as_str(), m.verdict)).collect();
         assert_eq!(
             got,
             vec![
@@ -612,20 +568,13 @@ mod tests {
         assert_eq!(compare(&repo, &ten, &nine), Err(DiffError::Pairs(10, 9)));
         assert_eq!(compare(&repo, "", "\n"), Err(DiffError::Pairs(0, 0)));
         let foreign = line(1, 0, &[("jobs_per_s", 1.0)]);
-        assert_eq!(
-            compare(&repo, &foreign, &foreign),
-            Err(DiffError::NoMetrics)
-        );
+        assert_eq!(compare(&repo, &foreign, &foreign), Err(DiffError::NoMetrics));
         let mut lines: Vec<&str> = ten.lines().collect();
         let gap = line(10, 0, &[("peak_rss_mb", 1.0)]);
         lines[4] = &gap;
         assert_eq!(
             compare(&repo, &ten, &lines.join("\n")),
-            Err(DiffError::Line(
-                Side::Change,
-                5,
-                "metric `sim_us_per_s` is missing".into()
-            ))
+            Err(DiffError::Line(Side::Change, 5, "metric `sim_us_per_s` is missing".into()))
         );
         assert!(matches!(
             compare(&repo, &ten.replace("\"failed\":0", "\"failed\":11"), &ten),

@@ -43,10 +43,9 @@ fn run_cell(variant: &Variant, bench: Benchmark, n: usize) -> usize {
             let period = cfg.update_period;
             (SchedulerMode::Cp(Box::new(Lax::with_config(cfg.clone()))), period)
         }
-        Variant::Drop => (
-            SchedulerMode::Cp(Box::new(LaxDrop::new())),
-            sim_core::time::Duration::from_us(100),
-        ),
+        Variant::Drop => {
+            (SchedulerMode::Cp(Box::new(LaxDrop::new())), sim_core::time::Duration::from_us(100))
+        }
     };
     let suite = BenchmarkSuite::calibrated();
     let jobs = suite.generate_jobs(bench, ArrivalRate::High, n, lax_bench::runner::DEFAULT_SEED);
@@ -63,12 +62,9 @@ fn run_cell(variant: &Variant, bench: Benchmark, n: usize) -> usize {
 /// Runs `variants` × [`BENCHES`] on `workers` threads and renders one row
 /// per variant.
 fn table_for(variants: &[(String, Variant)], n: usize, workers: usize) -> Table {
-    let cells: Vec<(usize, Benchmark)> = (0..variants.len())
-        .flat_map(|v| BENCHES.into_iter().map(move |b| (v, b)))
-        .collect();
-    let met = par_map(&cells, workers, |&(v, bench)| {
-        run_cell(&variants[v].1, bench, n)
-    });
+    let cells: Vec<(usize, Benchmark)> =
+        (0..variants.len()).flat_map(|v| BENCHES.into_iter().map(move |b| (v, b))).collect();
+    let met = par_map(&cells, workers, |&(v, bench)| run_cell(&variants[v].1, bench, n));
     let mut header = vec!["variant".to_string()];
     header.extend(BENCHES.iter().map(|b| b.name().to_string()));
     let mut t = Table::new(header);

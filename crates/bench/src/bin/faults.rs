@@ -40,8 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let grid = if smoke { FaultSweep::smoke() } else { FaultSweep::full() };
 
     let mut checkpoint = Checkpoint::for_run(&ckpt, resume, "faults");
-    let total =
-        grid.schedulers.len() * grid.benches.len() * grid.fault_milli.len();
+    let total = grid.schedulers.len() * grid.benches.len() * grid.fault_milli.len();
     eprintln!(
         "[faults] {} grid: {total} cells on {jobs} worker thread(s)",
         if smoke { "smoke" } else { "full" }

@@ -80,7 +80,8 @@ impl<C: Codec> Store<C> {
     /// unrecognized file simply yields an empty checkpoint.
     pub fn open(path: impl Into<PathBuf>) -> Self {
         let path = path.into();
-        let cells = fs::read_to_string(&path).map(|text| parse_file::<C>(&text)).unwrap_or_default();
+        let cells =
+            fs::read_to_string(&path).map(|text| parse_file::<C>(&text)).unwrap_or_default();
         Store { path, cells }
     }
 
@@ -497,8 +498,9 @@ mod tests {
         [("LL", 0), ("RR", 1500)]
             .iter()
             .map(|&(policy, milli)| {
-                let s = ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7)
-                    .with_fault_milli(milli);
+                let s =
+                    ClusterScenario::new(policy, Benchmark::Hybrid, ArrivalRate::High, 4, 400, 7)
+                        .with_fault_milli(milli);
                 ClusterBuilder::new(s).run().unwrap()
             })
             .collect()
@@ -605,8 +607,11 @@ mod tests {
     #[test]
     fn older_format_versions_are_rejected_wholesale() {
         let path = tmp_path("v1");
-        fs::write(&path, "lax-bench-checkpoint v1\ncell k\nscheduler A\nsummary 1 0 0 0 0 0\nend\n")
-            .unwrap();
+        fs::write(
+            &path,
+            "lax-bench-checkpoint v1\ncell k\nscheduler A\nsummary 1 0 0 0 0 0\nend\n",
+        )
+        .unwrap();
         assert!(Checkpoint::open(&path).is_empty(), "v1 header reads as absent");
         // Pre-miss-attribution fleet files (v2 header) are foreign too: the
         // parser must not guess at a missing `misses` line.

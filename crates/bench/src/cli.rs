@@ -293,17 +293,62 @@ mod tests {
 
     /// Every flag, value and typo of the binaries' command lines.
     const VOCABULARY: &[&str] = &[
-        "--jobs", "--resume", "--smoke", "--out", "--ckpt", "--check", "--scenario-file",
-        "--fidelity", "--scheduler", "--slots", "--jitter", "--retry-budget", "--backoff-us",
-        "--shed", "--csv", "--series-json", "--window-us", "--watch", "--floor", "4", "0", "x",
-        "-1", "0.5", "1e99", "a.txt", "fast", "detailed", "RR", "LAX",
-        "18446744073709551615", "LL:HYBRID:high:d4:j2000:s7:f1", "RR:IPV6:low:j8:s1", "fig8",
-        "table5", "fig99", "32", "--resum", "--jbos", "-j", "--jobs=2", "--out=", "-", "--", "",
+        "--jobs",
+        "--resume",
+        "--smoke",
+        "--out",
+        "--ckpt",
+        "--check",
+        "--scenario-file",
+        "--fidelity",
+        "--scheduler",
+        "--slots",
+        "--jitter",
+        "--retry-budget",
+        "--backoff-us",
+        "--shed",
+        "--csv",
+        "--series-json",
+        "--window-us",
+        "--watch",
+        "--floor",
+        "4",
+        "0",
+        "x",
+        "-1",
+        "0.5",
+        "1e99",
+        "a.txt",
+        "fast",
+        "detailed",
+        "RR",
+        "LAX",
+        "18446744073709551615",
+        "LL:HYBRID:high:d4:j2000:s7:f1",
+        "RR:IPV6:low:j8:s1",
+        "fig8",
+        "table5",
+        "fig99",
+        "32",
+        "--resum",
+        "--jbos",
+        "-j",
+        "--jobs=2",
+        "--out=",
+        "-",
+        "--",
+        "",
     ];
 
     /// The value flags a fuzzed line is read for, besides the knobs.
     const VALUES: &[&str] = &[
-        "--out", "--ckpt", "--scenario-file", "--csv", "--series-json", "--window-us", "--watch",
+        "--out",
+        "--ckpt",
+        "--scenario-file",
+        "--csv",
+        "--series-json",
+        "--window-us",
+        "--watch",
         "--floor",
     ];
 
@@ -344,8 +389,10 @@ mod tests {
             let mut cli = Cli::new(argv.clone());
             let read = (|| {
                 let jobs = cli.parse::<usize>("--jobs")?;
-                let values: Vec<_> =
-                    VALUES.iter().map(|f| cli.value(f).map(|v| (*f, v))).collect::<Result<_, _>>()?;
+                let values: Vec<_> = VALUES
+                    .iter()
+                    .map(|f| cli.value(f).map(|v| (*f, v)))
+                    .collect::<Result<_, _>>()?;
                 for flag in ["--resume", "--smoke", "--check"] {
                     cli.flag(flag)?;
                 }

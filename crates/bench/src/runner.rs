@@ -116,7 +116,12 @@ impl ResultsDb {
     ///
     /// Returns [`BenchError`] if the cell cannot run (unknown scheduler
     /// name, invalid generated jobs, a panic on both attempts).
-    pub fn get(&mut self, scheduler: &str, bench: Benchmark, rate: ArrivalRate) -> Result<&SimReport, BenchError> {
+    pub fn get(
+        &mut self,
+        scheduler: &str,
+        bench: Benchmark,
+        rate: ArrivalRate,
+    ) -> Result<&SimReport, BenchError> {
         let key = self.scenario(scheduler, bench, rate);
         if !self.cache.contains_key(&key) {
             self.run_missing(std::slice::from_ref(&key), 1)?;
@@ -150,7 +155,12 @@ impl ResultsDb {
     /// # Errors
     ///
     /// Returns [`BenchError`] if the cell cannot run.
-    pub fn met(&mut self, scheduler: &str, bench: Benchmark, rate: ArrivalRate) -> Result<usize, BenchError> {
+    pub fn met(
+        &mut self,
+        scheduler: &str,
+        bench: Benchmark,
+        rate: ArrivalRate,
+    ) -> Result<usize, BenchError> {
         Ok(self.get(scheduler, bench, rate)?.deadlines_met())
     }
 
@@ -255,9 +265,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("lax-db-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut first = ResultsDb::with_jobs(4, 2).with_checkpoints(Checkpoint::open(&path));
-        first
-            .warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2)
-            .unwrap();
+        first.warm(&["RR", "EDF"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2).unwrap();
         assert_eq!(first.checkpoint().unwrap().len(), 2, "every warmed cell persisted");
 
         // A new db over the same file starts fully warm — the resume path —
@@ -294,9 +302,7 @@ mod tests {
     #[test]
     fn warm_reports_bad_cell_but_caches_good_ones() {
         let mut db = ResultsDb::with_jobs(2, 1);
-        let err = db
-            .warm(&["RR", "NOPE"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2)
-            .unwrap_err();
+        let err = db.warm(&["RR", "NOPE"], &[Benchmark::Ipv6], &[ArrivalRate::Low], 2).unwrap_err();
         assert!(matches!(err, BenchError::UnknownScheduler(_)));
         assert_eq!(db.len(), 1, "the RR cell still landed in cache");
     }

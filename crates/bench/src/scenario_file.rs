@@ -61,10 +61,8 @@ pub enum FileCells {
 /// DAG (the cluster's symbolic fast tier needs a named benchmark) or more
 /// than one scheduler (its cells would run identically).
 pub fn file_cells(file: &ScenarioFile) -> Result<FileCells, BenchError> {
-    let grid = file
-        .schedulers
-        .iter()
-        .flat_map(|s| file.rates.iter().map(move |&rate| (s.clone(), rate)));
+    let grid =
+        file.schedulers.iter().flat_map(|s| file.rates.iter().map(move |&rate| (s.clone(), rate)));
     Ok(match (&file.workload, &file.fleet) {
         (WorkloadSpec::Named(bench), None) => FileCells::Device(
             grid.map(|(s, rate)| {
@@ -146,7 +144,14 @@ pub fn run_scenario_file(file: &ScenarioFile, workers: usize) -> Result<String, 
         }
     };
     let mut table = Table::with_columns(&[
-        "scheduler", "rate", "jobs", "met", "rejected", "attain", "p99_ms", "thpt/s",
+        "scheduler",
+        "rate",
+        "jobs",
+        "met",
+        "rejected",
+        "attain",
+        "p99_ms",
+        "thpt/s",
     ]);
     for ((scheduler, rate), result) in rows.into_iter().zip(results) {
         let r = result?;
@@ -173,8 +178,8 @@ pub fn run_scenario_file(file: &ScenarioFile, workers: usize) -> Result<String, 
 ///
 /// The read's I/O error or the file's typed [`ScenarioFileError`].
 pub fn read_scenario_file(path: &Path) -> Result<ScenarioFile, Box<dyn Error>> {
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let source = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Ok(source.parse().map_err(|e| format!("{}: {e}", path.display()))?)
 }
 
@@ -313,7 +318,10 @@ mod tests {
         let inline = WorkloadSpec::Inline(workloads::scenario::DagSpec {
             deadline_us: 100.0,
             rate_jobs_per_sec: [1000.0, 500.0, 100.0],
-            stages: vec![workloads::scenario::StageSpec { kernel: "stem".into(), deadline_us: None }],
+            stages: vec![workloads::scenario::StageSpec {
+                kernel: "stem".into(),
+                deadline_us: None,
+            }],
             edges: vec![],
         });
         // A fleet file fails typed on an inline DAG, and on a second

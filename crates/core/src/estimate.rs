@@ -110,10 +110,7 @@ pub fn remaining_critical_path_us(job: &ActiveJob, rates: &mut impl RateProvider
             let wgs = kernels[i].num_wgs().saturating_sub(job.stages[i].wgs_completed);
             stage_cost_us(kernels[i].class, wgs, rates)
         };
-        let start = graph
-            .preds(i)
-            .iter()
-            .fold(0.0f64, |acc, &p| acc.max(finish[p as usize]));
+        let start = graph.preds(i).iter().fold(0.0f64, |acc, &p| acc.max(finish[p as usize]));
         finish[i] = start + cost;
         best = best.max(finish[i]);
     }
@@ -199,8 +196,7 @@ mod tests {
         let graph =
             gpu_sim::job::JobGraph::new(stages, vec![(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let desc = Arc::new(
-            JobDesc::from_graph(JobId(0), "b", graph, Duration::from_us(100), Cycle::ZERO)
-                .unwrap(),
+            JobDesc::from_graph(JobId(0), "b", graph, Duration::from_us(100), Cycle::ZERO).unwrap(),
         );
         ActiveJob::new(desc, Cycle::ZERO)
     }

@@ -231,7 +231,13 @@ mod tests {
         let jobs = vec![host_job(0, 10, 1_000)];
         let counters = warmed(1.0);
         let cfg = GpuConfig::default();
-        let view = HostView { now: Cycle::ZERO, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
+        let view = HostView {
+            now: Cycle::ZERO,
+            jobs: &jobs,
+            counters: &counters,
+            config: &cfg,
+            inflight_kernels: 0,
+        };
         let mut s = LaxCpu::new();
         let mut out = Vec::new();
         s.react(HostEvent::Arrival(JobId(0)), &view, &mut out);
@@ -244,7 +250,13 @@ mod tests {
         let jobs = vec![host_job(0, 100_000, 1_000_000), host_job(1, 10, 50)];
         let counters = warmed(1.0);
         let cfg = GpuConfig::default();
-        let view = HostView { now: Cycle::ZERO, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
+        let view = HostView {
+            now: Cycle::ZERO,
+            jobs: &jobs,
+            counters: &counters,
+            config: &cfg,
+            inflight_kernels: 0,
+        };
         let mut s = LaxCpu::new();
         let mut out = Vec::new();
         s.react(HostEvent::Arrival(JobId(0)), &view, &mut out);
@@ -259,7 +271,8 @@ mod tests {
         let counters = warmed(1.0);
         let cfg = GpuConfig::default();
         let now = Cycle::ZERO + Duration::from_us(100);
-        let view = HostView { now, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
+        let view =
+            HostView { now, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
         let mut s = LaxCpu::new();
         let mut out = Vec::new();
         s.react(HostEvent::Arrival(JobId(0)), &view, &mut out);
@@ -274,7 +287,13 @@ mod tests {
         let jobs = vec![host_job(0, 10, 10_000), host_job(1, 500, 1_000)];
         let counters = warmed(1.0);
         let cfg = GpuConfig::default();
-        let view = HostView { now: Cycle::ZERO, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
+        let view = HostView {
+            now: Cycle::ZERO,
+            jobs: &jobs,
+            counters: &counters,
+            config: &cfg,
+            inflight_kernels: 0,
+        };
         let mut s = LaxSw::new();
         let mut out = Vec::new();
         s.react(HostEvent::Arrival(JobId(0)), &view, &mut out);

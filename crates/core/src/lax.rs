@@ -337,9 +337,7 @@ mod tests {
         let mut queues = vec![queue_with_job(0, 10, 1_000, JobState::Ready)];
         queues[0].job_mut().priority = 777;
         let mut counters = warmed_counters(1.0);
-        with_ctx(&mut queues, &mut counters, Cycle::ZERO, |ctx| {
-            lax.on_job_enqueued(ctx, 0)
-        });
+        with_ctx(&mut queues, &mut counters, Cycle::ZERO, |ctx| lax.on_job_enqueued(ctx, 0));
         assert_eq!(queues[0].job().priority, 0);
     }
 
@@ -367,9 +365,6 @@ mod tests {
         let s = sampler.lock().unwrap();
         assert_eq!(s.watched_predicted().points().len(), 1, "only the watched job is sampled");
         assert_eq!(s.watched_priority().points().len(), 1);
-        assert_eq!(
-            s.watched_priority().points()[0].value,
-            queues[0].job().priority as f64
-        );
+        assert_eq!(s.watched_priority().points()[0].value, queues[0].job().priority as f64);
     }
 }

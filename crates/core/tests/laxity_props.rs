@@ -136,7 +136,12 @@ fn admission_matches_the_inequality() {
         let hold = uniform(&mut rng, 0.0, 10_000.0);
         let age = uniform(&mut rng, 0.0, 10_000.0);
         let deadline = uniform(&mut rng, 1.0, 10_000.0);
-        let e = AdmissionEstimate { queue_delay_us: queue, hold_us: hold, age_us: age, deadline_us: deadline };
+        let e = AdmissionEstimate {
+            queue_delay_us: queue,
+            hold_us: hold,
+            age_us: age,
+            deadline_us: deadline,
+        };
         assert_eq!(e.accepts(), queue + hold + age < deadline, "case {case}");
     }
 }
@@ -150,7 +155,12 @@ fn admission_is_monotone_in_queue_delay() {
         let extra = uniform(&mut rng, 0.0, 5_000.0);
         let hold = uniform(&mut rng, 0.0, 5_000.0);
         let deadline = uniform(&mut rng, 1.0, 10_000.0);
-        let base = AdmissionEstimate { queue_delay_us: queue, hold_us: hold, age_us: 0.0, deadline_us: deadline };
+        let base = AdmissionEstimate {
+            queue_delay_us: queue,
+            hold_us: hold,
+            age_us: 0.0,
+            deadline_us: deadline,
+        };
         let worse = AdmissionEstimate { queue_delay_us: queue + extra, ..base };
         assert!(
             !worse.accepts() || base.accepts(),

@@ -34,9 +34,7 @@ impl CpFrontend {
 /// A job hit its arrival time: route it to the CP (bind or backlog) or to
 /// the host model, depending on which side owns scheduling.
 pub(crate) fn on_arrival(st: &mut SimState, fx: &mut Effects<'_>, idx: u32, now: Cycle) {
-    st.shared
-        .probes
-        .emit_with(now, || ProbeEvent::JobArrived { job: JobId(idx) });
+    st.shared.probes.emit_with(now, || ProbeEvent::JobArrived { job: JobId(idx) });
     match st.shared.mode {
         SchedulerMode::Cp(_) => {
             if !bind_job(st, fx, idx, now) {
@@ -90,9 +88,11 @@ pub(crate) fn admit(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycl
     match decision {
         Admission::Accept => {
             let id = st.shared.queues[q].job().job.id;
-            st.shared
-                .probes
-                .emit_with(now, || ProbeEvent::CpDecision { job: id, queue: q, admitted: true });
+            st.shared.probes.emit_with(now, || ProbeEvent::CpDecision {
+                job: id,
+                queue: q,
+                admitted: true,
+            });
             let a = st.shared.queues[q].job_mut();
             a.state = JobState::Ready;
             state::with_cp(st, now, |s, ctx| s.on_job_enqueued(ctx, q));
@@ -102,9 +102,11 @@ pub(crate) fn admit(st: &mut SimState, fx: &mut Effects<'_>, q: usize, now: Cycl
             let a = st.shared.queues[q].active.take().expect("admitting an empty queue");
             st.shared.queue_of_job.remove(&a.job.id);
             let id = a.job.id;
-            st.shared
-                .probes
-                .emit_with(now, || ProbeEvent::CpDecision { job: id, queue: q, admitted: false });
+            st.shared.probes.emit_with(now, || ProbeEvent::CpDecision {
+                job: id,
+                queue: q,
+                admitted: false,
+            });
             st.shared.resolve(a.job.id, JobFate::Rejected(now), now);
             pump(st, fx, now);
         }

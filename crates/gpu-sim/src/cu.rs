@@ -38,10 +38,7 @@ impl ComputeUnit {
 
     /// Free wavefront slots across all SIMD units.
     pub fn free_wave_slots(&self) -> u32 {
-        self.simds
-            .iter()
-            .map(|s| self.waves_per_simd - s.resident())
-            .sum()
+        self.simds.iter().map(|s| self.waves_per_simd - s.resident()).sum()
     }
 
     /// Wavefronts currently resident.

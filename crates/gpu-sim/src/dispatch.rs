@@ -36,10 +36,8 @@ pub(crate) fn try_dispatch(st: &mut SimState, fx: &mut Effects<'_>, now: Cycle) 
     for (i, q) in st.shared.queues.iter().enumerate() {
         if let Some(a) = &q.active {
             if a.abort_requested && a.state != JobState::Init {
-                let inflight = a
-                    .stages
-                    .iter()
-                    .any(|s| s.run.is_some_and(|rk| st.exec.run_inflight(rk)));
+                let inflight =
+                    a.stages.iter().any(|s| s.run.is_some_and(|rk| st.exec.run_inflight(rk)));
                 if !inflight {
                     aborts.push(i);
                 }

@@ -138,11 +138,7 @@ impl Dram {
     /// Current queueing backlog (cycles beyond `now`) of the most congested
     /// channel; a contention observability hook for tests.
     pub fn max_backlog(&self, now: Cycle) -> Duration {
-        self.busy_until
-            .iter()
-            .map(|&b| b.saturating_since(now))
-            .max()
-            .unwrap_or(Duration::ZERO)
+        self.busy_until.iter().map(|&b| b.saturating_since(now)).max().unwrap_or(Duration::ZERO)
     }
 }
 

@@ -60,7 +60,13 @@ mod tests {
 
     #[test]
     fn memory_energy_charges_each_level() {
-        let cfg = EnergyConfig { valu_pj: 0.0, l1_pj: 1.0, l2_pj: 10.0, dram_pj: 100.0, static_watts: 0.0 };
+        let cfg = EnergyConfig {
+            valu_pj: 0.0,
+            l1_pj: 1.0,
+            l2_pj: 10.0,
+            dram_pj: 100.0,
+            static_watts: 0.0,
+        };
         let mut m = EnergyMeter::new(cfg);
         m.add_memory(AccessMix { l1: 1, l2: 1, dram: 1 });
         // 3 L1 lookups + 2 L2 + 1 DRAM = 3 + 20 + 100 = 123 pJ
@@ -69,7 +75,8 @@ mod tests {
 
     #[test]
     fn static_power_integrates_over_makespan() {
-        let cfg = EnergyConfig { valu_pj: 0.0, l1_pj: 0.0, l2_pj: 0.0, dram_pj: 0.0, static_watts: 10.0 };
+        let cfg =
+            EnergyConfig { valu_pj: 0.0, l1_pj: 0.0, l2_pj: 0.0, dram_pj: 0.0, static_watts: 10.0 };
         let m = EnergyMeter::new(cfg);
         // 10 W for 1 ms = 10 mJ... in millijoules: 10 * 1e-3 s * 1e3 = 10.
         assert!((m.total_mj(Duration::from_ms(1)) - 10.0).abs() < 1e-9);

@@ -290,18 +290,14 @@ fn route(en: &mut Engine, st: &mut SimState, ev: Ev, now: Cycle) {
         }
         Ev::Unblock(q) => {
             // Only re-dispatch if the queue is actually eligible again.
-            let unblocked = st.shared.queues[q]
-                .active
-                .as_ref()
-                .is_some_and(|a| a.blocked_until <= now);
+            let unblocked =
+                st.shared.queues[q].active.as_ref().is_some_and(|a| a.blocked_until <= now);
             if unblocked {
                 dispatch::try_dispatch(st, &mut fx, now);
             }
         }
         Ev::FaultTransition(i) => {
-            st.shared
-                .probes
-                .emit_with(now, || ProbeEvent::FaultTransition { index: i });
+            st.shared.probes.emit_with(now, || ProbeEvent::FaultTransition { index: i });
             let (_, action) = en.fault_transitions[i];
             match st.shared.injector.apply(action) {
                 FaultEffect::None => {}

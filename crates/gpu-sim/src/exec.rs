@@ -267,7 +267,13 @@ impl Exec {
 /// stamp: the earliest allocation governs ordering, matching the old
 /// behavior where the first of several same-generation heap events was the
 /// one that fired.
-pub(crate) fn reschedule_simd(ex: &mut Exec, fx: &mut Effects<'_>, cu: usize, simd: usize, now: Cycle) {
+pub(crate) fn reschedule_simd(
+    ex: &mut Exec,
+    fx: &mut Effects<'_>,
+    cu: usize,
+    simd: usize,
+    now: Cycle,
+) {
     let s = &ex.cus[cu].simds[simd];
     let slot = cu * ex.simds_per_cu + simd;
     match s.next_completion(now) {
@@ -286,7 +292,13 @@ pub(crate) fn reschedule_simd(ex: &mut Exec, fx: &mut Effects<'_>, cu: usize, si
 }
 
 /// Places one WG of run `run_key` onto CU `cu_idx`, issuing its waves.
-pub(crate) fn place_wg(st: &mut SimState, fx: &mut Effects<'_>, run_key: SlabKey, cu_idx: usize, now: Cycle) {
+pub(crate) fn place_wg(
+    st: &mut SimState,
+    fx: &mut Effects<'_>,
+    run_key: SlabKey,
+    cu_idx: usize,
+    now: Cycle,
+) {
     let SimState { shared, exec, .. } = st;
     let desc = exec.runs[run_key].desc.clone();
     let job = exec.runs[run_key].job;
@@ -301,9 +313,11 @@ pub(crate) fn place_wg(st: &mut SimState, fx: &mut Effects<'_>, run_key: SlabKey
         vgpr_bytes: desc.vgpr_bytes_per_wg(),
         lds_bytes: desc.lds_per_wg,
     });
-    shared
-        .probes
-        .emit_with(now, || ProbeEvent::WgDispatched { cu: cu_idx as u16, job, wg: wg_key });
+    shared.probes.emit_with(now, || ProbeEvent::WgDispatched {
+        cu: cu_idx as u16,
+        job,
+        wg: wg_key,
+    });
     // Segments started inside a slowdown window are stretched; `* 1.0`
     // outside windows is bit-exact, preserving fault-free identity.
     let segment = exec.runs[run_key].segment_cycles * shared.fault_scale();
@@ -438,9 +452,7 @@ fn finish_wave(st: &mut SimState, fx: &mut Effects<'_>, key: SlabKey, now: Cycle
         let SimState { shared, exec, .. } = st;
         let w = exec.waves.remove(key).expect("finishing a dead wave");
         let (cu, simd) = (w.cu as usize, w.simd as usize);
-        shared
-            .energy
-            .add_compute(exec.runs[w.run].desc.profile.issue_cycles as f64);
+        shared.energy.add_compute(exec.runs[w.run].desc.profile.issue_cycles as f64);
         exec.cus[cu].simds[simd].release_slot();
         let wg = &mut exec.wgs[w.wg];
         wg.waves_done += 1;
@@ -464,9 +476,11 @@ fn complete_wg(st: &mut SimState, fx: &mut Effects<'_>, wg_key: SlabKey, now: Cy
         let q = exec.runs[run_key].queue;
         let job_id = exec.runs[run_key].job;
         let kernel_idx = exec.runs[run_key].kernel_idx;
-        shared
-            .probes
-            .emit_with(now, || ProbeEvent::WgRetired { cu: wg.cu as u16, job: job_id, wg: wg_key });
+        shared.probes.emit_with(now, || ProbeEvent::WgRetired {
+            cu: wg.cu as u16,
+            job: job_id,
+            wg: wg_key,
+        });
         shared.queues[q].job_mut().stages[kernel_idx].wgs_completed += 1;
         (run_key, q, job_id)
     };
@@ -479,7 +493,13 @@ fn complete_wg(st: &mut SimState, fx: &mut Effects<'_>, wg_key: SlabKey, now: Cy
     dispatch::try_dispatch(st, fx, now);
 }
 
-fn complete_kernel(st: &mut SimState, fx: &mut Effects<'_>, q: usize, run_key: SlabKey, now: Cycle) {
+fn complete_kernel(
+    st: &mut SimState,
+    fx: &mut Effects<'_>,
+    q: usize,
+    run_key: SlabKey,
+    now: Cycle,
+) {
     let run = st.exec.runs.remove(run_key).expect("completing a dead run");
     let job_id = run.job;
     let kernel_idx = run.kernel_idx;

@@ -240,7 +240,10 @@ impl FaultPlan {
         }
         for (index, b) in self.bursts.iter().enumerate() {
             if !(0.0..1.0).contains(&b.start_frac) {
-                return Err(FaultPlanError::BurstStartOutOfRange { index, start_frac: b.start_frac });
+                return Err(FaultPlanError::BurstStartOutOfRange {
+                    index,
+                    start_frac: b.start_frac,
+                });
             }
             if b.len_frac <= 0.0 || b.len_frac > 1.0 || b.len_frac.is_nan() {
                 return Err(FaultPlanError::BurstLenOutOfRange { index, len_frac: b.len_frac });
@@ -480,14 +483,12 @@ impl FaultInjector {
                 self.slow_active[i] = false;
                 FaultEffect::None
             }
-            FaultAction::CuOffline(i) => FaultEffect::SetCuOffline {
-                cu: self.plan.cu_faults[i].cu as usize,
-                offline: true,
-            },
-            FaultAction::CuRestore(i) => FaultEffect::SetCuOffline {
-                cu: self.plan.cu_faults[i].cu as usize,
-                offline: false,
-            },
+            FaultAction::CuOffline(i) => {
+                FaultEffect::SetCuOffline { cu: self.plan.cu_faults[i].cu as usize, offline: true }
+            }
+            FaultAction::CuRestore(i) => {
+                FaultEffect::SetCuOffline { cu: self.plan.cu_faults[i].cu as usize, offline: false }
+            }
             FaultAction::ThrottleStart(i) => {
                 self.throttle_active[i] = true;
                 FaultEffect::SetDramScale(self.dram_factor())
@@ -544,7 +545,8 @@ mod tests {
         assert_ne!(a, FaultPlan::seeded(8, 1.0, span, 8), "seed perturbs the plan");
         assert_eq!(FaultPlan::seeded(7, 0.0, span, 8), FaultPlan::none());
         // Averaged over seeds, higher intensity means more fault events.
-        let total = |i: f64| -> usize { (0..32).map(|s| FaultPlan::seeded(s, i, span, 8).len()).sum() };
+        let total =
+            |i: f64| -> usize { (0..32).map(|s| FaultPlan::seeded(s, i, span, 8).len()).sum() };
         assert!(total(3.0) > total(0.5), "intensity should scale event counts");
     }
 
@@ -626,10 +628,7 @@ mod tests {
         assert_eq!(inj.slowdown_factor(), 6.0);
         inj.apply(FaultAction::SlowdownEnd(0));
         assert_eq!(inj.slowdown_factor(), 3.0);
-        assert_eq!(
-            inj.apply(FaultAction::ThrottleStart(0)),
-            FaultEffect::SetDramScale(4.0)
-        );
+        assert_eq!(inj.apply(FaultAction::ThrottleStart(0)), FaultEffect::SetDramScale(4.0));
         assert_eq!(inj.apply(FaultAction::ThrottleEnd(0)), FaultEffect::SetDramScale(1.0));
     }
 

@@ -66,9 +66,7 @@ impl HostJob {
     /// Kernels not yet launched (and finished), in launch order.
     pub fn remaining_kernels(&self) -> impl Iterator<Item = &Arc<crate::kernel::KernelDesc>> {
         let topo = self.desc.graph().topo_order();
-        topo[self.next_kernel.min(topo.len())..]
-            .iter()
-            .map(|&s| &self.desc.kernels()[s as usize])
+        topo[self.next_kernel.min(topo.len())..].iter().map(|&s| &self.desc.kernels()[s as usize])
     }
 }
 
@@ -336,8 +334,7 @@ fn launch(
         let desc = &host.jobs[m.index()].desc;
         desc.graph().topo_order()[kernel_idx] as usize
     };
-    let first =
-        host.jobs[members[0].index()].desc.kernels()[stage_of(host, &members[0])].clone();
+    let first = host.jobs[members[0].index()].desc.kernels()[stage_of(host, &members[0])].clone();
     let total_threads: u32 = members
         .iter()
         .map(|m| host.jobs[m.index()].desc.kernels()[stage_of(host, m)].grid_threads)

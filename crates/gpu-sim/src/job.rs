@@ -53,10 +53,9 @@ impl fmt::Display for JobError {
             JobError::EmptyGraph => write!(f, "job graph has no stages"),
             JobError::ZeroDeadline => write!(f, "job must have a positive deadline"),
             JobError::CycleDetected => write!(f, "job graph contains a dependency cycle"),
-            JobError::DanglingEdge { from, to, stages } => write!(
-                f,
-                "edge {from} -> {to} is invalid for a {stages}-stage graph"
-            ),
+            JobError::DanglingEdge { from, to, stages } => {
+                write!(f, "edge {from} -> {to} is invalid for a {stages}-stage graph")
+            }
         }
     }
 }
@@ -89,9 +88,7 @@ impl JobGraph {
     ///
     /// [`JobError::EmptyGraph`] if `stages` is empty.
     pub fn chain(stages: Vec<Arc<KernelDesc>>) -> Result<Self, JobError> {
-        let edges = (0..stages.len().saturating_sub(1))
-            .map(|i| (i as u32, i as u32 + 1))
-            .collect();
+        let edges = (0..stages.len().saturating_sub(1)).map(|i| (i as u32, i as u32 + 1)).collect();
         JobGraph::new(stages, edges)
     }
 
@@ -268,13 +265,10 @@ fn critical_flags(stages: &[Arc<KernelDesc>], succs: &[Vec<u32>], topo: &[u32]) 
     }
     while let Some(i) = cur {
         critical[i] = true;
-        cur = succs[i]
-            .iter()
-            .map(|&s| s as usize)
-            .fold(None::<usize>, |acc, s| match acc {
-                Some(a) if cp[a] >= cp[s] => Some(a),
-                _ => Some(s),
-            });
+        cur = succs[i].iter().map(|&s| s as usize).fold(None::<usize>, |acc, s| match acc {
+            Some(a) if cp[a] >= cp[s] => Some(a),
+            _ => Some(s),
+        });
     }
     critical
 }
@@ -353,13 +347,7 @@ impl JobDesc {
         if deadline.is_zero() {
             return Err(JobError::ZeroDeadline);
         }
-        Ok(JobDesc {
-            id,
-            bench: bench.into(),
-            graph,
-            deadline,
-            arrival,
-        })
+        Ok(JobDesc { id, bench: bench.into(), graph, deadline, arrival })
     }
 
     /// The kernel DAG.
@@ -471,8 +459,8 @@ mod tests {
 
     #[test]
     fn zero_deadline_is_a_typed_error() {
-        let err =
-            JobDesc::chain(JobId(0), "b", vec![kernel(1)], Duration::ZERO, Cycle::ZERO).unwrap_err();
+        let err = JobDesc::chain(JobId(0), "b", vec![kernel(1)], Duration::ZERO, Cycle::ZERO)
+            .unwrap_err();
         assert_eq!(err, JobError::ZeroDeadline);
     }
 

@@ -236,10 +236,7 @@ impl KernelDesc {
             return Err("kernel has an empty grid".into());
         }
         if !self.grid_threads.is_multiple_of(self.wg_size) {
-            return Err(format!(
-                "wg_size {} must divide grid {}",
-                self.wg_size, self.grid_threads
-            ));
+            return Err(format!("wg_size {} must divide grid {}", self.wg_size, self.grid_threads));
         }
         if self.wg_size > cfg.max_threads_per_cu {
             return Err(format!("WG of {} threads exceeds CU capacity", self.wg_size));
@@ -422,14 +419,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn wg_size_must_divide_grid() {
-        KernelDesc::new(
-            KernelClassId(0),
-            "bad",
-            100,
-            64,
-            1,
-            0,
-            ComputeProfile::compute_only(1),
-        );
+        KernelDesc::new(KernelClassId(0), "bad", 100, 64, 1, 0, ComputeProfile::compute_only(1));
     }
 }

@@ -129,7 +129,9 @@ pub mod prelude {
     };
     pub use crate::queue::{ActiveJob, ComputeQueue};
     pub use crate::scheduler::{Admission, CpContext, CpScheduler, Occupancy, RoundRobin};
-    pub use crate::sim::{run_isolated, SchedulerMode, SimBuilder, SimError, SimParams, Simulation};
+    pub use crate::sim::{
+        run_isolated, SchedulerMode, SimBuilder, SimError, SimParams, Simulation,
+    };
     pub use sim_core::probe::{Observer, ProbeHub};
     pub use sim_core::time::{Cycle, Duration, CYCLES_PER_MS, CYCLES_PER_US};
 }

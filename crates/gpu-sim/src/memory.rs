@@ -161,10 +161,7 @@ impl MemoryHierarchy {
 
     /// Aggregate L1 hit rate across CUs.
     pub fn l1_hit_rate(&self) -> f64 {
-        let (h, m) = self
-            .l1s
-            .iter()
-            .fold((0u64, 0u64), |(h, m), c| (h + c.hits(), m + c.misses()));
+        let (h, m) = self.l1s.iter().fold((0u64, 0u64), |(h, m), c| (h + c.hits(), m + c.misses()));
         if h + m == 0 {
             0.0
         } else {
@@ -253,9 +250,8 @@ pub fn gen_address(
             region + (offset % JOB_REGION_BYTES)
         }
         AccessPattern::SharedRegion { base, len } => {
-            let h = splitmix64(
-                (wave_seq as u64) << 32 | access_idx as u64 ^ job_seed.rotate_left(17),
-            );
+            let h =
+                splitmix64((wave_seq as u64) << 32 | access_idx as u64 ^ job_seed.rotate_left(17));
             let line_count = (len / line_bytes as u64).max(1);
             base + fast_rem(h, line_count) * line_bytes as u64
         }
@@ -339,14 +335,7 @@ mod tests {
         let base = 1 << 42;
         let len = 1 << 20;
         for w in 0..100 {
-            let a = gen_address(
-                AccessPattern::SharedRegion { base, len },
-                7,
-                w,
-                3,
-                1,
-                64,
-            );
+            let a = gen_address(AccessPattern::SharedRegion { base, len }, 7, w, 3, 1, 64);
             assert!(a >= base && a < base + len);
         }
     }

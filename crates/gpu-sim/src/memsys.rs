@@ -81,9 +81,7 @@ pub(crate) fn request(
         st.mem.hier.access_run(cu, addr, profile.lines_per_access, now)
     };
     st.shared.energy.add_memory(mix);
-    st.shared
-        .probes
-        .emit_with(now, || ProbeEvent::MemAccess { cu: cu as u16, mix });
+    st.shared.probes.emit_with(now, || ProbeEvent::MemAccess { cu: cu as u16, mix });
     // Slowdown windows also stretch memory latency; skipped entirely at
     // scale 1.0 so fault-free runs stay bit-exact.
     let scale = st.shared.fault_scale();

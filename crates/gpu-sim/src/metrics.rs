@@ -70,18 +70,12 @@ impl SimReport {
 
     /// Number of jobs rejected by admission control.
     pub fn rejected(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.fate, JobFate::Rejected(_)))
-            .count()
+        self.records.iter().filter(|r| matches!(r.fate, JobFate::Rejected(_))).count()
     }
 
     /// Number of jobs that completed (deadline met or not).
     pub fn completed(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.fate.completed_at().is_some())
-            .count()
+        self.records.iter().filter(|r| r.fate.completed_at().is_some()).count()
     }
 
     /// Successful-job throughput in jobs/second (Table 5a).
@@ -168,7 +162,8 @@ mod tests {
 
     #[test]
     fn deadline_classification() {
-        let on_time = record(0, 0, 100, JobFate::Completed(Cycle::ZERO + Duration::from_us(99)), 1.0);
+        let on_time =
+            record(0, 0, 100, JobFate::Completed(Cycle::ZERO + Duration::from_us(99)), 1.0);
         let late = record(1, 0, 100, JobFate::Completed(Cycle::ZERO + Duration::from_us(101)), 1.0);
         let rejected = record(2, 0, 100, JobFate::Rejected(Cycle::ZERO), 0.0);
         assert!(on_time.met_deadline());
@@ -182,7 +177,8 @@ mod tests {
 
     #[test]
     fn exact_deadline_counts_as_met() {
-        let exact = record(0, 10, 100, JobFate::Completed(Cycle::ZERO + Duration::from_us(110)), 1.0);
+        let exact =
+            record(0, 10, 100, JobFate::Completed(Cycle::ZERO + Duration::from_us(110)), 1.0);
         assert!(exact.met_deadline());
     }
 

@@ -501,10 +501,8 @@ impl MetricsSampler {
             ] {
                 names.push(n.to_string());
             }
-            self.series = names
-                .into_iter()
-                .map(|n| TraceSeries::new(n, DEFAULT_SERIES_CAPACITY))
-                .collect();
+            self.series =
+                names.into_iter().map(|n| TraceSeries::new(n, DEFAULT_SERIES_CAPACITY)).collect();
         }
         if self.times.len() >= DEFAULT_SERIES_CAPACITY {
             self.times_dropped += 1;
@@ -578,10 +576,7 @@ impl MetricsSampler {
         let mut out = String::from("{\"series\":[");
         let mut first = true;
         let watched: [&TraceSeries; 2] = [&self.watch_predicted, &self.watch_priority];
-        let all = self
-            .series
-            .iter()
-            .chain(watched.into_iter().filter(|s| !s.points().is_empty()));
+        let all = self.series.iter().chain(watched.into_iter().filter(|s| !s.points().is_empty()));
         for s in all {
             if !first {
                 out.push(',');

@@ -59,10 +59,7 @@ pub struct CpContext<'a> {
 impl CpContext<'_> {
     /// Iterates over `(queue index, job)` for queues holding a job.
     pub fn busy_queues(&self) -> impl Iterator<Item = (usize, &crate::queue::ActiveJob)> {
-        self.queues
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.active.as_ref().map(|a| (i, a)))
+        self.queues.iter().enumerate().filter_map(|(i, q)| q.active.as_ref().map(|a| (i, a)))
     }
 }
 

@@ -262,15 +262,15 @@ impl SimBuilder {
     pub fn build(self) -> Result<Simulation, SimError> {
         let SimBuilder { params, jobs, mode, observers } = self;
         params.config.validate().map_err(SimError::Config)?;
-        params
-            .faults
-            .validate(params.config.num_cus)
-            .map_err(SimError::Fault)?;
+        params.faults.validate(params.config.num_cus).map_err(SimError::Fault)?;
         let mut max_class = 0usize;
         let mut last_arrival = Cycle::ZERO;
         for (i, j) in jobs.iter().enumerate() {
             if j.id.0 as usize != i {
-                return Err(SimError::Job(format!("job ids must be dense; job {i} has id {}", j.id.0)));
+                return Err(SimError::Job(format!(
+                    "job ids must be dense; job {i} has id {}",
+                    j.id.0
+                )));
             }
             if i > 0 && j.arrival < jobs[i - 1].arrival {
                 return Err(SimError::Job("jobs must be sorted by arrival".into()));
@@ -293,9 +293,7 @@ impl SimBuilder {
         for (c, r) in &params.offline_rates {
             counters.set_offline_rate(*c, *r);
         }
-        let horizon = params
-            .horizon
-            .unwrap_or(last_arrival + Duration::from_ms(500));
+        let horizon = params.horizon.unwrap_or(last_arrival + Duration::from_ms(500));
         let jobs: Vec<Arc<JobDesc>> = jobs.into_iter().map(Arc::new).collect();
         let records = jobs
             .iter()
@@ -366,7 +364,11 @@ impl Simulation {
     ///
     /// Returns [`SimError`] if the configuration is invalid or a job cannot
     /// run on the machine.
-    pub fn new(params: SimParams, jobs: Vec<JobDesc>, mode: SchedulerMode) -> Result<Self, SimError> {
+    pub fn new(
+        params: SimParams,
+        jobs: Vec<JobDesc>,
+        mode: SchedulerMode,
+    ) -> Result<Self, SimError> {
         SimBuilder::default().params(params).jobs(jobs).scheduler(mode).build()
     }
 
@@ -437,19 +439,15 @@ impl Simulation {
 ///
 /// Returns [`SimError`] if the kernel cannot run on the machine.
 pub fn run_isolated(config: &GpuConfig, kernel: Arc<KernelDesc>) -> Result<Duration, SimError> {
-    let job = JobDesc::chain(
-        JobId(0),
-        "isolated",
-        vec![kernel],
-        Duration::from_ms(10_000),
-        Cycle::ZERO,
-    )?;
+    let job =
+        JobDesc::chain(JobId(0), "isolated", vec![kernel], Duration::from_ms(10_000), Cycle::ZERO)?;
     let params = SimParams {
         config: config.clone(),
         horizon: Some(Cycle::ZERO + Duration::from_ms(60_000)),
         ..SimParams::default()
     };
-    let mut sim = Simulation::new(params, vec![job], SchedulerMode::Cp(Box::new(RoundRobin::new())))?;
+    let mut sim =
+        Simulation::new(params, vec![job], SchedulerMode::Cp(Box::new(RoundRobin::new())))?;
     let report = sim.run();
     report.records[0]
         .latency()

@@ -252,11 +252,7 @@ impl SimdUnit {
     /// assuming membership stays fixed. `None` when idle.
     pub fn next_completion(&self, now: Cycle) -> Option<Cycle> {
         let n = self.active.len();
-        let min_rem = self
-            .active
-            .iter()
-            .map(|&(_, rem)| rem)
-            .fold(f64::INFINITY, f64::min);
+        let min_rem = self.active.iter().map(|&(_, rem)| rem).fold(f64::INFINITY, f64::min);
         if min_rem.is_finite() {
             // Integer ceiling; identical to `.ceil().max(1.0) as u64` for the
             // non-negative sub-2^53 values remaining/share take, without the
@@ -273,20 +269,14 @@ impl SimdUnit {
     /// Returns the active waves whose current segment is complete
     /// (remaining ~ 0) after an [`SimdUnit::advance`].
     pub fn completed_waves(&self) -> Vec<SlabKey> {
-        self.active
-            .iter()
-            .filter(|&&(_, rem)| rem <= COMPLETION_EPS)
-            .map(|&(k, _)| k)
-            .collect()
+        self.active.iter().filter(|&&(_, rem)| rem <= COMPLETION_EPS).map(|&(k, _)| k).collect()
     }
 
     /// Appends the completed active waves to `out` instead of allocating —
     /// the hot-path variant of [`SimdUnit::completed_waves`], yielding keys
     /// in the same (active-list) order.
     pub fn collect_completed(&self, out: &mut Vec<SlabKey>) {
-        out.extend(
-            self.active.iter().filter(|&&(_, rem)| rem <= COMPLETION_EPS).map(|&(k, _)| k),
-        );
+        out.extend(self.active.iter().filter(|&&(_, rem)| rem <= COMPLETION_EPS).map(|&(k, _)| k));
     }
 }
 

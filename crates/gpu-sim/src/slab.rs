@@ -161,10 +161,8 @@ impl<T> Slab<T> {
         match slot {
             Slot::Occupied { generation, .. } if *generation == key.generation => {
                 let generation = *generation;
-                let old = std::mem::replace(
-                    slot,
-                    Slot::Free { generation, next_free: self.free_head },
-                );
+                let old =
+                    std::mem::replace(slot, Slot::Free { generation, next_free: self.free_head });
                 self.free_head = Some(key.index);
                 self.len -= 1;
                 match old {
@@ -179,10 +177,9 @@ impl<T> Slab<T> {
     /// Iterates over live `(key, &value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (SlabKey, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied { generation, value } => Some((
-                SlabKey { index: i as u32, generation: *generation },
-                value,
-            )),
+            Slot::Occupied { generation, value } => {
+                Some((SlabKey { index: i as u32, generation: *generation }, value))
+            }
             Slot::Free { .. } => None,
         })
     }

@@ -84,8 +84,7 @@ fn run_trial(trial_seed: u64, accesses: usize) {
         let lines = 1 + (mix(&mut rng) % 8) as u32;
         let cu = (mix(&mut rng) % num_cus as u64) as usize;
         let wave_seq = (mix(&mut rng) % 64) as u32;
-        let addr =
-            gen_address(pattern, job_seed, wave_seq, i as u32, lines, cfg.line_bytes);
+        let addr = gen_address(pattern, job_seed, wave_seq, i as u32, lines, cfg.line_bytes);
         now += sim_core::time::Duration::from_cycles(mix(&mut rng) % 500);
 
         let (ref_done, ref_mix) = reference.access_bundle(cu, addr, lines, now);

@@ -79,10 +79,7 @@ impl HostScheduler for ChainHost {
 
     fn react(&mut self, event: HostEvent, _view: &HostView<'_>, out: &mut Vec<HostCmd>) {
         if let HostEvent::Arrival(j) = event {
-            out.push(HostCmd::EnqueueChain {
-                job: j,
-                prio: (j.0 % 2) as i64,
-            });
+            out.push(HostCmd::EnqueueChain { job: j, prio: (j.0 % 2) as i64 });
         }
     }
 }

@@ -95,7 +95,8 @@ fn priority_decides_who_runs_first_on_a_serial_device() {
     };
     let params = || SimParams { config: one_slot_gpu(), ..SimParams::default() };
 
-    let mut sim = Simulation::new(params(), mk_jobs(), SchedulerMode::Cp(Box::new(ByJobId))).unwrap();
+    let mut sim =
+        Simulation::new(params(), mk_jobs(), SchedulerMode::Cp(Box::new(ByJobId))).unwrap();
     assert_eq!(completion_order(&sim.run()), vec![0, 1, 2, 3]);
 
     let mut sim =
@@ -164,9 +165,7 @@ impl CpScheduler for InspectingAcceptor {
 fn inspection_delays_dispatch_by_the_parse_rate() {
     // 8 jobs arrive at t=0; the CP parses 4 streams per 2us, so the last
     // job cannot start before ~4us.
-    let jobs: Vec<JobDesc> = (0..8)
-        .map(|i| job(i, vec![kernel(0, 150, 64)], 100_000, 0))
-        .collect();
+    let jobs: Vec<JobDesc> = (0..8).map(|i| job(i, vec![kernel(0, 150, 64)], 100_000, 0)).collect();
     let mut sim = Simulation::new(
         SimParams::default(),
         jobs,
@@ -174,12 +173,7 @@ fn inspection_delays_dispatch_by_the_parse_rate() {
     )
     .unwrap();
     let r = sim.run();
-    let last_done = r
-        .records
-        .iter()
-        .map(|rec| rec.fate.completed_at().unwrap())
-        .max()
-        .unwrap();
+    let last_done = r.records.iter().map(|rec| rec.fate.completed_at().unwrap()).max().unwrap();
     assert!(
         last_done >= Cycle::ZERO + Duration::from_us(4),
         "8 inspections at 0.5us each gate the last job: {last_done}"
@@ -201,9 +195,8 @@ fn kernels_larger_than_the_device_dispatch_in_waves() {
 #[test]
 fn queue_exhaustion_backlogs_then_recovers() {
     let cfg = GpuConfig { num_queues: 2, ..GpuConfig::default() };
-    let jobs: Vec<JobDesc> = (0..6)
-        .map(|i| job(i, vec![kernel(0, 1_500, 64)], 100_000, 0))
-        .collect();
+    let jobs: Vec<JobDesc> =
+        (0..6).map(|i| job(i, vec![kernel(0, 1_500, 64)], 100_000, 0)).collect();
     let params = SimParams { config: cfg, ..SimParams::default() };
     let mut sim =
         Simulation::new(params, jobs, SchedulerMode::Cp(Box::new(RoundRobin::new()))).unwrap();
@@ -260,11 +253,8 @@ impl Observer<ProbeEvent> for Lifecycle {
 fn probe_observer_sees_the_job_lifecycle() {
     let jobs = vec![job(0, vec![kernel(0, 1_500, 64), kernel(1, 1_500, 64)], 100_000, 3)];
     let lifecycle = Arc::new(Mutex::new(Lifecycle::default()));
-    let mut sim = Simulation::builder()
-        .jobs(jobs)
-        .observe(Box::new(lifecycle.clone()))
-        .build()
-        .unwrap();
+    let mut sim =
+        Simulation::builder().jobs(jobs).observe(Box::new(lifecycle.clone())).build().unwrap();
     let report = sim.run();
     let done = report.records[0].fate.completed_at().expect("completed");
     let seen = lifecycle.lock().unwrap().0.clone();

@@ -82,8 +82,7 @@ fn chain_priorities_order_contending_jobs() {
     let mut jobs = vec![job(0, vec![filler], 100_000, 0)];
     jobs.extend((1..9).map(|i| job(i, vec![k.clone()], 100_000, 1)));
     let params = SimParams { config: cfg, ..SimParams::default() };
-    let mut sim =
-        Simulation::new(params, jobs, SchedulerMode::Host(Box::new(ChainHost))).unwrap();
+    let mut sim = Simulation::new(params, jobs, SchedulerMode::Host(Box::new(ChainHost))).unwrap();
     let r = sim.run();
     let avg = |parity: u32| {
         let v: Vec<f64> = r
@@ -134,10 +133,7 @@ impl HostScheduler for PairBatcher {
 #[test]
 fn batched_members_complete_together_with_split_attribution() {
     let k = kernel(0, 2_000, 128);
-    let jobs = vec![
-        job(0, vec![k.clone()], 10_000, 0),
-        job(1, vec![k.clone()], 10_000, 0),
-    ];
+    let jobs = vec![job(0, vec![k.clone()], 10_000, 0), job(1, vec![k.clone()], 10_000, 0)];
     let r = run_host(jobs, Box::new(PairBatcher));
     assert_eq!(r.completed(), 2);
     let t0 = r.records[0].fate.completed_at().unwrap();

@@ -39,55 +39,28 @@ fn fate_instant(fate: JobFate) -> Option<Cycle> {
 /// exactly-once contract against the report, and returns the report.
 fn run_checked(name: &str, builder: SimBuilder, mode: SchedulerMode) -> SimReport {
     let fates = Arc::new(Mutex::new(Fates::default()));
-    let report = builder
-        .scheduler(mode)
-        .observe(Box::new(fates.clone()))
-        .build()
-        .unwrap()
-        .run();
+    let report = builder.scheduler(mode).observe(Box::new(fates.clone())).build().unwrap().run();
     let seen = std::mem::take(&mut fates.lock().unwrap().0);
     // Synthetic host launches carry ids from 1 << 30 up; every resolved id
     // must instead name one of the report's real jobs.
     for (_, id, _) in &seen {
-        assert!(
-            id.index() < report.records.len(),
-            "{name}: {id:?} is not a real job"
-        );
+        assert!(id.index() < report.records.len(), "{name}: {id:?} is not a real job");
     }
     for rec in &report.records {
         let of_job: Vec<_> = seen.iter().filter(|(_, id, _)| *id == rec.id).collect();
-        assert_eq!(
-            of_job.len(),
-            1,
-            "{name}: {:?} resolved {} times",
-            rec.id,
-            of_job.len()
-        );
+        assert_eq!(of_job.len(), 1, "{name}: {:?} resolved {} times", rec.id, of_job.len());
         let (at, _, fate) = *of_job[0];
         assert_eq!(fate, rec.fate, "{name}: {:?}", rec.id);
-        assert_eq!(
-            Some(at),
-            fate_instant(rec.fate),
-            "{name}: {:?} fired off its instant",
-            rec.id
-        );
+        assert_eq!(Some(at), fate_instant(rec.fate), "{name}: {:?} fired off its instant", rec.id);
     }
-    assert!(
-        seen.windows(2).all(|w| w[0].0 <= w[1].0),
-        "{name}: fates fire in time order"
-    );
+    assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "{name}: fates fire in time order");
     report
 }
 
 fn small_jobs() -> Vec<JobDesc> {
     (0..6)
         .map(|i| {
-            job(
-                i,
-                vec![kernel(0, 1_000, 64), kernel(1, 1_500, 128)],
-                10_000,
-                u64::from(i) * 2,
-            )
+            job(i, vec![kernel(0, 1_000, 64), kernel(1, 1_500, 128)], 10_000, u64::from(i) * 2)
         })
         .collect()
 }
@@ -122,31 +95,22 @@ fn host_rejections_fire_once_each() {
 fn cp_admission_rejections_and_lax_drop_aborts_fire_once_each() {
     let suite = BenchmarkSuite::calibrated();
     let cell = |bench, n, seed| {
-        Simulation::builder()
-            .offline_rates(suite.offline_rates())
-            .jobs(suite.generate_jobs(bench, ArrivalRate::High, n, seed))
+        Simulation::builder().offline_rates(suite.offline_rates()).jobs(suite.generate_jobs(
+            bench,
+            ArrivalRate::High,
+            n,
+            seed,
+        ))
     };
-    let lax = run_checked(
-        "LAX",
-        cell(Benchmark::Ipv6, 48, 42),
-        SchedulerMode::Cp(Box::new(Lax::new())),
-    );
-    assert!(
-        count(&lax, |f| matches!(f, JobFate::Rejected(_))) > 0,
-        "LAX must reject at admission"
-    );
+    let lax =
+        run_checked("LAX", cell(Benchmark::Ipv6, 48, 42), SchedulerMode::Cp(Box::new(Lax::new())));
+    assert!(count(&lax, |f| matches!(f, JobFate::Rejected(_))) > 0, "LAX must reject at admission");
     // Admission off, so expired jobs exist and LAX-DROP aborts them.
-    let no_admit = LaxConfig {
-        admission: false,
-        ..LaxConfig::default()
-    };
+    let no_admit = LaxConfig { admission: false, ..LaxConfig::default() };
     let drop = run_checked(
         "LAX-DROP",
         cell(Benchmark::Stem, 48, 9),
         SchedulerMode::Cp(Box::new(LaxDrop::with_config(no_admit))),
     );
-    assert!(
-        count(&drop, |f| matches!(f, JobFate::Aborted(_))) > 0,
-        "LAX-DROP must abort"
-    );
+    assert!(count(&drop, |f| matches!(f, JobFate::Aborted(_))) > 0, "LAX-DROP must abort");
 }

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
+use gpu_sim::kernel::{AccessPattern, ComputeProfile, KernelClassId};
 use gpu_sim::prelude::*;
 use gpu_sim::sim::run_isolated;
-use gpu_sim::kernel::{AccessPattern, ComputeProfile, KernelClassId};
 
 fn kernel(class: u16, threads: u32, issue: u64, mem: u32) -> Arc<KernelDesc> {
     Arc::new(KernelDesc::new(
@@ -37,12 +37,9 @@ fn one_job(kernels: Vec<Arc<KernelDesc>>, deadline_us: u64, arrival_us: u64, id:
 }
 
 fn run_rr(jobs: Vec<JobDesc>) -> SimReport {
-    let mut sim = Simulation::new(
-        SimParams::default(),
-        jobs,
-        SchedulerMode::Cp(Box::new(RoundRobin::new())),
-    )
-    .unwrap();
+    let mut sim =
+        Simulation::new(SimParams::default(), jobs, SchedulerMode::Cp(Box::new(RoundRobin::new())))
+            .unwrap();
     sim.run()
 }
 
@@ -178,10 +175,8 @@ fn deterministic_across_runs() {
 
 #[test]
 fn horizon_leaves_jobs_unfinished() {
-    let params = SimParams {
-        horizon: Some(Cycle::ZERO + Duration::from_us(1)),
-        ..SimParams::default()
-    };
+    let params =
+        SimParams { horizon: Some(Cycle::ZERO + Duration::from_us(1)), ..SimParams::default() };
     let jobs = vec![one_job(vec![kernel(0, 2048, 50_000, 8)], 100_000, 0, 0)];
     let mut sim =
         Simulation::new(params, jobs, SchedulerMode::Cp(Box::new(RoundRobin::new()))).unwrap();
@@ -196,11 +191,8 @@ fn rejects_unsorted_jobs() {
         one_job(vec![kernel(0, 64, 100, 0)], 100, 10, 0),
         one_job(vec![kernel(0, 64, 100, 0)], 100, 5, 1),
     ];
-    let err = Simulation::new(
-        SimParams::default(),
-        jobs,
-        SchedulerMode::Cp(Box::new(RoundRobin::new())),
-    );
+    let err =
+        Simulation::new(SimParams::default(), jobs, SchedulerMode::Cp(Box::new(RoundRobin::new())));
     assert!(err.is_err());
 }
 
@@ -220,13 +212,14 @@ fn invalid_job_structure_is_a_typed_error() {
     use gpu_sim::job::JobGraph;
 
     // An empty chain never constructs.
-    let err = JobDesc::chain(JobId(0), "t", vec![], Duration::from_us(100), Cycle::ZERO)
-        .unwrap_err();
+    let err =
+        JobDesc::chain(JobId(0), "t", vec![], Duration::from_us(100), Cycle::ZERO).unwrap_err();
     assert_eq!(err, JobError::EmptyGraph);
 
     // A zero deadline never constructs either...
-    let err = JobDesc::chain(JobId(0), "t", vec![kernel(0, 64, 100, 0)], Duration::ZERO, Cycle::ZERO)
-        .unwrap_err();
+    let err =
+        JobDesc::chain(JobId(0), "t", vec![kernel(0, 64, 100, 0)], Duration::ZERO, Cycle::ZERO)
+            .unwrap_err();
     assert_eq!(err, JobError::ZeroDeadline);
 
     // ...but a deadline zeroed through the public field after construction
@@ -234,10 +227,7 @@ fn invalid_job_structure_is_a_typed_error() {
     let mut zero_deadline = one_job(vec![kernel(0, 64, 100, 0)], 100, 0, 0);
     zero_deadline.deadline = Duration::ZERO;
     let err = Simulation::builder().jobs(vec![zero_deadline]).build().unwrap_err();
-    assert!(
-        matches!(err, SimError::Graph { job: 0, source: JobError::ZeroDeadline }),
-        "{err}"
-    );
+    assert!(matches!(err, SimError::Graph { job: 0, source: JobError::ZeroDeadline }), "{err}");
 
     // Cycles and dangling edges are rejected when the graph is assembled.
     let two = || vec![kernel(0, 64, 100, 0), kernel(1, 64, 100, 0)];
@@ -319,12 +309,8 @@ fn fault_jobs() -> Vec<JobDesc> {
 }
 
 fn run_with_plan(jobs: Vec<JobDesc>, plan: FaultPlan) -> SimReport {
-    let mut sim = Simulation::builder()
-        .jobs(jobs)
-        .faults(plan)
-        .cp(RoundRobin::new())
-        .build()
-        .unwrap();
+    let mut sim =
+        Simulation::builder().jobs(jobs).faults(plan).cp(RoundRobin::new()).build().unwrap();
     sim.run()
 }
 
@@ -453,9 +439,7 @@ fn cu_fault_drains_and_restores() {
     // the job only starts (and finishes) after the restore.
     let restore = Cycle::ZERO + Duration::from_ms(1);
     let plan = FaultPlan {
-        cu_faults: (0..8)
-            .map(|cu| CuFault { cu, at: Cycle::ZERO, until: restore })
-            .collect(),
+        cu_faults: (0..8).map(|cu| CuFault { cu, at: Cycle::ZERO, until: restore }).collect(),
         ..FaultPlan::none()
     };
     let report = run_with_plan(vec![one_job(vec![kernel(0, 64, 1000, 0)], 10_000, 0, 0)], plan);
@@ -527,11 +511,7 @@ fn invalid_plan_is_rejected_at_build() {
         }],
         ..FaultPlan::none()
     };
-    let err = Simulation::builder()
-        .jobs(fault_jobs())
-        .faults(plan)
-        .build()
-        .unwrap_err();
+    let err = Simulation::builder().jobs(fault_jobs()).faults(plan).build().unwrap_err();
     assert!(matches!(err, SimError::Fault(_)), "{err}");
 }
 
@@ -539,11 +519,7 @@ fn invalid_plan_is_rejected_at_build() {
 
 #[test]
 fn event_budget_converts_runaway_into_typed_error() {
-    let mut sim = Simulation::builder()
-        .jobs(fault_jobs())
-        .event_budget(10)
-        .build()
-        .unwrap();
+    let mut sim = Simulation::builder().jobs(fault_jobs()).event_budget(10).build().unwrap();
     let err = sim.try_run().unwrap_err();
     assert_eq!(err, SimError::EventBudgetExceeded { budget: 10 });
 }
@@ -556,12 +532,7 @@ fn queue_overflow_is_a_typed_error_not_a_hang() {
         one_job(vec![kernel(0, 64, 100, 0)], 100_000, 1, 1),
         one_job(vec![kernel(0, 64, 100, 0)], 100_000, 2, 2),
     ];
-    let mut sim = Simulation::builder()
-        .config(cfg)
-        .jobs(jobs)
-        .max_backlog(1)
-        .build()
-        .unwrap();
+    let mut sim = Simulation::builder().config(cfg).jobs(jobs).max_backlog(1).build().unwrap();
     let err = sim.try_run().unwrap_err();
     assert!(matches!(err, SimError::QueueOverflow { pending: 2, limit: 1 }), "{err}");
 }
@@ -589,11 +560,7 @@ fn livelock_is_detected_deterministically() {
 #[test]
 fn run_panics_on_runtime_fault_with_context() {
     let result = std::panic::catch_unwind(|| {
-        let mut sim = Simulation::builder()
-            .jobs(fault_jobs())
-            .event_budget(5)
-            .build()
-            .unwrap();
+        let mut sim = Simulation::builder().jobs(fault_jobs()).event_budget(5).build().unwrap();
         sim.run()
     });
     let payload = result.unwrap_err();
@@ -630,7 +597,9 @@ fn isolated_runs_never_beat_the_issue_bound() {
         };
         let pattern = match trial % 3 {
             0 => AccessPattern::Streaming,
-            1 => AccessPattern::SharedRegion { base: 1 << 42, len: 4096 << (next(&mut state) % 12) },
+            1 => {
+                AccessPattern::SharedRegion { base: 1 << 42, len: 4096 << (next(&mut state) % 12) }
+            }
             _ => AccessPattern::RandomWithin { len: 4096 << (next(&mut state) % 12) },
         };
         let profile = ComputeProfile {

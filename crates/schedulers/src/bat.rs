@@ -42,10 +42,7 @@ impl Bat {
                 continue;
             }
             let Some(k) = j.next_kernel_desc() else { continue };
-            cells
-                .entry((j.next_kernel, k.class.0, k.wg_size))
-                .or_default()
-                .push(j.desc.id);
+            cells.entry((j.next_kernel, k.class.0, k.wg_size)).or_default().push(j.desc.id);
         }
         for ((kernel_idx, _, _), members) in cells {
             for chunk in members.chunks(MAX_BATCH) {
@@ -125,7 +122,13 @@ mod tests {
         let jobs = host_jobs(3);
         let counters = Counters::new(1, Duration::from_us(100));
         let cfg = GpuConfig::default();
-        let view = HostView { now: Cycle::ZERO, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 0 };
+        let view = HostView {
+            now: Cycle::ZERO,
+            jobs: &jobs,
+            counters: &counters,
+            config: &cfg,
+            inflight_kernels: 0,
+        };
         let mut bat = Bat::new();
         let mut out = Vec::new();
         bat.react(HostEvent::Arrival(JobId(0)), &view, &mut out);
@@ -159,7 +162,13 @@ mod tests {
         jobs[0].inflight = true;
         let counters = Counters::new(1, Duration::from_us(100));
         let cfg = GpuConfig::default();
-        let view = HostView { now: Cycle::ZERO, jobs: &jobs, counters: &counters, config: &cfg, inflight_kernels: 1 };
+        let view = HostView {
+            now: Cycle::ZERO,
+            jobs: &jobs,
+            counters: &counters,
+            config: &cfg,
+            inflight_kernels: 1,
+        };
         let mut bat = Bat::new();
         let mut out = Vec::new();
         bat.react(HostEvent::Wake, &view, &mut out);

@@ -70,10 +70,8 @@ impl Bay {
                 // Too risky: wait for in-flight work to drain.
                 continue;
             }
-            let first_launch = !std::mem::replace(
-                self.accepted.get_mut(&job.0).expect("accepted"),
-                true,
-            );
+            let first_launch =
+                !std::mem::replace(self.accepted.get_mut(&job.0).expect("accepted"), true);
             let extra = if first_launch { MODEL_CALL } else { Duration::ZERO };
             self.inflight_pred.insert(job.0, pred_us);
             out.push(HostCmd::Launch { job, kernel_idx: j.next_kernel, extra, prio: 0 });
@@ -185,7 +183,10 @@ mod tests {
         let mut bay = Bay::new();
         let mut out = Vec::new();
         bay.react(HostEvent::Arrival(JobId(0)), &view(&jobs, &counters, &cfg), &mut out);
-        assert!(matches!(out[0], HostCmd::Reject(JobId(0))), "IPV6-style jobs are hopeless under BAY");
+        assert!(
+            matches!(out[0], HostCmd::Reject(JobId(0))),
+            "IPV6-style jobs are hopeless under BAY"
+        );
     }
 
     #[test]

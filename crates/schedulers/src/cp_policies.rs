@@ -43,11 +43,7 @@ fn offline_size_us(job: &ActiveJob, ctx: &CpContext<'_>) -> f64 {
     job.job
         .kernels()
         .iter()
-        .filter_map(|k| {
-            ctx.counters
-                .offline_rate(k.class)
-                .map(|r| k.num_wgs() as f64 / r)
-        })
+        .filter_map(|k| ctx.counters.offline_rate(k.class).map(|r| k.num_wgs() as f64 / r))
         .sum()
 }
 

@@ -8,11 +8,7 @@ use gpu_sim::host::{HostJob, HostView};
 /// harness, so this is a startup corner case only).
 pub fn predicted_remaining_us(view: &HostView<'_>, job: &HostJob) -> f64 {
     job.remaining_kernels()
-        .filter_map(|k| {
-            view.counters
-                .offline_rate(k.class)
-                .map(|r| k.num_wgs() as f64 / r)
-        })
+        .filter_map(|k| view.counters.offline_rate(k.class).map(|r| k.num_wgs() as f64 / r))
         .sum()
 }
 

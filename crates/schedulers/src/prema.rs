@@ -45,11 +45,7 @@ impl Prema {
             .job
             .kernels()
             .iter()
-            .filter_map(|k| {
-                ctx.counters
-                    .offline_rate(k.class)
-                    .map(|r| k.num_wgs() as f64 / r)
-            })
+            .filter_map(|k| ctx.counters.offline_rate(k.class).map(|r| k.num_wgs() as f64 / r))
             .sum();
         let elapsed_us = ctx.now.saturating_since(job.job.arrival).as_us_f64();
         let slowdown = if isolated_us > 0.0 { elapsed_us / isolated_us } else { elapsed_us };
@@ -58,10 +54,7 @@ impl Prema {
 
     /// Penalty to bring a preempted job back on-device.
     fn restore_penalty(job: &ActiveJob) -> Duration {
-        let ctx_bytes: u64 = job
-            .head_kernel()
-            .map(|k| k.context_bytes())
-            .unwrap_or(0);
+        let ctx_bytes: u64 = job.head_kernel().map(|k| k.context_bytes()).unwrap_or(0);
         // Save + restore: twice the one-way transfer.
         Duration::from_us_f64((2.0 * ctx_bytes as f64 / CTX_BYTES_PER_US).max(1.0))
     }
@@ -91,7 +84,8 @@ impl CpScheduler for Prema {
             let waves = job.head_kernel().map(|k| k.total_waves()).unwrap_or(0);
             ranked.push((Self::token(job, ctx), q, job.job.id.0, waves));
         }
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("tokens are finite").then(a.1.cmp(&b.1)));
+        ranked
+            .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("tokens are finite").then(a.1.cmp(&b.1)));
 
         // Select greedily until the device's wave capacity is covered.
         let capacity = ctx.config.max_waves();

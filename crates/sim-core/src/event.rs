@@ -276,10 +276,7 @@ impl<E> EventQueue<E> {
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("now", &self.now)
-            .field("live", &self.len())
-            .finish()
+        f.debug_struct("EventQueue").field("now", &self.now).field("live", &self.len()).finish()
     }
 }
 

@@ -260,10 +260,7 @@ impl<const KEEP: bool> Descent<'_, KEEP> {
         self.pos += 1; // consume opening '"'
         loop {
             let rest = &self.b[self.pos..];
-            let Some(run) = rest
-                .iter()
-                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-            else {
+            let Some(run) = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20) else {
                 self.pos = self.b.len();
                 return Err(err(self.pos, "unterminated string"));
             };

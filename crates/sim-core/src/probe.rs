@@ -47,9 +47,7 @@ pub struct ProbeHub<E> {
 
 impl<E> std::fmt::Debug for ProbeHub<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeHub")
-            .field("observers", &self.observers.len())
-            .finish()
+        f.debug_struct("ProbeHub").field("observers", &self.observers.len()).finish()
     }
 }
 

@@ -42,12 +42,7 @@ impl SimRng {
     pub fn seed_from(seed: u64) -> Self {
         let mut sm = seed;
         SimRng {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)],
         }
     }
 
@@ -63,10 +58,7 @@ impl SimRng {
     /// Next raw 64-bit value (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let out = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
+        let out = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];

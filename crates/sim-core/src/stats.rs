@@ -80,8 +80,7 @@ impl Samples {
             return 0.0;
         }
         if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN by construction"));
+            self.values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN by construction"));
             self.sorted = true;
         }
         let rank = ((q * self.values.len() as f64).ceil() as usize).max(1) - 1;
@@ -376,11 +375,7 @@ impl RateWindow {
     /// Panics if `window` is zero.
     pub fn new(window: Duration) -> Self {
         assert!(!window.is_zero(), "rate window must be non-zero");
-        RateWindow {
-            window,
-            events: std::collections::VecDeque::new(),
-            total: 0,
-        }
+        RateWindow { window, events: std::collections::VecDeque::new(), total: 0 }
     }
 
     /// Records `count` events at time `now`.
@@ -506,9 +501,8 @@ mod tests {
     fn streaming_quantiles_track_exact_on_exponential_data() {
         // Exponential tails are the latency shape the cluster reports on.
         let mut rng = crate::rng::SimRng::seed_from(7);
-        let values: Vec<f64> = (0..20_000)
-            .map(|_| -250.0 * (1.0 - rng.uniform_f64()).max(1e-15).ln())
-            .collect();
+        let values: Vec<f64> =
+            (0..20_000).map(|_| -250.0 * (1.0 - rng.uniform_f64()).max(1e-15).ln()).collect();
         assert_sketch_tracks_exact(&values);
     }
 

@@ -51,12 +51,7 @@ impl TraceSeries {
     /// Panics if `capacity` is zero.
     pub fn new(name: impl Into<String>, capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
-        TraceSeries {
-            name: name.into(),
-            points: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
+        TraceSeries { name: name.into(), points: Vec::new(), capacity, dropped: 0 }
     }
 
     /// Series name (e.g. `"predicted_exec_us"`).
@@ -158,10 +153,7 @@ impl TraceEvents {
     /// Names process `pid` (`ph:"M"`).
     pub fn process_name(&mut self, pid: u32, name: &str) {
         self.record(|out| {
-            let _ = write!(
-                out,
-                "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{"
-            );
+            let _ = write!(out, "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{");
             string(out, "name", name);
             out.push('}');
         });
@@ -188,10 +180,8 @@ impl TraceEvents {
             out.push(',');
             string(out, "cat", cat);
             let (ts, dur) = (start.as_us_f64(), end.saturating_since(start).as_us_f64());
-            let _ = write!(
-                out,
-                ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}"
-            );
+            let _ =
+                write!(out, ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid}");
         });
     }
 
@@ -203,10 +193,8 @@ impl TraceEvents {
             out.push(',');
             string(out, "cat", cat);
             let ts = at.as_us_f64();
-            let _ = write!(
-                out,
-                ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
-            );
+            let _ =
+                write!(out, ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}");
         });
     }
 
@@ -303,10 +291,8 @@ mod tests {
         }
         assert_eq!((events.len(), events.dropped()), (2, 3));
         // Head and tail records are outside the cap.
-        let doc = events.finish(
-            |head| head.thread_name(0, 3, "CU"),
-            |tail| tail.counter("n", 0, t(9), 4.0),
-        );
+        let doc = events
+            .finish(|head| head.thread_name(0, 3, "CU"), |tail| tail.counter("n", 0, t(9), 4.0));
         json::validate(&doc).expect("still valid after drops");
         let v = json::parse(&doc).unwrap();
         let records = v.get("traceEvents").and_then(json::Value::as_array).unwrap();

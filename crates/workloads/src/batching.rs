@@ -50,11 +50,8 @@ pub fn batched_workload(
         let last_arrival = *arrivals.last().expect("non-empty chunk");
         // Merge: take the first member's chain and scale every kernel's
         // grid by the actual chunk size.
-        let kernels: Vec<Arc<KernelDesc>> = chunk[0]
-            .kernels()
-            .iter()
-            .map(|k| Arc::new(k.batched(chunk.len() as u32)))
-            .collect();
+        let kernels: Vec<Arc<KernelDesc>> =
+            chunk[0].kernels().iter().map(|k| Arc::new(k.batched(chunk.len() as u32))).collect();
         jobs.push(
             JobDesc::chain(
                 JobId(batch_idx as u32),
@@ -124,10 +121,7 @@ mod tests {
         // Every member waited at least the 10us execution; earlier members
         // also waited for the last arrival.
         assert!(mean >= 10.0);
-        let first_wait = w.jobs[0]
-            .arrival
-            .saturating_since(w.member_arrivals[0][0])
-            .as_us_f64();
+        let first_wait = w.jobs[0].arrival.saturating_since(w.member_arrivals[0][0]).as_us_f64();
         assert!(mean >= 10.0 + first_wait / 4.0);
     }
 }

@@ -65,15 +65,19 @@ impl CalibratedKernel {
 fn resolve_pattern(kind: PatternKind) -> AccessPattern {
     match kind {
         PatternKind::Streaming => AccessPattern::Streaming,
-        PatternKind::SharedWeights { region, bytes } => AccessPattern::SharedRegion {
-            base: shared_region_base(region),
-            len: bytes,
-        },
+        PatternKind::SharedWeights { region, bytes } => {
+            AccessPattern::SharedRegion { base: shared_region_base(region), len: bytes }
+        }
         PatternKind::Random { bytes } => AccessPattern::RandomWithin { len: bytes },
     }
 }
 
-fn build(spec: &KernelSpec, class: KernelClassId, issue_cycles: u64, mem_accesses: u32) -> KernelDesc {
+fn build(
+    spec: &KernelSpec,
+    class: KernelClassId,
+    issue_cycles: u64,
+    mem_accesses: u32,
+) -> KernelDesc {
     KernelDesc::new(
         class,
         spec.name,
@@ -91,9 +95,7 @@ fn build(spec: &KernelSpec, class: KernelClassId, issue_cycles: u64, mem_accesse
 }
 
 fn measure(cfg: &GpuConfig, desc: &KernelDesc) -> f64 {
-    run_isolated(cfg, Arc::new(desc.clone()))
-        .expect("calibration kernel must run")
-        .as_us_f64()
+    run_isolated(cfg, Arc::new(desc.clone())).expect("calibration kernel must run").as_us_f64()
 }
 
 /// Relative error of an isolated time against the target, the one formula
@@ -116,8 +118,7 @@ fn rel_err(us: f64, target_us: f64) -> f64 {
 /// cold memory access).
 pub fn fit(spec: &KernelSpec, class: KernelClassId, cfg: &GpuConfig) -> CalibratedKernel {
     let target_cycles = spec.target_us * 1500.0;
-    let mut mem_accesses =
-        ((target_cycles * spec.mem_share) / SEED_ACCESS_CYCLES).round() as u32;
+    let mut mem_accesses = ((target_cycles * spec.mem_share) / SEED_ACCESS_CYCLES).round() as u32;
 
     for _attempt in 0..8 {
         // Does the memory floor leave room for compute?
@@ -149,8 +150,8 @@ pub fn fit(spec: &KernelSpec, class: KernelClassId, cfg: &GpuConfig) -> Calibrat
             //   leaves it the same probe, and leaves "no probe within
             //   3 · TOLERANCE" (the retry below) unchanged too.
             let floor_us = Duration::from_cycles(desc.profile.min_isolated_cycles()).as_us_f64();
-            let hopeless = floor_us >= spec.target_us
-                && rel_err(floor_us, spec.target_us) > TOLERANCE * 3.0;
+            let hopeless =
+                floor_us >= spec.target_us && rel_err(floor_us, spec.target_us) > TOLERANCE * 3.0;
             let measured = (!hopeless).then(|| measure(cfg, &desc));
             if let Some(measured) = measured {
                 let err = rel_err(measured, spec.target_us);

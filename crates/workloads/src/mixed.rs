@@ -78,8 +78,7 @@ pub fn with_background(
         .map(|i| {
             let at = Cycle::ZERO
                 + Duration::from_cycles(
-                    (span.as_cycles() / (n_bg as u64 + 1)) * (i as u64 + 1)
-                        + rng.below(1_000),
+                    (span.as_cycles() / (n_bg as u64 + 1)) * (i as u64 + 1) + rng.below(1_000),
                 );
             background_job(JobId(i as u32), at, bg_kernel_us, 4096)
         })

@@ -124,10 +124,7 @@ impl Benchmark {
     /// `true` for the RNN benchmarks with many small kernels per job
     /// (Figure 1's "many-kernel" category).
     pub fn is_many_kernel(self) -> bool {
-        matches!(
-            self,
-            Benchmark::Lstm | Benchmark::Gru | Benchmark::Van | Benchmark::Hybrid
-        )
+        matches!(self, Benchmark::Lstm | Benchmark::Gru | Benchmark::Van | Benchmark::Hybrid)
     }
 
     /// `true` for the DAG-structured benchmarks (jobs with non-linear

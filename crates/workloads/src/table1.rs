@@ -99,8 +99,7 @@ pub fn fig1_points(suite: &BenchmarkSuite) -> Vec<Fig1Point> {
         .iter()
         .map(|&b| {
             let jobs = suite.generate_jobs(b, ArrivalRate::High, 32, 42);
-            let mean =
-                jobs.iter().map(|j| j.num_kernels() as f64).sum::<f64>() / jobs.len() as f64;
+            let mean = jobs.iter().map(|j| j.num_kernels() as f64).sum::<f64>() / jobs.len() as f64;
             Fig1Point {
                 bench: b,
                 kernels_per_job: mean,

@@ -31,11 +31,7 @@ impl CpScheduler for StaticSlack {
             .job
             .kernels()
             .iter()
-            .filter_map(|k| {
-                ctx.counters
-                    .offline_rate(k.class)
-                    .map(|r| k.num_wgs() as f64 / r)
-            })
+            .filter_map(|k| ctx.counters.offline_rate(k.class).map(|r| k.num_wgs() as f64 / r))
             .sum();
         let slack_us = job.job.deadline.as_us_f64() - est_us;
         let prio = us_to_prio(slack_us.max(0.0));

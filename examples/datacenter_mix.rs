@@ -20,15 +20,13 @@ fn main() {
     let n_bg = 6;
     println!("GMM speech scoring ({n_fg} jobs, 3ms deadline, medium rate)");
     println!("sharing the GPU with {n_bg} deadline-free background jobs (~1ms each)\n");
-    println!(
-        "{:<10} {:>12} {:>14} {:>12}",
-        "scheduler", "GMM on-time", "bg completed", "p99 (ms)"
-    );
+    println!("{:<10} {:>12} {:>14} {:>12}", "scheduler", "GMM on-time", "bg completed", "p99 (ms)");
     for (name, mode) in [
         ("RR", SchedulerMode::Cp(Box::new(RoundRobin::new()) as Box<dyn CpScheduler>)),
         ("LAX", SchedulerMode::Cp(Box::new(Lax::new()))),
     ] {
-        let jobs = with_background(suite, Benchmark::Gmm, ArrivalRate::Medium, n_fg, n_bg, 1_000, 17);
+        let jobs =
+            with_background(suite, Benchmark::Gmm, ArrivalRate::Medium, n_fg, n_bg, 1_000, 17);
         let mut sim = Simulation::builder()
             .offline_rates(suite.offline_rates())
             .jobs(jobs)

@@ -18,10 +18,7 @@ fn main() {
 
     for rate in [ArrivalRate::Low, ArrivalRate::High] {
         println!("--- {} arrival rate ---", rate.name());
-        println!(
-            "{:<9} {:>9} {:>9} {:>10}",
-            "scheduler", "met", "rejected", "p99 (ms)"
-        );
+        println!("{:<9} {:>9} {:>9} {:>10}", "scheduler", "met", "rejected", "p99 (ms)");
         for scheduler in ["RR", "BAY", "PRO", "LAX-SW", "LAX-CPU", "LAX"] {
             let r = simulate(Benchmark::Ipv6, rate, n, scheduler, 11);
             println!(

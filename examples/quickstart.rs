@@ -47,15 +47,13 @@ fn main() {
         unreachable!("linear-fig8.json names a benchmark");
     };
     println!();
-    println!("scenario file `{}`: {bench} x {:?} at the {} rate", file.name, file.schedulers, file.rates[0]);
+    println!(
+        "scenario file `{}`: {bench} x {:?} at the {} rate",
+        file.name, file.schedulers, file.rates[0]
+    );
     for scheduler in &file.schedulers {
         let rate = file.rates[0];
         let report = simulate(bench, rate, file.n_jobs, scheduler, file.cell_seed(rate));
-        println!(
-            "{:<10} {:>5}/{} deadlines met",
-            scheduler,
-            report.deadlines_met(),
-            file.n_jobs
-        );
+        println!("{:<10} {:>5}/{} deadlines met", scheduler, report.deadlines_met(), file.n_jobs);
     }
 }

@@ -113,7 +113,12 @@ impl Observer<ProbeEvent> for Lifecycles {
     fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
         match *event {
             ProbeEvent::JobArrived { job } => {
-                self.jobs.push(Lifecycle { job, arrived: at, started: None, fate: JobFate::Unfinished });
+                self.jobs.push(Lifecycle {
+                    job,
+                    arrived: at,
+                    started: None,
+                    fate: JobFate::Unfinished,
+                });
             }
             ProbeEvent::KernelStarted { job, .. } => {
                 if let Some(l) = self.jobs.iter_mut().find(|l| l.job == job) {
@@ -139,7 +144,10 @@ impl Lifecycles {
         let cols = (self.horizon.as_cycles() / per_char.as_cycles() + 1).min(500) as usize;
         let col = |t: Cycle| ((t.as_cycles() / per_char.as_cycles()) as usize).min(cols - 1);
         let mut out = String::new();
-        let _ = writeln!(out, "gantt: one column = {per_char} ('.' waiting, '=' running, 'X' rejected)");
+        let _ = writeln!(
+            out,
+            "gantt: one column = {per_char} ('.' waiting, '=' running, 'X' rejected)"
+        );
         for l in &self.jobs {
             let mut lane = vec![' '; cols];
             let dropped = match l.fate {
@@ -182,10 +190,7 @@ fn run(name: &str, mode: SchedulerMode) {
             "  {:<4} arrived {:>3.0}us, finished {:>6.1}us, deadline {:>5.0}us -> {status}",
             rec.bench,
             rec.arrival.as_us_f64() - T0 as f64,
-            rec.fate
-                .completed_at()
-                .map(|t| t.as_us_f64() - T0 as f64)
-                .unwrap_or(f64::NAN),
+            rec.fate.completed_at().map(|t| t.as_us_f64() - T0 as f64).unwrap_or(f64::NAN),
             rec.deadline_abs.as_us_f64() - T0 as f64,
         );
     }

@@ -110,10 +110,7 @@ fn batching_scheduler_runs_rnn_chains_in_lockstep() {
     let bat = simulate(Benchmark::Gru, ArrivalRate::Low, 8, "BAT", 31);
     assert_eq!(bat.completed(), 8, "all low-rate GRU jobs complete under BAT");
     // Lock-step batches attribute fractional WGs to members.
-    let frac = bat
-        .records
-        .iter()
-        .any(|r| r.wgs_executed.fract() != 0.0);
+    let frac = bat.records.iter().any(|r| r.wgs_executed.fract() != 0.0);
     assert!(frac, "batched execution splits WGs across members");
 }
 
@@ -157,11 +154,7 @@ fn lax_drop_reclaims_work_from_expired_jobs() {
     };
     let plain = run(SchedulerMode::Cp(Box::new(Lax::with_config(no_admit.clone()))));
     let drop = run(SchedulerMode::Cp(Box::new(LaxDrop::with_config(no_admit))));
-    let aborted = drop
-        .records
-        .iter()
-        .filter(|r| matches!(r.fate, JobFate::Aborted(_)))
-        .count();
+    let aborted = drop.records.iter().filter(|r| matches!(r.fate, JobFate::Aborted(_))).count();
     assert!(aborted > 0, "oversubscribed STEM must trigger drops");
     assert!(
         drop.total_wgs < plain.total_wgs,

@@ -88,11 +88,7 @@ fn build_jobs(specs: &[JobSpec]) -> Vec<JobDesc> {
 
 fn run(jobs: Vec<JobDesc>, sched: &str) -> SimReport {
     let mode = schedulers::registry::try_build(sched).expect("known scheduler");
-    let mut sim = Simulation::builder()
-        .jobs(jobs)
-        .scheduler(mode)
-        .build()
-        .expect("valid jobs");
+    let mut sim = Simulation::builder().jobs(jobs).scheduler(mode).build().expect("valid jobs");
     sim.run()
 }
 
@@ -214,8 +210,14 @@ fn gen_dag_job(rng: &mut SimRng, id: u32, arrival: Cycle) -> JobDesc {
         }
     }
     let graph = JobGraph::new(kernels, edges).expect("forward edges are acyclic");
-    JobDesc::from_graph(JobId(id), "dagprop", graph, Duration::from_us(20 + rng.below(1_980)), arrival)
-        .expect("generated DAGs are valid")
+    JobDesc::from_graph(
+        JobId(id),
+        "dagprop",
+        graph,
+        Duration::from_us(20 + rng.below(1_980)),
+        arrival,
+    )
+    .expect("generated DAGs are valid")
 }
 
 /// For arbitrary DAG jobs, the executed stage order respects every
@@ -363,7 +365,11 @@ fn scenario_files_round_trip_and_fail_typed() {
             let stages = (0..n)
                 .map(|i| StageSpec {
                     kernel: format!("k{}\"\\{}", i, rng.below(10)),
-                    deadline_us: if rng.below(2) == 0 { Some(1.0 + rng.below(500) as f64) } else { None },
+                    deadline_us: if rng.below(2) == 0 {
+                        Some(1.0 + rng.below(500) as f64)
+                    } else {
+                        None
+                    },
                 })
                 .collect();
             let mut edges = Vec::new();
@@ -394,9 +400,8 @@ fn scenario_files_round_trip_and_fail_typed() {
             },
         };
         let text = file.to_string();
-        let parsed: ScenarioFile = text.parse().unwrap_or_else(|e| {
-            panic!("case {case}: round trip failed: {e}\n{text}")
-        });
+        let parsed: ScenarioFile =
+            text.parse().unwrap_or_else(|e| panic!("case {case}: round trip failed: {e}\n{text}"));
         assert_eq!(parsed, file, "case {case}");
         // Every strict prefix of the document (sans trailing whitespace,
         // which is legitimately optional) is malformed input: typed
