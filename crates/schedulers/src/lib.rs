@@ -41,5 +41,3 @@ pub mod prema;
 pub mod pro;
 pub mod registry;
 pub mod routing;
-
-pub use registry::build;
