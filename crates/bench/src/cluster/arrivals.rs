@@ -9,10 +9,6 @@ use workloads::suite::BenchmarkSuite;
 
 use super::ClusterScenario;
 
-/// Longest arrival stream a cell may carry: job ids are `u32`, so one more
-/// job would hand observers a duplicate id.
-pub(super) const MAX_JOBS: u64 = 1 << 32;
-
 /// The cell's arrival stream: `devices ×` the benchmark's Table 4 rate,
 /// seeded by [`ClusterScenario::cell_seed`] only — the routing policy
 /// never perturbs the stream.

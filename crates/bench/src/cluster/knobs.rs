@@ -5,9 +5,10 @@ use std::fmt;
 
 use gpu_sim::prelude::*;
 use schedulers::routing;
+use workloads::stream::MAX_JOBS;
 use workloads::suite::BenchmarkSuite;
 
-use super::arrivals::{job_stream, last_arrival, MAX_JOBS};
+use super::arrivals::{job_stream, last_arrival};
 use super::{ClusterReport, ClusterScenario};
 use crate::cli::{default_jobs, Cli, CliError};
 use crate::sweep::{BenchError, SharedObserver};
@@ -227,8 +228,7 @@ impl ClusterBuilder {
             return Err(BenchError::FleetKnob { knob: "jitter", value: self.jitter.to_string() });
         }
         if self.scenario.n_jobs as u64 > MAX_JOBS {
-            let value = self.scenario.n_jobs.to_string();
-            return Err(BenchError::FleetKnob { knob: "n_jobs", value });
+            return Err(BenchError::TooManyJobs { n_jobs: self.scenario.n_jobs });
         }
         if self.scenario.devices > usize::from(u16::MAX) {
             let value = self.scenario.devices.to_string();

@@ -32,7 +32,7 @@
 //!   in-flight state: under faults, the bookings held past their device's
 //!   next crash and the pending retries; in the detailed tier, every
 //!   surviving booking kept for its phase-2 simulations; and in an
-//!   observed run, the outcome events buffered to sort them.
+//!   observed run, the outcomes still in flight.
 //! * Finished cells persist through [`crate::checkpoint::FleetCheckpoint`]
 //!   (summary + sketch), the same crash-safe store the sweep binaries use,
 //!   so an interrupted grid resumes byte-identically.
@@ -62,12 +62,12 @@
 //!
 //! # Observability
 //!
-//! The engine narrates itself over the probe bus: routing verdicts
-//! live in arrival order, then — after devices execute — one
-//! `JobCompleted` per finished job and exactly one `JobMissed` (typed by
-//! [`MissCause`]) per job that did not make its deadline, merged into one
-//! stream sorted by instant and job id so the delivery order is
-//! independent of worker count. [`FleetSampler`] turns the stream into
+//! The engine narrates itself over the probe bus: routing verdicts,
+//! retries and health transitions, one `JobCompleted` per finished job
+//! and exactly one `JobMissed` (typed by [`MissCause`]) per job that did
+//! not make its deadline — one stream in time order, live verdicts before
+//! outcomes at an instant, so the delivery order is independent of worker
+//! count. [`FleetSampler`] turns the stream into
 //! windowed SLO time series and [`FleetTraceWriter`] into Perfetto traces
 //! (the `trace` binary, given a fleet cell). The [`ClusterReport::misses`]
 //! breakdown is computed on every run — observed or not — and conserves

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use gpu_sim::prelude::*;
 use schedulers::routing;
+use sim_core::rng::Fnv1a;
 use workloads::spec::{ArrivalRate, Benchmark};
 use workloads::stream::Arrival;
 use workloads::suite::BenchmarkSuite;
@@ -392,18 +393,12 @@ fn fault_free_reports_match_their_golden_values() {
 #[test]
 fn out_of_range_fleet_knobs_are_typed_errors() {
     let base = || ClusterBuilder::new(scen("LL")).workers(2);
-    let bounds = [
-        ("slots", "at least 1"),
-        ("jitter", "in [0, 1)"),
-        ("n_jobs", "at most 2^32"),
-        ("devices", "at most 65535"),
-    ];
+    let bounds = [("slots", "at least 1"), ("jitter", "in [0, 1)"), ("devices", "at most 65535")];
     for (builder, name) in [
         (base().slots(0), "slots"),
         (base().jitter(1.5), "jitter"),
         (base().jitter(-0.1), "jitter"),
         (base().jitter(1.0), "jitter"),
-        (ClusterBuilder::new(ClusterScenario { n_jobs: (1 << 32) + 1, ..scen("LL") }), "n_jobs"),
         (ClusterBuilder::new(ClusterScenario { devices: 1 << 16, ..scen("LL") }), "devices"),
     ] {
         for fidelity in [Fidelity::Fast, Fidelity::Detailed] {
@@ -750,23 +745,25 @@ fn detailed_chaos_outcome_events_match_both_phases() {
     assert_eq!(a.misses, observed.misses);
 }
 
-/// Records the `(instant, job, kind)` key of every outcome event an
-/// observer sees: each completion (kind 0) and each miss settled after
-/// routing (kind 1). Front-door rejections and sheds are live verdicts,
-/// not outcomes.
+/// An outcome event's `(instant, job, kind)` key: each completion (kind
+/// 0) and each miss settled after routing (kind 1). Front-door rejections
+/// and sheds are live verdicts, not outcomes.
+fn outcome_key(at: Cycle, event: &ProbeEvent) -> Option<(Cycle, u32, u8)> {
+    match event {
+        ProbeEvent::JobCompleted { job, .. } => Some((at, job.0, 0)),
+        ProbeEvent::JobMissed { cause: MissCause::FrontDoorReject | MissCause::Shed, .. } => None,
+        ProbeEvent::JobMissed { job, .. } => Some((at, job.0, 1)),
+        _ => None,
+    }
+}
+
+/// Records the key of every outcome event an observer sees.
 #[derive(Default)]
 struct OutcomeKeys(Vec<(Cycle, u32, u8)>);
 
 impl Observer<ProbeEvent> for OutcomeKeys {
     fn on_event(&mut self, at: Cycle, event: &ProbeEvent) {
-        match event {
-            ProbeEvent::JobCompleted { job, .. } => self.0.push((at, job.0, 0)),
-            ProbeEvent::JobMissed {
-                cause: MissCause::FrontDoorReject | MissCause::Shed, ..
-            } => {}
-            ProbeEvent::JobMissed { job, .. } => self.0.push((at, job.0, 1)),
-            _ => {}
-        }
+        self.0.extend(outcome_key(at, event));
     }
 }
 
@@ -789,6 +786,128 @@ fn outcome_events_sort_by_instant_then_job_with_completion_first() {
         assert_eq!(late as u64, r.completed - r.met, "{s}: one miss after each late completion");
     }
     assert!(ClusterBuilder::new(scen("RR")).run().unwrap().met < 400, "RR must complete late");
+}
+
+/// A cell's whole probe stream, run with two retries per job and
+/// shedding on.
+fn narrated(s: &ClusterScenario, fidelity: Fidelity) -> (ClusterReport, Vec<(Cycle, ProbeEvent)>) {
+    let log = Arc::new(Mutex::new(EventLog::default()));
+    let builder = ClusterBuilder::new(s.clone()).fidelity(fidelity).retry_budget(2);
+    let report = builder.shed_degraded(true).observe(log.clone()).run().unwrap();
+    let events = std::mem::take(&mut log.lock().unwrap().0);
+    (report, events)
+}
+
+/// Observers hear one stream in time order at both tiers: crash retries
+/// and sheds, routing verdicts and outcomes interleave by instant.
+#[test]
+fn observers_hear_every_fleet_event_in_time_order() {
+    let detailed = ClusterScenario::new("LL", Benchmark::Hybrid, ArrivalRate::High, 2, 12, 3)
+        .with_fault_milli(2000);
+    for (s, fidelity) in [
+        (scen("LL").with_fault_milli(1500), Fidelity::Fast),
+        (scen("RR").with_fault_milli(2000), Fidelity::Fast),
+        (detailed, Fidelity::Detailed),
+    ] {
+        let (r, events) = narrated(&s, fidelity);
+        assert!(r.retried > 0 && r.shed > 0, "{s}: the cell must retry and shed");
+        assert!(events.windows(2).all(|w| w[0].0 <= w[1].0), "{s}: events out of time order");
+        let first_outcome = events.iter().position(|(at, e)| outcome_key(*at, e).is_some());
+        let last_live = events.iter().rposition(|(at, e)| outcome_key(*at, e).is_none());
+        assert!(first_outcome < last_live, "{s}: outcomes must interleave with live verdicts");
+    }
+}
+
+/// Ordering the stream once in the engine keeps each half of it as it
+/// was: live verdicts in engine order, and outcomes sorted by instant,
+/// then job, then completion before miss. A test-side reference buffers
+/// each half and sorts it, which must change nothing; the digests pin both
+/// halves to those the engine narrated when it sorted its buffered
+/// outcomes after the run, ties between retried jobs included.
+#[test]
+fn live_and_outcome_subsequences_match_their_sorted_references() {
+    for (cell, fidelity, live_digest, outcome_digest) in [
+        (
+            "RR:HYBRID:high:d4:j2000:s7",
+            Fidelity::Fast,
+            0xecad_8390_3bf4_b8b2,
+            0x5402_c1bc_5d76_b53e,
+        ),
+        (
+            "RR:HYBRID:high:d4:j2000:s7:f1",
+            Fidelity::Fast,
+            0xd64a_125c_3cbb_5c2b,
+            0x8ec8_d462_8272_cd78,
+        ),
+        (
+            "RR:HYBRID:high:d4:j2000:s7:f2",
+            Fidelity::Fast,
+            0xb118_6bb0_042e_25c0,
+            0x9749_bafc_e07e_726e,
+        ),
+        (
+            "LL:HYBRID:high:d4:j2000:s7",
+            Fidelity::Fast,
+            0x1ad1_bea2_af57_b9dc,
+            0xb5a6_6da8_31de_6d1a,
+        ),
+        (
+            "LL:HYBRID:high:d4:j2000:s7:f1",
+            Fidelity::Fast,
+            0x1363_2480_dd78_d12d,
+            0x9099_c6a3_9f1b_e65c,
+        ),
+        (
+            "LL:HYBRID:high:d4:j2000:s7:f2",
+            Fidelity::Fast,
+            0xc32e_96c9_0e37_09f6,
+            0xe437_6258_fc8d_6849,
+        ),
+        (
+            "LL:IPV6:high:d2:j24:s3:f1",
+            Fidelity::Detailed,
+            0x8972_7789_9cb8_15bc,
+            0x5ba4_4f4a_eed8_2ed5,
+        ),
+    ] {
+        let (_, events) = narrated(&cell.parse().unwrap(), fidelity);
+        let (outcomes, live): (Vec<_>, Vec<_>) =
+            events.into_iter().partition(|(at, e)| outcome_key(*at, e).is_some());
+        let mut reference = live.clone();
+        reference.sort_by_key(|&(at, _)| at);
+        assert!(live == reference, "{cell}: live verdicts out of engine order");
+        let mut reference = outcomes.clone();
+        reference.sort_by_key(|(at, e)| outcome_key(*at, e));
+        assert!(outcomes == reference, "{cell}: outcomes out of (instant, job, kind) order");
+        let digest = |events: &[(Cycle, ProbeEvent)]| {
+            let mut h = Fnv1a::new();
+            for (at, e) in events {
+                h.eat(format!("{at:?} {e:?}\n").as_bytes());
+            }
+            h.finish()
+        };
+        assert_eq!(digest(&live), live_digest, "{cell}: live verdicts changed");
+        assert_eq!(digest(&outcomes), outcome_digest, "{cell}: outcomes changed");
+    }
+}
+
+/// The telemetry series of tier-1's fleet trace cell, pinned bit for bit:
+/// rows closed as the ordered stream passes each window render exactly as
+/// the series did when every window stayed open until the run ended.
+#[test]
+fn fleet_trace_cell_series_match_their_golden_digests() {
+    let s: ClusterScenario = "LL:HYBRID:high:d4:j2000:s7:f1".parse().unwrap();
+    let sampler = Arc::new(Mutex::new(FleetSampler::new().with_devices(4)));
+    let builder = ClusterBuilder::new(s).retry_budget(2).shed_degraded(true);
+    builder.observe(sampler.clone()).run().unwrap();
+    let sampler = sampler.lock().unwrap();
+    let digest = |doc: String| {
+        let mut h = Fnv1a::new();
+        h.eat(doc.as_bytes());
+        (doc.len(), h.finish())
+    };
+    assert_eq!(digest(sampler.to_csv()), (52064, 0x27df_4831_f788_c98a), "CSV");
+    assert_eq!(digest(sampler.to_json()), (210_368, 0x9807_2258_4aa8_99f5), "series JSON");
 }
 
 /// Each job's first fate event, by job id: a device's `JobResolved`, or a

@@ -14,6 +14,7 @@
 //! at hidden size 256, FANOUT's sampled width, IPA's fixed width and the
 //! one kernel of each few-kernel benchmark.
 
+use std::fmt;
 use std::sync::Arc;
 
 use gpu_sim::job::{JobDesc, JobError, JobGraph, JobId};
@@ -181,6 +182,39 @@ pub struct Arrivals {
     n: usize,
 }
 
+/// Longest stream a cell may draw: job ids are `u32`, so one more job
+/// would repeat an id.
+pub const MAX_JOBS: u64 = 1 << 32;
+
+/// Why a stream could not be collected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamError {
+    /// The stream's job descriptions do not fit in memory.
+    TooLong {
+        /// Jobs the stream holds.
+        jobs: usize,
+    },
+    /// A job failed to materialize.
+    Job(JobError),
+}
+
+impl fmt::Display for StreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamError::TooLong { jobs } => write!(f, "{jobs} jobs do not fit in memory"),
+            StreamError::Job(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+impl From<JobError> for StreamError {
+    fn from(e: JobError) -> Self {
+        StreamError::Job(e)
+    }
+}
+
 impl Arrivals {
     /// The `n`-job stream of `workload` at `jobs_per_sec`, drawn from `seed`.
     pub fn new(workload: Workload, seed: u64, jobs_per_sec: f64, n: usize) -> Self {
@@ -193,14 +227,16 @@ impl Arrivals {
     ///
     /// # Errors
     ///
-    /// [`JobError::ZeroDeadline`] for a zero `deadline`.
+    /// [`StreamError::TooLong`] when the jobs cannot be held, found before
+    /// any is drawn; [`JobError::ZeroDeadline`] for a zero `deadline`.
     pub fn into_jobs(
         mut self,
         suite: &BenchmarkSuite,
         deadline: Duration,
-    ) -> Result<Vec<JobDesc>, JobError> {
-        // Reserved up front, so a stream too long to hold fails at once.
-        let mut jobs = Vec::with_capacity(self.n - self.next);
+    ) -> Result<Vec<JobDesc>, StreamError> {
+        let mut jobs = Vec::new();
+        let left = self.n - self.next;
+        jobs.try_reserve_exact(left).map_err(|_| StreamError::TooLong { jobs: left })?;
         while let Some(job) = self.next() {
             jobs.push(self.workload.materialize(suite, job.spec, job.id, deadline, job.at)?);
         }

@@ -15,7 +15,7 @@ use crate::calibrate::{fit, CalibratedKernel};
 use crate::kernels::{KernelSpec, ALL_SPECS};
 use crate::rnn::KernelSource;
 use crate::spec::{ArrivalRate, Benchmark};
-use crate::stream::{Arrivals, Workload};
+use crate::stream::{Arrivals, StreamError, Workload};
 
 /// All calibrated kernels plus the machinery to generate benchmark jobs.
 #[derive(Debug)]
@@ -113,6 +113,11 @@ impl BenchmarkSuite {
     ///
     /// Jobs get dense ids `0..n` in arrival order, as the simulator
     /// requires.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` jobs do not fit in memory; [`Self::try_generate_jobs`]
+    /// fails typed instead.
     pub fn generate_jobs(
         &self,
         bench: Benchmark,
@@ -120,10 +125,25 @@ impl BenchmarkSuite {
         n: usize,
         seed: u64,
     ) -> Vec<JobDesc> {
+        self.try_generate_jobs(bench, rate, n, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::generate_jobs`], failing typed when the jobs do not fit in
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::TooLong`], before any job is drawn.
+    pub fn try_generate_jobs(
+        &self,
+        bench: Benchmark,
+        rate: ArrivalRate,
+        n: usize,
+        seed: u64,
+    ) -> Result<Vec<JobDesc>, StreamError> {
         let seed = seed ^ (bench as u64) << 8 ^ (rate as u64) << 4;
         Arrivals::new(Workload::Bench(bench), seed, bench.rate_jobs_per_sec(rate), n)
             .into_jobs(self, bench.deadline())
-            .expect("benchmark deadlines are positive")
     }
 }
 

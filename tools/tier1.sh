@@ -39,13 +39,9 @@ cargo test --release --manifest-path benchmark/Cargo.toml
 echo "== tier1: cargo clippy -D warnings (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier1: rustfmt --check (fleet module, job stream and binaries) =="
-# The fleet module, the job stream, the suite and three binaries are kept
-# rustfmt-clean under the root rustfmt.toml; the rest of the tree is not
-# formatted yet.
-rustfmt --check --edition 2021 crates/bench/src/cluster/*.rs \
-    crates/bench/src/bin/cluster.rs crates/bench/src/bin/chaos.rs \
-    crates/bench/src/bin/dag.rs crates/workloads/src/stream.rs crates/workloads/src/suite.rs
+echo "== tier1: cargo fmt --all --check (the whole workspace) =="
+# The tree is kept rustfmt-clean under the root rustfmt.toml.
+cargo fmt --all --check
 
 echo "== tier1: fault-sweep smoke + kill-and-resume byte-identity =="
 FAULTS_BIN=target/release/faults
@@ -232,30 +228,34 @@ if [ "$EXP_STATUS" != 0 ]; then
 fi
 echo "   EXPERIMENTS.md matches its template and results/"
 
-echo "== tier1: fleet memory does not grow with job count =="
+echo "== tier1: fleet memory does not grow with job count, traced or not =="
 # Every fleet cell streams its arrivals through a bounded buffer, so four
 # times the jobs must peak at about the same resident set: a fault-free
 # cell, and a cell seeded from its own fault intensity, whose plan's span a
 # draw-only replay of the stream finds. The faulty cell is LL, not RR: an
 # overloaded RR cell holds every booking that would outlive its device's
-# next crash, real in-flight state that grows with its queue depth. Each
-# cell runs as its own child; its peak comes from the kernel's ru_maxrss.
-python3 - "$CLUSTER_BIN" "$TMP" <<'EOF'
+# next crash, real in-flight state that grows with its queue depth. A traced
+# cell holds its events only until the engine has ordered them, and its
+# trace and telemetry stop growing at their caps. Each cell runs as its own
+# child; its peak comes from the kernel's ru_maxrss.
+python3 - "$CLUSTER_BIN" "$TRACE_BIN" "$TMP" <<'EOF'
 import os, subprocess, sys
-cluster, tmp = sys.argv[1], sys.argv[2]
-for family in ("RR:HYBRID:high:d16:j{}:s1", "LL:HYBRID:high:d16:j{}:s1:f1"):
+cluster, trace, tmp = sys.argv[1], sys.argv[2], sys.argv[3]
+for binary, family in ((cluster, "RR:HYBRID:high:d16:j{}:s1"),
+                       (cluster, "LL:HYBRID:high:d16:j{}:s1:f1"),
+                       (trace, "LL:HYBRID:high:d16:j{}:s1")):
     peaks = []
     for n in (1000000, 4000000):
         cell = family.format(n)
-        child = subprocess.Popen([cluster, cell, "--out", f"{tmp}/mem/{n}.txt"],
+        child = subprocess.Popen([binary, cell, "--out", f"{tmp}/mem/{n}.out"],
                                  stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0, (cell, status)
         peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
-        print(f"   {cell}: peak RSS {peaks[-1]:.1f} MB")
+        print(f"   {os.path.basename(binary)} {cell}: peak RSS {peaks[-1]:.1f} MB")
     assert peaks[1] <= peaks[0] + 16, f"{cell}: {peaks[1] - peaks[0]:.1f} MB above 1M jobs"
 EOF
-echo "   fleet peak RSS is flat from 1M to 4M jobs"
+echo "   fleet peak RSS is flat from 1M to 4M jobs, traced or not"
 
 echo "== tier1: DAG sweep smoke + kill-and-resume + worker byte-identity =="
 DAG_BIN=target/release/dag
@@ -377,8 +377,9 @@ echo "== tier1: a bad command line fails typed and writes nothing =="
 # its value, a misspelt flag, an unknown artifact or a zero worker count
 # is an error naming the culprit, raised before anything is written. So is
 # a trace flag given for the other kind of cell, a grid flag given with a
-# scenario file, and a malformed cell string, which prints its message
-# rather than its `Debug` form. Each runs in an empty directory, which a
+# scenario file, a malformed cell string, which prints its message rather
+# than its `Debug` form, and a cell of more jobs than one cell may hold,
+# rejected before any job is drawn. Each runs in an empty directory, which a
 # stray write would leave non-empty.
 BIN_DIR="$PWD/target/release"
 mkdir "$TMP/argv"
@@ -410,6 +411,7 @@ fig99 all fig99
 --watch trace LL:HYBRID:high:d4:j200:s1 --watch 3
 `d0` cluster LL:HYBRID:high:d0:j8:s1
 fields trace RR:IPV6:low:j8
+100000000000 trace RR:IPV6:low:j100000000000:s1
 --smoke dag --scenario-file examples/scenarios/fanout-diamond.json --smoke
 ARGV
 echo "   bad command lines exit non-zero, name the culprit and write nothing"
